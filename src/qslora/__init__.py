@@ -9,13 +9,7 @@ deterministic, worker-count-independent Monte-Carlo.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelParams,
-    ChannelRealization,
-    draw_offset,
-    overlap_indices,
-    synthesize_chips,
-)
+from .channel import draw_offset
 from .continuous_time import (
     ContinuousSignal,
     certify_discrete_model,
@@ -28,11 +22,7 @@ from .correlations import (
     cross_corr_same_symbol,
 )
 from .modulation import (
-    ModulatedSymbol,
-    envelope,
     envelope_matrix,
-    inner_product,
-    modulate,
     sample_to_word,
     symbol_cardinality,
     word_to_sample,
@@ -62,12 +52,9 @@ from .waveforms import (
 
 __all__ = [
     "__version__",
-    "ChannelParams",
-    "ChannelRealization",
     "ChipWaveform",
     "ContinuousSignal",
     "GridPoint",
-    "ModulatedSymbol",
     "QuadratureError",
     "SerEstimate",
     "StoppingRule",
@@ -83,13 +70,9 @@ __all__ = [
     "detect",
     "draw_offset",
     "energy",
-    "envelope",
     "envelope_matrix",
-    "inner_product",
     "integrate",
     "matched_filter_chip",
-    "modulate",
-    "overlap_indices",
     "raised_cosine",
     "rectangular",
     "run_point",
@@ -99,7 +82,6 @@ __all__ = [
     "sample_waveform",
     "symbol_cardinality",
     "synthesize",
-    "synthesize_chips",
     "waveform_from_token",
     "wilson_interval",
     "word_to_sample",

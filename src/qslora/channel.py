@@ -1,23 +1,24 @@
-"""Discrete chip-rate channel: timing-offset draw, chip synthesis, AWGN.
+"""Discrete chip-rate channel: timing-offset draw and chip synthesis.
 
 A trial involves three consecutive symbols (previous, current, next) and a
 timing offset delta held constant over the current symbol. The receiver's
 k-th matched-filter window then sees
 
     r[k] = sqrt(P) * env(x_cur)[k] * R(delta)
-         + sqrt(P) * env(x_src)[k_hat] * Rhat(delta)
+         + sqrt(P) * env(x_src)[k + s] * Rhat(delta)
          + noise[k]
 
-where (k_hat, off) = overlap_indices(k, delta, sf) identifies the chip that
-spills into the window (x_src is the previous/current/next symbol according
-to off) and noise is i.i.d. circularly-symmetric complex Gaussian with total
-variance N0 per chip.
+with s = sign(delta): the window also covers a sliver of the chip one step
+ahead (delta > 0) or behind (delta < 0). That chip belongs to the current
+symbol except at the boundary window (k = M-1 for delta > 0, k = 0 for
+delta < 0), where it is the first chip of the next symbol or the last chip
+of the previous one. The Monte-Carlo harness adds the noise: i.i.d.
+circularly-symmetric complex Gaussian with total variance N0 per chip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,64 +26,17 @@ from .modulation import envelope_matrix, symbol_cardinality
 from .waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
-    "ChannelParams",
-    "ChannelRealization",
+    "validate_delta_s",
     "draw_offset",
-    "overlap_indices",
-    "synthesize_chips",
     "synthesize_chip_rows",
 ]
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Symbol power P and noise level N0 (linear), with snr_db = 10*log10(P/N0).
-
-    P and N0 may be zero to support noise-free and signal-free calibration
-    runs; snr_db is then the appropriate infinity. An explicitly supplied
-    snr_db must be consistent with P/N0 to within 1e-9 dB.
-    """
-
-    power: float
-    noise_density: float
-    snr_db: float = field(default=math.nan)
-
-    def __post_init__(self) -> None:
-        if self.power < 0.0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
-        if self.noise_density < 0.0:
-            raise ValueError(f"noise density must be >= 0, got {self.noise_density}")
-        if math.isnan(self.snr_db):
-            object.__setattr__(self, "snr_db", self._ratio_db())
-        elif abs(self.snr_db - self._ratio_db()) > 1e-9:
-            raise ValueError(
-                f"snr_db={self.snr_db} inconsistent with 10*log10(P/N0)={self._ratio_db()}"
-            )
-
-    def _ratio_db(self) -> float:
-        if self.power == 0.0:
-            return -math.inf
-        if self.noise_density == 0.0:
-            return math.inf
-        return 10.0 * math.log10(self.power / self.noise_density)
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, power: float = 1.0) -> "ChannelParams":
-        """Fix P and sweep N0 = P * 10**(-snr_db/10)."""
-        return cls(power=power, noise_density=power * 10.0 ** (-snr_db / 10.0))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One synthesized trial: the drawn context and the received chip vector."""
-
-    x_prev: int
-    x_cur: int
-    x_next: int
-    delta: float
-    received_chips: np.ndarray
-    params: ChannelParams
-    rng_stream_id: int = 0
+def validate_delta_s(delta_s: float) -> float:
+    """Check an offset bound: delta_s must lie in [0, 1] chips."""
+    if not 0.0 <= delta_s <= 1.0:
+        raise ValueError(f"delta_s must be in [0, 1], got {delta_s}")
+    return float(delta_s)
 
 
 def draw_offset(delta_s: float, rng: np.random.Generator) -> float:
@@ -90,31 +44,10 @@ def draw_offset(delta_s: float, rng: np.random.Generator) -> float:
 
     delta_s = 0 returns exactly 0.0 without consuming the stream.
     """
-    if not 0.0 <= delta_s <= 1.0:
-        raise ValueError(f"delta_s must be in [0, 1], got {delta_s}")
+    validate_delta_s(delta_s)
     if delta_s == 0.0:
         return 0.0
     return float(rng.uniform(-0.5 * delta_s, 0.5 * delta_s))
-
-
-def overlap_indices(k: int, delta: float, sf: int) -> tuple[int, int]:
-    """Locate the chip that spills into window k under offset delta.
-
-    Returns (k_hat, symbol_offset): the source chip index and which symbol
-    it belongs to (-1 previous, 0 current, +1 next). With s = sign(delta),
-    k_hat = (k+s) mod M; the symbol offset is nonzero only at the boundary
-    chip (k = M-1 for s = +1, k = 0 for s = -1).
-    """
-    cap = symbol_cardinality(sf)
-    if not 0 <= k < cap:
-        raise ValueError(f"chip index {k} out of range [0, {cap})")
-    s = (delta > 0) - (delta < 0)
-    shifted = k + s
-    if shifted == cap:
-        return 0, 1
-    if shifted == -1:
-        return cap - 1, -1
-    return shifted, 0
 
 
 def synthesize_chip_rows(
@@ -128,22 +61,12 @@ def synthesize_chip_rows(
 ) -> np.ndarray:
     """Noise-free received chips for a batch of trials, one row per trial.
 
-    Vectorized core shared by synthesize_chips and the Monte-Carlo harness;
-    the spill term reads one chip ahead (delta > 0) or behind (delta < 0),
-    crossing into the adjacent symbol only at the boundary chip.
+    The spill term reads one chip ahead (delta > 0) or behind (delta < 0),
+    crossing into the adjacent symbol only at the boundary chip. Inputs are
+    not range-checked here: symbol indices must lie in [0, M), offsets in
+    [-0.5, 0.5] and power must be >= 0, as the callers' own types guarantee.
     """
     m = symbol_cardinality(sf)
-    x_prev = np.asarray(x_prev)
-    x_cur = np.asarray(x_cur)
-    x_next = np.asarray(x_next)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(np.abs(delta) > 0.5):
-        raise ValueError("chip offset magnitude must be <= 0.5")
-    for name, arr in (("x_prev", x_prev), ("x_cur", x_cur), ("x_next", x_next)):
-        if np.any((arr < 0) | (arr >= m)):
-            raise ValueError(f"{name} contains indices out of range [0, {m})")
-    if power < 0.0:
-        raise ValueError(f"power must be >= 0, got {power}")
     env = envelope_matrix(sf)
     keep = np.asarray(autocorr_overlapping(waveform, delta), dtype=float)
     spill = np.asarray(autocorr_overlapped(waveform, delta), dtype=float)
@@ -162,38 +85,3 @@ def synthesize_chip_rows(
         rows[neg] += spill[neg, None] * src
     rows *= math.sqrt(power)
     return rows
-
-
-def synthesize_chips(
-    x_prev: int,
-    x_cur: int,
-    x_next: int,
-    delta: float,
-    waveform: ChipWaveform,
-    params: ChannelParams,
-    sf: int,
-    rng: np.random.Generator,
-    rng_stream_id: int = 0,
-) -> ChannelRealization:
-    """Synthesize the received chip vector for one symbol under offset delta."""
-    chips = synthesize_chip_rows(
-        np.array([x_prev]),
-        np.array([x_cur]),
-        np.array([x_next]),
-        np.array([float(delta)]),
-        waveform,
-        params.power,
-        sf,
-    )[0]
-    m = chips.shape[0]
-    scale = math.sqrt(params.noise_density / 2.0)
-    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return ChannelRealization(
-        x_prev=int(x_prev),
-        x_cur=int(x_cur),
-        x_next=int(x_next),
-        delta=float(delta),
-        received_chips=chips + noise,
-        params=params,
-        rng_stream_id=rng_stream_id,
-    )

@@ -17,21 +17,25 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 from . import __version__
+from .channel import validate_delta_s
 from .continuous_time import certify_discrete_model
-from .montecarlo import SerEstimate, analytical_ser_sync, run_sweep, snr_axis
+from .modulation import validate_sf
+from .montecarlo import SerEstimate, SweepConfig, analytical_ser_sync, run_sweep, snr_axis
 from .waveforms import (
-    WAVEFORM_TOKENS,
+    ChipWaveform,
     autocorr_overlapped,
     autocorr_overlapped_quad,
     autocorr_overlapping,
     autocorr_overlapping_quad,
     waveform_from_token,
 )
+
+T = TypeVar("T")
 
 __all__ = [
     "SweepConfig",
@@ -75,26 +79,6 @@ _CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Fully resolved sweep parameters (defaults span the full grid)."""
-
-    sf_list: tuple[int, ...] = (4, 5, 6, 7)
-    waveforms: tuple[str, ...] = ("rect", "rc")
-    delta_s_list: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    snr_start_db: float = -4.0
-    snr_stop_db: float = 24.0
-    snr_step_db: float = 2.0
-    trials_max: int = 1_000_000
-    min_errors: int = 100
-    master_seed: int = 1
-    workers: int = 1
-    fixed_delta: Optional[float] = None
-    output_path: str = "ser_results.csv"
-    format: str = "csv"
-    record_timing: bool = False
-
-
-@dataclass(frozen=True)
 class ResultRecord:
     """One output row plus non-serialized provenance fields."""
 
@@ -116,6 +100,42 @@ class ResultRecord:
 
 def _split_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in _split_list(text))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in _split_list(text))
+
+
+def _snr_range(text: str) -> tuple[float, float, float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("expected start:stop:step")
+    start, stop, step = (float(part) for part in parts)
+    return start, stop, step
+
+
+def _sf_list(text: str) -> list[int]:
+    return [validate_sf(sf) for sf in _ints(text)]
+
+
+def _waveform_list(text: str) -> list[ChipWaveform]:
+    return [waveform_from_token(token) for token in _split_list(text)]
+
+
+def _snr_list(text: str) -> list[float]:
+    return snr_axis(*_snr_range(text))
+
+
+def _convert(parser: argparse.ArgumentParser, key: str, convert: Callable[..., T], raw: object) -> T:
+    """convert(raw), reporting a ValueError as a usage error (exit 2) naming key."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        parser.error(f"invalid {key} value {raw!r}: {exc}")
 
 
 def _parse_config_file(text: str, error) -> dict[str, str]:
@@ -166,7 +186,9 @@ def parse_config(argv: Sequence[str], config_text: Optional[str] = None) -> Swee
 
     Precedence: CLI flags > QSLORA_WORKERS (workers only) > config file >
     built-in defaults. config_text, when given, is used as the config file
-    content; otherwise --config names a file to read.
+    content; otherwise --config names a file to read. Strings are only
+    converted here; SweepConfig checks the values, and either failure exits
+    2 with a message naming the field.
     """
     parser = _build_sweep_parser()
     ns = parser.parse_args(list(argv))
@@ -178,101 +200,33 @@ def parse_config(argv: Sequence[str], config_text: Optional[str] = None) -> Swee
             parser.error(f"cannot read config file: {exc}")
     file_vals = _parse_config_file(config_text, parser.error) if config_text else {}
 
-    def resolve(key: str, flag_value: Optional[str], env_value: Optional[str] = None) -> Optional[str]:
-        if flag_value is not None:
-            return flag_value
-        if env_value is not None:
-            return env_value
-        if key in file_vals:
-            return file_vals[key]
-        return _DEFAULTS[key]
+    def value(key: str, flag_value: Optional[str], convert: Callable[[str], T] = str,
+              env_value: Optional[str] = None) -> Optional[T]:
+        for raw in (flag_value, env_value, file_vals.get(key, _DEFAULTS[key])):
+            if raw is not None:
+                return _convert(parser, key, convert, raw)
+        return None
 
-    def fail(field: str, raw: str, reason: str):
-        parser.error(f"invalid {field} value {raw!r}: {reason}")
-
-    def parse_int(field: str, raw: str, minimum: Optional[int] = None) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            fail(field, raw, "not an integer")
-        if minimum is not None and value < minimum:
-            fail(field, raw, f"must be >= {minimum}")
-        return value
-
-    def parse_float(field: str, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            fail(field, raw, "not a number")
-
-    raw_sf = resolve("sf", ns.sf)
-    sf_list = tuple(parse_int("sf", item) for item in _split_list(raw_sf))
-    if not sf_list:
-        fail("sf", raw_sf, "empty list")
-    for sf in sf_list:
-        if not 2 <= sf <= 12:
-            fail("sf", str(sf), "must be in [2, 12]")
-
-    raw_wf = resolve("waveform", ns.waveform)
-    waveforms = tuple(_split_list(raw_wf))
-    if not waveforms:
-        fail("waveform", raw_wf, "empty list")
-    for tok in waveforms:
-        if tok not in WAVEFORM_TOKENS:
-            fail("waveform", tok, f"expected one of {', '.join(WAVEFORM_TOKENS)}")
-
-    raw_ds = resolve("delta-s", ns.delta_s)
-    delta_s_list = tuple(parse_float("delta-s", item) for item in _split_list(raw_ds))
-    if not delta_s_list:
-        fail("delta-s", raw_ds, "empty list")
-    for ds in delta_s_list:
-        if not 0.0 <= ds <= 1.0:
-            fail("delta-s", str(ds), "must be in [0, 1]")
-
-    raw_snr = resolve("snr", ns.snr)
-    parts = raw_snr.split(":")
-    if len(parts) != 3:
-        fail("snr", raw_snr, "expected start:stop:step")
-    snr_start, snr_stop, snr_step = (parse_float("snr", part) for part in parts)
-    if snr_step <= 0:
-        fail("snr", raw_snr, "step must be > 0")
-    if snr_stop < snr_start:
-        fail("snr", raw_snr, "stop is below start")
-
-    trials_max = parse_int("trials-max", resolve("trials-max", ns.trials_max), minimum=1)
-    min_errors = parse_int("min-errors", resolve("min-errors", ns.min_errors), minimum=0)
-    seed = parse_int("seed", resolve("seed", ns.seed))
-    env_workers = os.environ.get(WORKERS_ENV_VAR)
-    workers = parse_int("workers", resolve("workers", ns.workers, env_workers), minimum=1)
-
-    raw_fixed = resolve("fixed-delta", ns.fixed_delta)
-    fixed_delta = None
-    if raw_fixed is not None:
-        fixed_delta = parse_float("fixed-delta", raw_fixed)
-        if abs(fixed_delta) > 0.5:
-            fail("fixed-delta", raw_fixed, "magnitude must be <= 0.5")
-
-    output_path = resolve("output", ns.output)
-    fmt = resolve("format", ns.format)
-    if fmt not in ("csv", "json"):
-        fail("format", fmt, "expected csv or json")
-
-    return SweepConfig(
-        sf_list=sf_list,
-        waveforms=waveforms,
-        delta_s_list=delta_s_list,
-        snr_start_db=snr_start,
-        snr_stop_db=snr_stop,
-        snr_step_db=snr_step,
-        trials_max=trials_max,
-        min_errors=min_errors,
-        master_seed=seed,
-        workers=workers,
-        fixed_delta=fixed_delta,
-        output_path=output_path,
-        format=fmt,
-        record_timing=bool(ns.record_timing),
-    )
+    snr_start, snr_stop, snr_step = value("snr", ns.snr, _snr_range)
+    try:
+        return SweepConfig(
+            sf_list=value("sf", ns.sf, _ints),
+            waveforms=tuple(_split_list(value("waveform", ns.waveform))),
+            delta_s_list=value("delta-s", ns.delta_s, _floats),
+            snr_start_db=snr_start,
+            snr_stop_db=snr_stop,
+            snr_step_db=snr_step,
+            trials_max=value("trials-max", ns.trials_max, int),
+            min_errors=value("min-errors", ns.min_errors, int),
+            master_seed=value("seed", ns.seed, int),
+            workers=value("workers", ns.workers, int, os.environ.get(WORKERS_ENV_VAR)),
+            fixed_delta=value("fixed-delta", ns.fixed_delta, float),
+            output_path=value("output", ns.output),
+            format=value("format", ns.format),
+            record_timing=bool(ns.record_timing),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def records_from_estimates(
@@ -304,25 +258,24 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_results(records: Sequence[ResultRecord], path: str, format: str = "csv") -> None:
-    """Write records as CSV (fixed 11-column schema) or a JSON array.
+def write_results(records: Sequence[ResultRecord], fh: TextIO, format: str = "csv") -> None:
+    """Write records to an open text file as CSV (fixed 11-column schema) or a JSON array.
 
-    Floats are serialized with shortest round-trip precision, so parsing a
-    file and re-serializing it reproduces it byte for byte.
+    Open fh with newline="" so line endings are written as given. Floats
+    are serialized with shortest round-trip precision, so parsing a file and
+    re-serializing it reproduces it byte for byte.
     """
     if not records:
         raise ValueError("no records to write")
     if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_COLUMNS)
-            for rec in records:
-                writer.writerow([_cell(getattr(rec, col)) for col in _CSV_COLUMNS])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        for rec in records:
+            writer.writerow([_cell(getattr(rec, col)) for col in _CSV_COLUMNS])
     elif format == "json":
         payload = [{col: getattr(rec, col) for col in _CSV_COLUMNS} for rec in records]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
     else:
         raise ValueError(f"unknown output format {format!r}")
 
@@ -340,9 +293,11 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
             flush=True,
         )
 
-    estimates = run_sweep(config, progress=progress)
-    records = records_from_estimates(estimates, config)
-    write_results(records, config.output_path, config.format)
+    # open the output first so a bad path fails before any point is computed
+    with open(config.output_path, "w", newline="", encoding="utf-8") as fh:
+        estimates = run_sweep(config, progress=progress)
+        records = records_from_estimates(estimates, config)
+        write_results(records, fh, config.format)
     print(f"wrote {len(records)} records to {config.output_path}", file=sys.stderr)
     return 0
 
@@ -356,24 +311,23 @@ def _cmd_certify(argv: Sequence[str]) -> int:
     p.add_argument("-w", "--waveform", default="rect,rc", help="comma-separated waveforms")
     p.add_argument("--trials", type=int, default=100, help="random realizations per combination")
     p.add_argument("--delta-s", dest="delta_s", type=float, default=1.0, help="max offset in [0,1]")
-    p.add_argument("--oversampling", type=int, default=64, help="samples per chip (>= 64)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=1e-6)
     ns = p.parse_args(list(argv))
+    sfs = _convert(p, "sf", _sf_list, ns.sf)
+    waveforms = _convert(p, "waveform", _waveform_list, ns.waveform)
+    delta_s = _convert(p, "delta-s", validate_delta_s, ns.delta_s)
+    if ns.trials < 1:
+        p.error(f"invalid trials value {ns.trials}: must be >= 1")
     failures = 0
-    for sf_text in _split_list(ns.sf):
-        sf = int(sf_text)
-        for wi, tok in enumerate(_split_list(ns.waveform)):
-            wf = waveform_from_token(tok)
+    for sf in sfs:
+        for wi, wf in enumerate(waveforms):
             rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=(sf, wi)))
-            err = certify_discrete_model(
-                sf, wf, ns.trials, rng,
-                delta_s=ns.delta_s, oversampling=ns.oversampling,
-            )
+            err = certify_discrete_model(sf, wf, ns.trials, rng, delta_s=delta_s)
             ok = err < ns.tolerance
             failures += 0 if ok else 1
             print(
-                f"sf={sf} waveform={tok} trials={ns.trials} "
+                f"sf={sf} waveform={wf.kind} trials={ns.trials} "
                 f"max_abs_error={err:.3e} {'PASS' if ok else 'FAIL'}"
             )
     return 0 if failures == 0 else 1
@@ -387,11 +341,11 @@ def _cmd_oracle(argv: Sequence[str]) -> int:
     p.add_argument("--sf", default="4,5,6,7", help="comma-separated spreading factors")
     p.add_argument("--snr", default="-4:24:2", help="SNR axis start:stop:step in dB")
     ns = p.parse_args(list(argv))
-    start, stop, step = (float(part) for part in ns.snr.split(":"))
+    sfs = _convert(p, "sf", _sf_list, ns.sf)
+    snrs = _convert(p, "snr", _snr_list, ns.snr)
     print("sf snr_db ser")
-    for sf_text in _split_list(ns.sf):
-        sf = int(sf_text)
-        for snr in snr_axis(start, stop, step):
+    for sf in sfs:
+        for snr in snrs:
             print(f"{sf} {snr:g} {analytical_ser_sync(sf, snr)!r}")
     return 0
 
@@ -408,11 +362,11 @@ def _cmd_corr(argv: Sequence[str]) -> int:
         help="print quadrature reference values instead of closed forms",
     )
     ns = p.parse_args(list(argv))
+    waveforms = _convert(p, "waveform", _waveform_list, ns.waveform)
     if ns.steps < 2:
         p.error("steps must be >= 2")
     print("waveform delta overlapping overlapped")
-    for tok in _split_list(ns.waveform):
-        wf = waveform_from_token(tok)
+    for wf in waveforms:
         for i in range(ns.steps):
             d = i / (ns.steps - 1)
             if ns.quad:
@@ -421,7 +375,7 @@ def _cmd_corr(argv: Sequence[str]) -> int:
             else:
                 keep = autocorr_overlapping(wf, d)
                 spill = autocorr_overlapped(wf, d)
-            print(f"{tok} {d:g} {keep!r} {spill!r}")
+            print(f"{wf.kind} {d:g} {keep!r} {spill!r}")
     return 0
 
 

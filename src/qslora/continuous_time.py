@@ -1,7 +1,7 @@
-"""Oversampled continuous-time reference model and matched-filter oracle.
+"""Continuous-time reference model and matched-filter oracle.
 
-This is the slow path that certifies the chip-rate model: it synthesizes
-the transmitted baseband signal
+This is the slow path that certifies the chip-rate model: it represents the
+transmitted baseband signal
 
     s(t) = sqrt(P) * sum_n sum_k env(x(n))[k] * psi(t - t0 - n*T - k*Tc)
 
@@ -12,9 +12,8 @@ certify the discrete decomposition.
 
 Integration uses piecewise adaptive Gauss-Legendre with the pieces split at
 the signal's chip boundaries (its only non-smooth points); the integrand is
-evaluated exactly from the generating symbols rather than interpolated off
-the stored sample grid, so accuracy does not depend on the oversampling
-factor.
+evaluated exactly from the generating symbols, so no sampled copy of s(t)
+is kept.
 """
 
 from __future__ import annotations
@@ -31,20 +30,15 @@ from .waveforms import ChipWaveform, sample_waveform
 
 __all__ = ["ContinuousSignal", "synthesize", "matched_filter_chip", "certify_discrete_model"]
 
-MIN_OVERSAMPLING = 64
-
 
 @dataclass(frozen=True)
 class ContinuousSignal:
-    """A synthesized baseband signal on an oversampled grid.
+    """A baseband signal spanning (len(symbols) * M + guard_chips) chips from t0.
 
-    samples holds s(t) on the uniform grid t0 + i/oversampling covering
-    (len(symbols) * M + guard_chips) chips; the generating metadata allows
-    exact evaluation at arbitrary instants via value_at.
+    The generating metadata allows exact evaluation at arbitrary instants
+    via value_at.
     """
 
-    samples: np.ndarray
-    oversampling: int
     t0: float
     symbols: tuple[int, ...]
     sf: int
@@ -104,7 +98,6 @@ def synthesize(
     waveform: ChipWaveform,
     sf: int,
     power: float = 1.0,
-    oversampling: int = MIN_OVERSAMPLING,
     t0: float = 0.0,
     guard_chips: int = 0,
 ) -> ContinuousSignal:
@@ -115,15 +108,11 @@ def synthesize(
         raise ValueError("need at least one symbol")
     if any(not 0 <= s < m for s in symbols):
         raise ValueError(f"symbol indices must be in [0, {m})")
-    if oversampling < MIN_OVERSAMPLING:
-        raise ValueError(f"oversampling must be >= {MIN_OVERSAMPLING}, got {oversampling}")
     if power < 0.0:
         raise ValueError(f"power must be >= 0, got {power}")
     if guard_chips < 0:
         raise ValueError(f"guard_chips must be >= 0, got {guard_chips}")
-    sig = ContinuousSignal(
-        samples=np.empty(0, dtype=complex),
-        oversampling=int(oversampling),
+    return ContinuousSignal(
         t0=float(t0),
         symbols=symbols,
         sf=int(sf),
@@ -131,10 +120,6 @@ def synthesize(
         waveform=waveform,
         guard_chips=int(guard_chips),
     )
-    count = (len(symbols) * m + guard_chips) * oversampling
-    grid = t0 + np.arange(count) / oversampling
-    object.__setattr__(sig, "samples", sig.value_at(grid))
-    return sig
 
 
 def matched_filter_chip(
@@ -192,7 +177,6 @@ def certify_discrete_model(
     rng: np.random.Generator,
     delta_s: float = 1.0,
     power: float = 1.0,
-    oversampling: int = MIN_OVERSAMPLING,
 ) -> float:
     """Max |continuous - discrete| chip sample difference over random trials.
 
@@ -208,7 +192,7 @@ def certify_discrete_model(
     for _ in range(trials):
         x = rng.integers(0, m, size=3)
         delta = draw_offset(delta_s, rng)
-        sig = synthesize(tuple(x), waveform, sf, power, oversampling)
+        sig = synthesize(tuple(x), waveform, sf, power)
         reference = synthesize_chip_rows(
             x[:1], x[1:2], x[2:3], np.array([delta]), waveform, power, sf
         )[0]

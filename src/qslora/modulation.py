@@ -12,7 +12,6 @@ work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,11 +23,7 @@ __all__ = [
     "symbol_cardinality",
     "word_to_sample",
     "sample_to_word",
-    "envelope",
     "envelope_matrix",
-    "ModulatedSymbol",
-    "modulate",
-    "inner_product",
 ]
 
 MIN_SF = 2
@@ -66,23 +61,14 @@ def sample_to_word(index: int, sf: int) -> tuple[int, ...]:
     return tuple((index >> i) & 1 for i in range(sf))
 
 
-def envelope(index: int, sf: int) -> np.ndarray:
-    """Chip sequence of symbol `index`: length-M complex array, unit norm.
-
-    The integer phase k*((index+k) mod M) is reduced mod M before the complex
-    exponential so the argument stays below 2*pi at any spreading factor.
-    """
-    m = symbol_cardinality(sf)
-    if not 0 <= index < m:
-        raise ValueError(f"symbol index {index} out of range [0, {m})")
-    k = np.arange(m)
-    phase = (k * ((index + k) % m)) % m
-    return np.exp(2j * np.pi * phase / m) / np.sqrt(m)
-
-
 @lru_cache(maxsize=4)
 def envelope_matrix(sf: int) -> np.ndarray:
-    """M x M matrix whose row x is envelope(x, sf). Cached and read-only."""
+    """M x M chip matrix whose row x is the chip sequence of symbol x.
+
+    Rows have unit norm. The integer phase k*((x+k) mod M) is reduced mod M
+    before the complex exponential so the argument stays below 2*pi at any
+    spreading factor. Cached and read-only.
+    """
     m = symbol_cardinality(sf)
     k = np.arange(m)
     x = k[:, None]
@@ -90,30 +76,3 @@ def envelope_matrix(sf: int) -> np.ndarray:
     mat = np.exp(2j * np.pi * phase / m) / np.sqrt(m)
     mat.setflags(write=False)
     return mat
-
-
-@dataclass(frozen=True)
-class ModulatedSymbol:
-    """A symbol index together with its transmitted chip sequence."""
-
-    sf: int
-    index: int
-    chips: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = symbol_cardinality(self.sf)
-        if not 0 <= self.index < m:
-            raise ValueError(f"symbol index {self.index} out of range [0, {m})")
-        if self.chips.shape != (m,):
-            raise ValueError(f"chips must have shape ({m},), got {self.chips.shape}")
-
-
-def modulate(index: int, sf: int) -> ModulatedSymbol:
-    return ModulatedSymbol(sf=sf, index=index, chips=envelope(index, sf))
-
-
-def inner_product(a: ModulatedSymbol, b: ModulatedSymbol) -> complex:
-    """Chip-sequence inner product <a, b> = sum_k a[k] * conj(b[k])."""
-    if a.sf != b.sf:
-        raise ValueError(f"spreading factor mismatch: {a.sf} vs {b.sf}")
-    return complex(np.sum(a.chips * np.conj(b.chips)))

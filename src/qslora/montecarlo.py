@@ -24,9 +24,9 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
-from .channel import synthesize_chip_rows
+from .channel import synthesize_chip_rows, validate_delta_s
 from .modulation import symbol_cardinality, validate_sf
-from .receiver import dechirp_vector
+from .receiver import despread_fft
 from .waveforms import ChipWaveform, waveform_from_token
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "run_trial",
     "run_point",
     "snr_axis",
+    "SweepConfig",
     "sweep_points",
     "run_sweep",
 ]
@@ -58,8 +59,7 @@ class GridPoint:
 
     def __post_init__(self) -> None:
         validate_sf(self.sf)
-        if not 0.0 <= self.delta_s <= 1.0:
-            raise ValueError(f"delta_s must be in [0, 1], got {self.delta_s}")
+        validate_delta_s(self.delta_s)
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
@@ -176,8 +176,6 @@ def _chunk_error_flags(
     x_cur = rng.integers(0, m, size=n)
     x_next = rng.integers(0, m, size=n)
     if fixed_delta is not None:
-        if abs(fixed_delta) > 0.5:
-            raise ValueError(f"fixed delta magnitude must be <= 0.5, got {fixed_delta}")
         delta = np.full(n, float(fixed_delta))
     elif point.delta_s == 0.0:
         delta = np.zeros(n)
@@ -188,7 +186,7 @@ def _chunk_error_flags(
     scale = math.sqrt(n0 / 2.0)
     rows += scale * rng.standard_normal((n, m))
     rows += 1j * scale * rng.standard_normal((n, m))
-    stats = np.fft.fft(rows * dechirp_vector(point.sf), axis=1) / math.sqrt(m)
+    stats = despread_fft(rows, point.sf)
     detected = np.argmax(np.abs(stats), axis=1)
     return detected != x_cur
 
@@ -225,7 +223,9 @@ def run_point(
 
     Chunks are consumed strictly in index order and the stopping rule is
     evaluated on cumulative counts, so the estimate does not depend on how
-    many workers computed the chunks.
+    many workers computed the chunks. fixed_delta, when given, replaces the
+    offset draw for every trial; its magnitude must be <= 0.5, which is
+    checked by SweepConfig, not here.
     """
     t_start = time.perf_counter()
     n_chunks = -(-stop.max_trials // TRIALS_PER_CHUNK)
@@ -282,6 +282,8 @@ def run_point(
 
 def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
     """Inclusive dB grid start, start+step, ..., up to stop when reachable."""
+    if not all(math.isfinite(v) for v in (start_db, stop_db, step_db)):
+        raise ValueError(f"snr axis bounds must be finite, got {start_db}:{stop_db}:{step_db}")
     if not step_db > 0:
         raise ValueError(f"snr step must be > 0, got {step_db}")
     count = int(math.floor((stop_db - start_db) / step_db + 1e-9)) + 1
@@ -290,28 +292,68 @@ def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
     return [float(start_db + i * step_db) for i in range(count)]
 
 
-def sweep_points(config) -> list[GridPoint]:
-    """Expand and validate a sweep config into an ordered list of grid points.
+@dataclass(frozen=True)
+class SweepConfig:
+    """Fully resolved sweep parameters (defaults span the full grid).
+
+    Construction checks every field once, through the type that owns the
+    value (validate_sf, ChipWaveform, validate_delta_s, snr_axis,
+    StoppingRule); a bad field raises ValueError whose message starts with
+    the field's config key (sf, waveform, delta-s, snr, ...).
+    """
+
+    sf_list: tuple[int, ...] = (4, 5, 6, 7)
+    waveforms: tuple[str, ...] = ("rect", "rc")
+    delta_s_list: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    snr_start_db: float = -4.0
+    snr_stop_db: float = 24.0
+    snr_step_db: float = 2.0
+    trials_max: int = 1_000_000
+    min_errors: int = 100
+    master_seed: int = 1
+    workers: int = 1
+    fixed_delta: Optional[float] = None
+    output_path: str = "ser_results.csv"
+    format: str = "csv"
+    record_timing: bool = False
+
+    def __post_init__(self) -> None:
+        for key, values in (
+            ("sf", self.sf_list),
+            ("waveform", self.waveforms),
+            ("delta-s", self.delta_s_list),
+        ):
+            if not values:
+                raise ValueError(f"{key} list is empty")
+        checks = (
+            ("sf", lambda: [validate_sf(sf) for sf in self.sf_list]),
+            ("waveform", lambda: [waveform_from_token(tok) for tok in self.waveforms]),
+            ("delta-s", lambda: [validate_delta_s(ds) for ds in self.delta_s_list]),
+            ("snr", lambda: snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)),
+            ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
+            ("min-errors", lambda: StoppingRule(min_errors=self.min_errors)),
+        )
+        for key, check in checks:
+            try:
+                check()
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        if self.workers < 1:
+            raise ValueError(f"workers: must be >= 1, got {self.workers}")
+        if self.fixed_delta is not None and not abs(self.fixed_delta) <= 0.5:
+            raise ValueError(f"fixed-delta: magnitude must be <= 0.5, got {self.fixed_delta}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format: expected csv or json, got {self.format!r}")
+
+
+def sweep_points(config: SweepConfig) -> list[GridPoint]:
+    """Expand a sweep config into an ordered list of grid points.
 
     Ordering is (sf, waveform token, delta_s, snr_db) so output layout is
     independent of how the axes were listed.
     """
-    if not config.sf_list:
-        raise ValueError("sf list is empty")
-    if not config.waveforms:
-        raise ValueError("waveform list is empty")
-    if not config.delta_s_list:
-        raise ValueError("delta-s list is empty")
-    for sf in config.sf_list:
-        validate_sf(sf)
     waveforms = [waveform_from_token(tok) for tok in config.waveforms]
-    for ds in config.delta_s_list:
-        if not 0.0 <= ds <= 1.0:
-            raise ValueError(f"delta-s value out of range [0, 1]: {ds}")
     snrs = snr_axis(config.snr_start_db, config.snr_stop_db, config.snr_step_db)
-    fixed_delta = getattr(config, "fixed_delta", None)
-    if fixed_delta is not None and abs(fixed_delta) > 0.5:
-        raise ValueError(f"fixed-delta magnitude must be <= 0.5, got {fixed_delta}")
     points = [
         GridPoint(sf=int(sf), waveform=wf, delta_s=float(ds), snr_db=float(snr))
         for sf in config.sf_list
@@ -324,19 +366,13 @@ def sweep_points(config) -> list[GridPoint]:
 
 
 def run_sweep(
-    config,
+    config: SweepConfig,
     progress: Optional[Callable[[int, int, SerEstimate], None]] = None,
 ) -> list[SerEstimate]:
-    """Run every grid point of a sweep config; see sweep_points for ordering.
-
-    config duck-types SweepConfig: sf_list, waveforms (tokens),
-    delta_s_list, snr_start_db/stop/step, trials_max, min_errors,
-    master_seed, workers, fixed_delta.
-    """
+    """Run every grid point of a sweep config; see sweep_points for ordering."""
     points = sweep_points(config)
     stop = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
-    workers = int(config.workers)
-    fixed_delta = getattr(config, "fixed_delta", None)
+    workers = config.workers
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     results: list[SerEstimate] = []
     try:
@@ -346,7 +382,7 @@ def run_sweep(
                 stop,
                 config.master_seed,
                 workers=workers,
-                fixed_delta=fixed_delta,
+                fixed_delta=config.fixed_delta,
                 executor=executor,
             )
             results.append(est)

@@ -7,8 +7,10 @@ chips against envelope m:
 
 The direct summation is the specification; because env(m)[k] factors into a
 common dechirp term exp(2j*pi*k^2/M)/sqrt(M) and a pure tone exp(2j*pi*k*m/M),
-the whole bank is also one FFT of the dechirped chips, which the hot path
-uses. Detection picks the smallest index maximizing |stats[m]|.
+the whole bank is also one FFT of the dechirped chips, which the
+Monte-Carlo hot path uses. Both forms work along the last axis, so a batch
+of trials is one (trials, M) array. Detection picks the smallest index
+maximizing |stats[m]|.
 """
 
 from __future__ import annotations
@@ -35,15 +37,15 @@ def dechirp_vector(sf: int) -> np.ndarray:
 def _check_chips(chips: np.ndarray, sf: int) -> np.ndarray:
     m = symbol_cardinality(sf)
     chips = np.asarray(chips)
-    if chips.shape != (m,):
-        raise ValueError(f"chips must have shape ({m},), got {chips.shape}")
+    if chips.shape[-1:] != (m,):
+        raise ValueError(f"chips must have last axis of length {m}, got shape {chips.shape}")
     return chips
 
 
 def despread(chips: np.ndarray, sf: int) -> np.ndarray:
     """Correlate chips against every candidate envelope (direct summation)."""
     chips = _check_chips(chips, sf)
-    return envelope_matrix(sf).conj() @ chips
+    return chips @ envelope_matrix(sf).conj().T
 
 
 def despread_fft(chips: np.ndarray, sf: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Tests for the chip-rate channel: params, offset draw, spillover indexing,
-chip synthesis, and noise calibration."""
+"""Tests for the chip-rate channel: offset draw, spillover indexing and
+chip synthesis."""
 
 import math
 
@@ -8,44 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslora.channel import (
-    ChannelParams,
-    draw_offset,
-    overlap_indices,
-    synthesize_chip_rows,
-    synthesize_chips,
-)
-from qslora.modulation import envelope, symbol_cardinality
-from qslora.waveforms import raised_cosine, rectangular
+from qslora.channel import draw_offset, synthesize_chip_rows
+from qslora.modulation import envelope_matrix, symbol_cardinality
+from qslora.waveforms import autocorr_overlapped, autocorr_overlapping, rectangular
 
 
-class TestChannelParams:
-    def test_snr_derived_from_ratio(self):
-        params = ChannelParams(power=1.0, noise_density=0.1)
-        assert params.snr_db == pytest.approx(10.0, abs=1e-12)
-
-    def test_from_snr_db_round_trip(self):
-        for snr in (-7.5, 0.0, 3.0, 21.0):
-            params = ChannelParams.from_snr_db(snr)
-            assert params.snr_db == pytest.approx(snr, abs=1e-9)
-            assert params.power == 1.0
-
-    def test_consistent_explicit_snr_accepted(self):
-        ChannelParams(power=1.0, noise_density=0.1, snr_db=10.0)
-
-    def test_inconsistent_explicit_snr_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelParams(power=1.0, noise_density=0.1, snr_db=9.9)
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelParams(power=-1.0, noise_density=0.1)
-        with pytest.raises(ValueError):
-            ChannelParams(power=1.0, noise_density=-0.1)
-
-    def test_degenerate_levels_map_to_infinities(self):
-        assert ChannelParams(power=0.0, noise_density=1.0).snr_db == -math.inf
-        assert ChannelParams(power=1.0, noise_density=0.0).snr_db == math.inf
+def _chips(x_prev, x_cur, x_next, delta, waveform, power=1.0, sf=4):
+    """Noise-free chips of one trial: a one-row synthesize_chip_rows batch."""
+    return synthesize_chip_rows(
+        np.array([x_prev]), np.array([x_cur]), np.array([x_next]),
+        np.array([float(delta)]), waveform, power, sf,
+    )[0]
 
 
 class TestDrawOffset:
@@ -83,67 +56,76 @@ class TestDrawOffset:
 
 
 class TestOverlapIndices:
-    def test_synchronous_identity(self):
-        for k in range(16):
-            assert overlap_indices(k, 0.0, 4) == (k, 0)
+    """Which chip spills into each window: the chip one step toward the
+    offset, taken from the adjacent symbol only at the boundary window."""
 
-    def test_positive_offset_boundary_wraps_forward(self):
-        assert overlap_indices(15, 0.3, 4) == (0, 1)
-        assert overlap_indices(7, 0.3, 4) == (8, 0)
+    def test_synchronous_identity(self, rect):
+        np.testing.assert_array_equal(
+            _chips(3, 9, 12, 0.0, rect), _chips(0, 9, 0, 0.0, rect)
+        )
 
-    def test_negative_offset_boundary_reaches_back(self):
-        assert overlap_indices(0, -0.3, 4) == (15, -1)
-        assert overlap_indices(7, -0.3, 4) == (6, 0)
+    def test_positive_offset_boundary_wraps_forward(self, rect):
+        env = envelope_matrix(4)
+        chips = _chips(2, 11, 5, 0.3, rect)
+        keep, spill = autocorr_overlapping(rect, 0.3), autocorr_overlapped(rect, 0.3)
+        assert chips[15] == pytest.approx(keep * env[11, 15] + spill * env[5, 0], abs=1e-15)
+        assert chips[7] == pytest.approx(keep * env[11, 7] + spill * env[11, 8], abs=1e-15)
 
-    def test_chip_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            overlap_indices(16, 0.1, 4)
+    def test_negative_offset_boundary_reaches_back(self, rect):
+        env = envelope_matrix(4)
+        chips = _chips(2, 11, 5, -0.3, rect)
+        keep, spill = autocorr_overlapping(rect, 0.3), autocorr_overlapped(rect, 0.3)
+        assert chips[0] == pytest.approx(keep * env[11, 0] + spill * env[2, 15], abs=1e-15)
+        assert chips[7] == pytest.approx(keep * env[11, 7] + spill * env[11, 6], abs=1e-15)
 
     @pytest.mark.parametrize("delta", [0.2, -0.2, 0.5, -0.5])
     @pytest.mark.parametrize("sf", [2, 4, 6])
-    def test_exactly_one_boundary_chip(self, delta, sf):
+    def test_exactly_one_boundary_chip(self, delta, sf, rc):
+        # reference rule, chip by chip: window k reads chip k+s of the
+        # current symbol, except the one window where k+s leaves [0, M)
         cap = symbol_cardinality(sf)
-        offsets = [overlap_indices(k, delta, sf)[1] for k in range(cap)]
-        assert sum(1 for off in offsets if off != 0) == 1
-        assert set(offsets) <= {-1, 0, 1}
+        env = envelope_matrix(sf)
+        x_prev, x_cur, x_next = 1, 2, 3
+        s = 1 if delta > 0 else -1
+        keep, spill = autocorr_overlapping(rc, delta), autocorr_overlapped(rc, delta)
+        expected = np.empty(cap, dtype=complex)
+        boundary = []
+        for k in range(cap):
+            if 0 <= k + s < cap:
+                src = env[x_cur, k + s]
+            else:
+                boundary.append(k)
+                src = env[x_next, 0] if s > 0 else env[x_prev, cap - 1]
+            expected[k] = keep * env[x_cur, k] + spill * src
+        assert boundary == [cap - 1 if s > 0 else 0]
+        np.testing.assert_allclose(
+            _chips(x_prev, x_cur, x_next, delta, rc, sf=sf), expected, atol=1e-15
+        )
 
 
 class TestSynthesizeChips:
-    def test_synchronous_noise_free_is_pure_envelope(self, rect, rng):
-        params = ChannelParams(power=4.0, noise_density=0.0)
-        real = synthesize_chips(3, 9, 12, 0.0, rect, params, 4, rng)
-        np.testing.assert_allclose(real.received_chips, 2.0 * envelope(9, 4), atol=1e-15)
+    def test_synchronous_noise_free_is_pure_envelope(self, rect):
+        chips = _chips(3, 9, 12, 0.0, rect, power=4.0)
+        np.testing.assert_allclose(chips, 2.0 * envelope_matrix(4)[9], atol=1e-15)
 
-    def test_realization_records_context(self, rect, rng):
-        params = ChannelParams.from_snr_db(10.0)
-        real = synthesize_chips(1, 2, 3, 0.25, rect, params, 4, rng, rng_stream_id=77)
-        assert (real.x_prev, real.x_cur, real.x_next) == (1, 2, 3)
-        assert real.delta == 0.25
-        assert real.params is params
-        assert real.rng_stream_id == 77
-        assert real.received_chips.shape == (16,)
-
-    def test_interior_chip_half_offset(self, rect, rng):
+    def test_interior_chip_half_offset(self, rect):
         # delta = 0.5 rect: equal-weight mix of chip k and chip k+1 of the
         # same symbol for interior k
-        params = ChannelParams(power=1.0, noise_density=0.0)
-        real = synthesize_chips(2, 11, 5, 0.5, rect, params, 4, rng)
-        env_cur = envelope(11, 4)
-        assert real.received_chips[7] == pytest.approx(
-            0.5 * env_cur[7] + 0.5 * env_cur[8], abs=1e-12
-        )
+        chips = _chips(2, 11, 5, 0.5, rect)
+        env_cur = envelope_matrix(4)[11]
+        assert chips[7] == pytest.approx(0.5 * env_cur[7] + 0.5 * env_cur[8], abs=1e-12)
 
-    def test_boundary_chip_half_offset_spills_into_next(self, rect, rng):
-        params = ChannelParams(power=1.0, noise_density=0.0)
-        real = synthesize_chips(2, 11, 5, 0.5, rect, params, 4, rng)
-        expected = 0.5 * envelope(11, 4)[15] + 0.5 * envelope(5, 4)[0]
-        assert real.received_chips[15] == pytest.approx(expected, abs=1e-12)
+    def test_boundary_chip_half_offset_spills_into_next(self, rect):
+        chips = _chips(2, 11, 5, 0.5, rect)
+        env = envelope_matrix(4)
+        expected = 0.5 * env[11, 15] + 0.5 * env[5, 0]
+        assert chips[15] == pytest.approx(expected, abs=1e-12)
 
-    def test_boundary_chip_negative_offset_spills_into_previous(self, rect, rng):
-        params = ChannelParams(power=1.0, noise_density=0.0)
-        real = synthesize_chips(2, 11, 5, -0.25, rect, params, 4, rng)
-        expected = 0.75 * envelope(11, 4)[0] + 0.25 * envelope(2, 4)[15]
-        assert real.received_chips[0] == pytest.approx(expected, abs=1e-12)
+    def test_boundary_chip_negative_offset_spills_into_previous(self, rect):
+        chips = _chips(2, 11, 5, -0.25, rect)
+        env = envelope_matrix(4)
+        expected = 0.75 * env[11, 0] + 0.25 * env[2, 15]
+        assert chips[0] == pytest.approx(expected, abs=1e-12)
 
     @given(
         sf=st.integers(min_value=2, max_value=8),
@@ -154,49 +136,18 @@ class TestSynthesizeChips:
         cap = symbol_cardinality(sf)
         x = data.draw(st.integers(0, cap - 1))
         power = data.draw(st.floats(min_value=0.1, max_value=10.0))
-        rows = synthesize_chip_rows(
-            np.array([0]), np.array([x]), np.array([0]),
-            np.array([0.0]), rectangular(), power, sf,
-        )
-        total = float(np.sum(np.abs(rows[0]) ** 2))
+        chips = _chips(0, x, 0, 0.0, rectangular(), power, sf)
+        total = float(np.sum(np.abs(chips) ** 2))
         assert abs(total - power) < 1e-12
 
-    def test_offset_magnitude_rejected(self, rect, rng):
-        params = ChannelParams(power=1.0, noise_density=0.0)
-        with pytest.raises(ValueError):
-            synthesize_chips(1, 2, 3, 0.6, rect, params, 4, rng)
-
-    def test_symbol_out_of_range_rejected(self, rect, rng):
-        params = ChannelParams(power=1.0, noise_density=0.0)
-        with pytest.raises(ValueError):
-            synthesize_chips(1, 16, 3, 0.1, rect, params, 4, rng)
-
-    def test_noise_calibration(self, rc):
-        # with P = 0 the chips are pure noise; empirical per-chip variance
-        # over ~10^6 draws must land within 1% of N0
-        rng = np.random.default_rng(11)
-        n0 = 0.37
-        params = ChannelParams(power=0.0, noise_density=n0)
-        chunks = []
-        for _ in range(4096):
-            real = synthesize_chips(0, 0, 0, 0.1, rc, params, 8, rng)
-            chunks.append(real.received_chips)
-        samples = np.concatenate(chunks)
-        assert samples.size >= 1_000_000
-        var = float(np.mean(np.abs(samples) ** 2))
-        assert abs(var - n0) / n0 < 0.01
-        # circular symmetry: both quadratures carry half the variance
-        assert abs(np.mean(samples.real**2) - n0 / 2) / n0 < 0.01
-
-    def test_batch_matches_scalar_path(self, rc, rng):
+    def test_batch_matches_scalar_path(self, rc):
+        # each row of a mixed-sign batch equals the same trial synthesized
+        # alone as a one-row batch, so batching never couples trials
         deltas = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
         xp = np.array([1, 2, 3, 4, 5])
         xc = np.array([9, 8, 7, 6, 5])
         xn = np.array([0, 15, 14, 13, 12])
         batch = synthesize_chip_rows(xp, xc, xn, deltas, rc, 2.0, 4)
-        params = ChannelParams(power=2.0, noise_density=0.0)
         for i in range(5):
-            single = synthesize_chips(
-                int(xp[i]), int(xc[i]), int(xn[i]), float(deltas[i]), rc, params, 4, rng
-            )
-            np.testing.assert_allclose(batch[i], single.received_chips, atol=1e-15)
+            single = _chips(xp[i], xc[i], xn[i], deltas[i], rc, power=2.0)
+            np.testing.assert_array_equal(batch[i], single)

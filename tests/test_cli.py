@@ -2,6 +2,7 @@
 entry point."""
 
 import csv
+import io
 import json
 
 import pytest
@@ -188,18 +189,23 @@ def _record(**overrides):
     return ResultRecord(**base)
 
 
-class TestWriteResults:
-    def test_empty_records_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_results([], str(tmp_path / "out.csv"))
+def _write(records, path, format="csv"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_results(records, fh, format)
 
-    def test_unknown_format_rejected(self, tmp_path):
+
+class TestWriteResults:
+    def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            write_results([_record()], str(tmp_path / "out.xml"), format="xml")
+            write_results([], io.StringIO())
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError):
+            write_results([_record()], io.StringIO(), format="xml")
 
     def test_csv_schema_and_values(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_results([_record(), _record(snr_db=10.0, errors=7, ser=7 / 4096)], str(path))
+        _write([_record(), _record(snr_db=10.0, errors=7, ser=7 / 4096)], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == EXPECTED_HEADER
         assert len(lines) == 3
@@ -212,7 +218,7 @@ class TestWriteResults:
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        write_results([_record(), _record(delta_s=0.6, ci_low=1e-17)], str(first))
+        _write([_record(), _record(delta_s=0.6, ci_low=1e-17)], first)
         with open(first, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         parsed = [
@@ -231,12 +237,12 @@ class TestWriteResults:
             )
             for r in rows
         ]
-        write_results(parsed, str(second))
+        _write(parsed, second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_json_payload(self, tmp_path):
         path = tmp_path / "out.json"
-        write_results([_record()], str(path), format="json")
+        _write([_record()], path, format="json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert len(payload) == 1
         assert list(payload[0]) == EXPECTED_HEADER.split(",")
@@ -337,7 +343,28 @@ class TestMain:
     def test_output_io_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "missing_dir" / "out.csv"
         assert main([*TINY_SWEEP, "-o", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # the output is opened before the first grid point runs
+        assert "[1/2]" not in err
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["oracle", "--snr", "1:2"], "snr"),
+            (["oracle", "--sf", "x"], "sf"),
+            (["oracle", "--sf", "13"], "sf"),
+            (["certify", "-w", "foo"], "waveform"),
+            (["certify", "--trials", "0"], "trials"),
+            (["certify", "--delta-s", "2"], "delta-s"),
+            (["corr", "-w", "foo"], "waveform"),
+        ],
+    )
+    def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

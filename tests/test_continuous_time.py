@@ -6,51 +6,47 @@ import pytest
 
 from qslora.channel import synthesize_chip_rows
 from qslora.continuous_time import certify_discrete_model, matched_filter_chip, synthesize
-from qslora.modulation import envelope, symbol_cardinality
+from qslora.modulation import envelope_matrix
 from qslora.waveforms import autocorr_overlapped, autocorr_overlapping
 
 
 class TestSynthesize:
     def test_grid_size_contract(self, rect):
-        sig = synthesize((3, 5), rect, 4, oversampling=64, guard_chips=2)
-        assert sig.samples.shape == ((2 * 16 + 2) * 64,)
+        # the signal spans len(symbols) * M chips plus the guard chips
+        sig = synthesize((3, 5), rect, 4, guard_chips=2)
         assert sig.span == (0.0, 34.0)
 
     def test_requires_symbols(self, rect):
         with pytest.raises(ValueError):
             synthesize((), rect, 4)
 
-    def test_requires_minimum_oversampling(self, rect):
-        with pytest.raises(ValueError):
-            synthesize((1,), rect, 4, oversampling=32)
-
     def test_symbol_index_validated(self, rect):
         with pytest.raises(ValueError):
             synthesize((16,), rect, 4)
 
     def test_rect_mid_chip_samples_equal_envelope(self, rect):
-        sig = synthesize((9,), rect, 4, power=4.0, oversampling=64)
-        env = envelope(9, 4)
+        sig = synthesize((9,), rect, 4, power=4.0)
+        env = envelope_matrix(4)[9]
         for k in range(16):
             assert sig.value_at(k + 0.5) == pytest.approx(2.0 * env[k], abs=1e-12)
 
     def test_rc_nulls_at_chip_boundaries(self, rc):
-        sig = synthesize((9,), rc, 4, oversampling=64)
-        boundary_samples = sig.samples[:: 64]
+        sig = synthesize((9,), rc, 4)
+        boundary_samples = sig.value_at(np.arange(16.0))
         np.testing.assert_allclose(boundary_samples, 0.0, atol=1e-12)
 
     def test_zero_outside_span(self, rect):
-        sig = synthesize((9,), rect, 4, oversampling=64)
+        sig = synthesize((9,), rect, 4)
         assert sig.value_at(-0.5) == 0.0
         assert sig.value_at(16.01) == 0.0
 
     def test_guard_region_is_silent(self, rect):
-        sig = synthesize((9,), rect, 4, oversampling=64, guard_chips=3)
+        sig = synthesize((9,), rect, 4, guard_chips=3)
         assert sig.value_at(17.5) == 0.0
 
     def test_time_origin_shift(self, rc):
-        base = synthesize((9, 3), rc, 4, oversampling=64)
-        moved = synthesize((9, 3), rc, 4, oversampling=64, t0=5.25)
+        base = synthesize((9, 3), rc, 4)
+        moved = synthesize((9, 3), rc, 4, t0=5.25)
         t = np.linspace(0.0, 32.0, 257)
         np.testing.assert_allclose(moved.value_at(t + 5.25), base.value_at(t), atol=1e-12)
 
@@ -66,20 +62,20 @@ class TestMatchedFilterChip:
     def test_synchronous_recovers_envelope(self, rect, rc):
         for wf in (rect, rc):
             sig = synthesize((5, 9, 2), wf, 4, power=4.0)
-            env = envelope(9, 4)
+            env = envelope_matrix(4)[9]
             for k in (0, 7, 15):
                 got = matched_filter_chip(sig, 1, k, 0.0)
                 assert got == pytest.approx(2.0 * env[k], abs=1e-6)
 
     def test_rect_quarter_chip_interior(self, rect):
         sig = synthesize((5, 9, 2), rect, 4)
-        env = envelope(9, 4)
+        env = envelope_matrix(4)[9]
         got = matched_filter_chip(sig, 1, 3, 0.25)
         assert got == pytest.approx(0.75 * env[3] + 0.25 * env[4], abs=1e-6)
 
     def test_rc_half_chip_interior(self, rc):
         sig = synthesize((5, 9, 2), rc, 4)
-        env = envelope(9, 4)
+        env = envelope_matrix(4)[9]
         keep = autocorr_overlapping(rc, 0.5)
         spill = autocorr_overlapped(rc, 0.5)
         got = matched_filter_chip(sig, 1, 3, 0.5)
@@ -111,23 +107,12 @@ class TestMatchedFilterChip:
     def test_time_shift_consistency(self, rc):
         # shifting the signal by one symbol period and querying n+1 must
         # reproduce the chip samples
-        base = synthesize((5, 9, 2), rc, 4, oversampling=64)
-        shifted = synthesize((5, 9, 2), rc, 4, oversampling=64, t0=16.0, guard_chips=16)
+        base = synthesize((5, 9, 2), rc, 4)
+        shifted = synthesize((5, 9, 2), rc, 4, t0=16.0, guard_chips=16)
         for k in (0, 6, 15):
             a = matched_filter_chip(base, 1, k, 0.37)
             b = matched_filter_chip(shifted, 2, k, 0.37)
             assert a == pytest.approx(b, abs=1e-9)
-
-    def test_oversampling_convergence(self, rect, rc):
-        # doubling the stored grid density must not move the outputs; the
-        # integrator evaluates the signal exactly, so the difference is 0
-        for wf in (rect, rc):
-            lo = synthesize((5, 9, 2), wf, 4, oversampling=256)
-            hi = synthesize((5, 9, 2), wf, 4, oversampling=512)
-            for k in (0, 9, 15):
-                a = matched_filter_chip(lo, 1, k, -0.31)
-                b = matched_filter_chip(hi, 1, k, -0.31)
-                assert abs(a - b) < 1e-7
 
 
 class TestCertifyDiscreteModel:

@@ -12,7 +12,7 @@ from qslora.correlations import (
     cross_corr_adjacent_symbol,
     cross_corr_same_symbol,
 )
-from qslora.modulation import envelope, symbol_cardinality
+from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.receiver import despread
 from qslora.waveforms import raised_cosine, rectangular, waveform_from_token
 
@@ -20,8 +20,8 @@ from qslora.waveforms import raised_cosine, rectangular, waveform_from_token
 def brute_force_partition(mhat, m, ell, sf):
     """Independent K_in/K_out evaluation by explicit loop."""
     cap = symbol_cardinality(sf)
-    a = envelope(mhat, sf)
-    b = envelope(m, sf)
+    a = envelope_matrix(sf)[mhat]
+    b = envelope_matrix(sf)[m]
     k_in = [k for k in range(cap) if 0 <= k + ell <= cap - 1]
     k_out = [k for k in range(cap) if k not in k_in]
     same = sum(a[k + ell] * np.conj(b[k]) for k in k_in)
@@ -85,14 +85,14 @@ class TestCrossCorrAdjacentSymbol:
     def test_single_boundary_term_positive_shift(self):
         # K_out = {15}: the value is env(mhat)[0] * conj(env(m)[15])
         for mhat, m in ((0, 0), (3, 11), (15, 2)):
-            a = envelope(mhat, 4)
-            b = envelope(m, 4)
+            a = envelope_matrix(4)[mhat]
+            b = envelope_matrix(4)[m]
             expected = a[0] * np.conj(b[15])
             assert cross_corr_adjacent_symbol(mhat, m, 1, 4) == pytest.approx(expected, abs=1e-15)
 
     def test_single_boundary_term_negative_shift(self):
-        a = envelope(9, 4)
-        b = envelope(4, 4)
+        a = envelope_matrix(4)[9]
+        b = envelope_matrix(4)[4]
         expected = a[15] * np.conj(b[0])
         assert cross_corr_adjacent_symbol(9, 4, -1, 4) == pytest.approx(expected, abs=1e-15)
 

@@ -1,16 +1,15 @@
 """Tests for the Monte-Carlo harness: confidence intervals, the analytical
 synchronous reference, trial-level reproducibility, and the sweep driver."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from qslora.cli import SweepConfig
+from qslora import montecarlo
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
     GridPoint,
     StoppingRule,
+    SweepConfig,
     analytical_ser_sync,
     run_point,
     run_sweep,
@@ -204,6 +203,76 @@ class TestRunPoint:
         p = analytical_ser_sync(4, 8.0)
         sigma = np.sqrt(p * (1.0 - p) / est.trials)
         assert abs(est.ser - p) < 4.0 * sigma
+
+    def test_noise_calibration(self, monkeypatch):
+        # with the signal zeroed the rows reaching the despreader are pure
+        # noise; per-chip variance over 2^20 draws must land within 1% of
+        # N0 = 10^(-snr/10), split evenly between the two quadratures
+        monkeypatch.setattr(
+            montecarlo,
+            "synthesize_chip_rows",
+            lambda x_prev, x_cur, *_: np.zeros((x_cur.size, 256), dtype=complex),
+        )
+        seen = []
+        despread_fft = montecarlo.despread_fft
+
+        def capture(rows, sf):
+            seen.append(rows.copy())
+            return despread_fft(rows, sf)
+
+        monkeypatch.setattr(montecarlo, "despread_fft", capture)
+        point = _point(sf=8, snr_db=4.0)
+        montecarlo._chunk_error_flags(point, 1, 0)
+        (samples,) = seen
+        assert samples.size >= 1_000_000
+        n0 = 10.0 ** (-4.0 / 10.0)
+        assert abs(float(np.mean(np.abs(samples) ** 2)) - n0) / n0 < 0.01
+        assert abs(float(np.mean(samples.real**2)) - n0 / 2) / n0 < 0.01
+
+
+# (trials, errors) of run_point at master seed 3 under the current random
+# stream. A change here changes every published estimate, so it may only
+# come with a new stream version recorded in CHANGES.md.
+STREAM_PINS = [
+    # synchronous, truncated last chunk (5000 = 4096 + 904)
+    (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 698)),
+    # random offsets of both signs, truncated last chunk
+    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2191)),
+    # early stop after three chunks
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (12288, 141)),
+    # 25 chunks, the last one truncated (100000 = 24 * 4096 + 1696)
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 62)),
+    # fixed offsets of both signs, overriding delta_s
+    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2663)),
+    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3911)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3594)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3585)),
+]
+
+
+@pytest.mark.parametrize(
+    "coords,max_trials,min_errors,fixed_delta,expected",
+    STREAM_PINS,
+    ids=[
+        "sync-truncated",
+        "random-offsets-truncated",
+        "early-stop",
+        "many-chunks-truncated",
+        "fixed-pos-half",
+        "fixed-neg-half",
+        "fixed-pos-at-ds0",
+        "fixed-neg-at-ds0",
+    ],
+)
+def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
+    point = GridPoint(**{**coords, "waveform": waveform_from_token(coords["waveform"])})
+    est = run_point(
+        point,
+        StoppingRule(max_trials=max_trials, min_errors=min_errors),
+        master_seed=3,
+        fixed_delta=fixed_delta,
+    )
+    assert (est.trials, est.errors) == expected
 
 
 def _config(**overrides):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qslora.channel import synthesize_chip_rows
 from qslora.correlations import analytic_decision_statistic
-from qslora.modulation import envelope, envelope_matrix, symbol_cardinality
+from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.receiver import despread, despread_fft, detect
 from qslora.waveforms import rectangular
 
@@ -15,7 +15,7 @@ from qslora.waveforms import rectangular
 class TestDespread:
     def test_pure_envelope_gives_scaled_delta(self):
         for x in (0, 5, 15):
-            stats = despread(3.0 * envelope(x, 4), 4)
+            stats = despread(3.0 * envelope_matrix(4)[x], 4)
             expected = np.zeros(16, dtype=complex)
             expected[x] = 3.0
             np.testing.assert_allclose(stats, expected, atol=1e-12)
@@ -43,13 +43,17 @@ class TestDespread:
     @pytest.mark.parametrize("sf", [4, 5, 6, 7, 8])
     def test_fft_form_matches_direct_summation(self, sf, rng):
         # the DFT-of-dechirped-chips shortcut must agree elementwise with
-        # the direct correlator bank; direct summation is the definition
+        # the direct correlator bank; direct summation is the definition.
+        # Both act along the last axis: a batch row matches that row
+        # despread alone.
         m = symbol_cardinality(sf)
-        for _ in range(5):
-            chips = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            direct = despread(chips, sf)
-            fast = despread_fft(chips, sf)
-            assert float(np.max(np.abs(direct - fast))) < 1e-9
+        chips = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        direct = despread(chips, sf)
+        fast = despread_fft(chips, sf)
+        assert fast.shape == (5, m)
+        assert float(np.max(np.abs(direct - fast))) < 1e-9
+        for row, stats in zip(chips, fast):
+            np.testing.assert_allclose(despread_fft(row, sf), stats, rtol=0, atol=1e-12)
 
 
 class TestDetect:
