@@ -47,7 +47,6 @@ from .waveforms import (
     raised_cosine,
     rectangular,
     sample_waveform,
-    waveform_from_token,
 )
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "sample_waveform",
     "symbol_cardinality",
     "synthesize",
-    "waveform_from_token",
     "wilson_interval",
     "word_to_sample",
 ]

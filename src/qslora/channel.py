@@ -27,6 +27,7 @@ from .waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
     "validate_delta_s",
+    "validate_offset",
     "draw_offset",
     "synthesize_chip_rows",
 ]
@@ -39,15 +40,22 @@ def validate_delta_s(delta_s: float) -> float:
     return float(delta_s)
 
 
-def draw_offset(delta_s: float, rng: np.random.Generator) -> float:
-    """Draw the timing offset uniformly on [-delta_s/2, +delta_s/2].
+def validate_offset(delta: float) -> float:
+    """Check a chip offset: |delta| must be <= 0.5 chips (NaN is rejected)."""
+    if not abs(delta) <= 0.5:
+        raise ValueError(f"chip offset magnitude must be <= 0.5, got {delta}")
+    return float(delta)
 
-    delta_s = 0 returns exactly 0.0 without consuming the stream.
+
+def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n timing offsets uniformly on [-delta_s/2, +delta_s/2].
+
+    delta_s = 0 returns exact zeros without consuming the stream.
     """
     validate_delta_s(delta_s)
     if delta_s == 0.0:
-        return 0.0
-    return float(rng.uniform(-0.5 * delta_s, 0.5 * delta_s))
+        return np.zeros(n)
+    return rng.uniform(-0.5 * delta_s, 0.5 * delta_s, size=n)
 
 
 def synthesize_chip_rows(

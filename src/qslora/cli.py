@@ -13,89 +13,39 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
 
-from . import __version__
 from .channel import validate_delta_s
 from .continuous_time import certify_discrete_model
 from .modulation import validate_sf
 from .montecarlo import SerEstimate, SweepConfig, analytical_ser_sync, run_sweep, snr_axis
 from .waveforms import (
+    WAVEFORM_TOKENS,
     ChipWaveform,
     autocorr_overlapped,
     autocorr_overlapped_quad,
     autocorr_overlapping,
     autocorr_overlapping_quad,
-    waveform_from_token,
 )
 
 T = TypeVar("T")
 
 __all__ = [
     "SweepConfig",
-    "ResultRecord",
     "parse_config",
-    "records_from_estimates",
     "write_results",
     "main",
 ]
 
 SUBCOMMANDS = ("sweep", "certify", "oracle", "corr")
 WORKERS_ENV_VAR = "QSLORA_WORKERS"
-
-_DEFAULTS = {
-    "sf": "4,5,6,7",
-    "waveform": "rect,rc",
-    "delta-s": "0,0.2,0.4,0.6,0.8,1",
-    "snr": "-4:24:2",
-    "trials-max": "1000000",
-    "min-errors": "100",
-    "seed": "1",
-    "workers": "1",
-    "fixed-delta": None,
-    "output": "ser_results.csv",
-    "format": "csv",
-}
-
-_CSV_COLUMNS = (
-    "sf",
-    "waveform",
-    "delta_s",
-    "snr_db",
-    "trials",
-    "errors",
-    "ser",
-    "ci_low",
-    "ci_high",
-    "seed",
-    "elapsed_s",
-)
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One output row plus non-serialized provenance fields."""
-
-    sf: int
-    waveform: str
-    delta_s: float
-    snr_db: float
-    trials: int
-    errors: int
-    ser: float
-    ci_low: float
-    ci_high: float
-    seed: int
-    elapsed_s: float
-    trials_max: int = 0
-    min_errors: int = 0
-    version: str = __version__
+_ALL_WAVEFORMS = ",".join(WAVEFORM_TOKENS)
 
 
 def _split_list(text: str) -> list[str]:
@@ -123,11 +73,28 @@ def _sf_list(text: str) -> list[int]:
 
 
 def _waveform_list(text: str) -> list[ChipWaveform]:
-    return [waveform_from_token(token) for token in _split_list(text)]
+    return [ChipWaveform(token) for token in _split_list(text)]
 
 
 def _snr_list(text: str) -> list[float]:
     return snr_axis(*_snr_range(text))
+
+
+# config key -> (SweepConfig fields it sets, converter from the flag or
+# config-file string); a key's flag dest is the key with "-" -> "_"
+_CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], object]]] = {
+    "sf": (("sf_list",), _ints),
+    "waveform": (("waveforms",), lambda text: tuple(_split_list(text))),
+    "delta-s": (("delta_s_list",), _floats),
+    "snr": (("snr_start_db", "snr_stop_db", "snr_step_db"), _snr_range),
+    "trials-max": (("trials_max",), int),
+    "min-errors": (("min_errors",), int),
+    "seed": (("master_seed",), int),
+    "workers": (("workers",), int),
+    "fixed-delta": (("fixed_delta",), float),
+    "output": (("output_path",), str),
+    "format": (("format",), str),
+}
 
 
 def _convert(parser: argparse.ArgumentParser, key: str, convert: Callable[..., T], raw: object) -> T:
@@ -148,7 +115,7 @@ def _parse_config_file(text: str, error) -> dict[str, str]:
             error(f"config line {lineno} is not key=value: {raw.strip()!r}")
         key, val = line.split("=", 1)
         key = key.strip().lower().replace("_", "-")
-        if key not in _DEFAULTS:
+        if key not in _CONFIG_KEYS:
             error(f"unknown config key: {key}")
         values[key] = val.strip()
     return values
@@ -159,8 +126,8 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         prog="qslora sweep",
         description="Monte-Carlo SER sweep over (sf, waveform, delta-s, snr).",
     )
-    p.add_argument("--sf", help="comma-separated spreading factors (default 4,5,6,7)")
-    p.add_argument("-w", "--waveform", help="comma-separated chip waveforms: rect,rc")
+    p.add_argument("--sf", help="comma-separated spreading factors")
+    p.add_argument("-w", "--waveform", help=f"comma-separated chip waveforms: {_ALL_WAVEFORMS}")
     p.add_argument("--delta-s", dest="delta_s", help="comma-separated max offsets in [0,1]")
     p.add_argument("--snr", help="SNR axis in dB as start:stop:step (inclusive stop)")
     p.add_argument("--trials-max", dest="trials_max", help="max trials per grid point")
@@ -185,7 +152,8 @@ def parse_config(argv: Sequence[str], config_text: Optional[str] = None) -> Swee
     """Resolve a SweepConfig from flags, environment, and config file.
 
     Precedence: CLI flags > QSLORA_WORKERS (workers only) > config file >
-    built-in defaults. config_text, when given, is used as the config file
+    SweepConfig's defaults: only the keys one of the first three sets are
+    passed on. config_text, when given, is used as the config file
     content; otherwise --config names a file to read. Strings are only
     converted here; SweepConfig checks the values, and either failure exits
     2 with a message naming the field.
@@ -199,57 +167,19 @@ def parse_config(argv: Sequence[str], config_text: Optional[str] = None) -> Swee
         except OSError as exc:
             parser.error(f"cannot read config file: {exc}")
     file_vals = _parse_config_file(config_text, parser.error) if config_text else {}
+    env_vals = {"workers": os.environ.get(WORKERS_ENV_VAR)}
 
-    def value(key: str, flag_value: Optional[str], convert: Callable[[str], T] = str,
-              env_value: Optional[str] = None) -> Optional[T]:
-        for raw in (flag_value, env_value, file_vals.get(key, _DEFAULTS[key])):
-            if raw is not None:
-                return _convert(parser, key, convert, raw)
-        return None
-
-    snr_start, snr_stop, snr_step = value("snr", ns.snr, _snr_range)
+    fields: dict[str, object] = {"record_timing": ns.record_timing}
+    for key, (names, convert) in _CONFIG_KEYS.items():
+        sources = (getattr(ns, key.replace("-", "_")), env_vals.get(key), file_vals.get(key))
+        raw = next((value for value in sources if value is not None), None)
+        if raw is not None:
+            value = _convert(parser, key, convert, raw)
+            fields.update(zip(names, value if len(names) > 1 else (value,)))
     try:
-        return SweepConfig(
-            sf_list=value("sf", ns.sf, _ints),
-            waveforms=tuple(_split_list(value("waveform", ns.waveform))),
-            delta_s_list=value("delta-s", ns.delta_s, _floats),
-            snr_start_db=snr_start,
-            snr_stop_db=snr_stop,
-            snr_step_db=snr_step,
-            trials_max=value("trials-max", ns.trials_max, int),
-            min_errors=value("min-errors", ns.min_errors, int),
-            master_seed=value("seed", ns.seed, int),
-            workers=value("workers", ns.workers, int, os.environ.get(WORKERS_ENV_VAR)),
-            fixed_delta=value("fixed-delta", ns.fixed_delta, float),
-            output_path=value("output", ns.output),
-            format=value("format", ns.format),
-            record_timing=bool(ns.record_timing),
-        )
+        return SweepConfig(**fields)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def records_from_estimates(
-    estimates: Sequence[SerEstimate], config: SweepConfig
-) -> list[ResultRecord]:
-    return [
-        ResultRecord(
-            sf=est.point.sf,
-            waveform=est.point.waveform.kind,
-            delta_s=est.point.delta_s,
-            snr_db=est.point.snr_db,
-            trials=est.trials,
-            errors=est.errors,
-            ser=est.ser,
-            ci_low=est.ci_low,
-            ci_high=est.ci_high,
-            seed=est.seed,
-            elapsed_s=est.elapsed if config.record_timing else 0.0,
-            trials_max=config.trials_max,
-            min_errors=config.min_errors,
-        )
-        for est in estimates
-    ]
 
 
 def _cell(value) -> str:
@@ -258,23 +188,41 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_results(records: Sequence[ResultRecord], fh: TextIO, format: str = "csv") -> None:
-    """Write records to an open text file as CSV (fixed 11-column schema) or a JSON array.
+def _row(est: SerEstimate) -> dict[str, object]:
+    """The output columns of one estimate, in schema order."""
+    pt = est.point
+    return {
+        "sf": pt.sf,
+        "waveform": pt.waveform.kind,
+        "delta_s": pt.delta_s,
+        "snr_db": pt.snr_db,
+        "trials": est.trials,
+        "errors": est.errors,
+        "ser": est.ser,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "seed": est.seed,
+        "elapsed_s": est.elapsed,
+    }
+
+
+def write_results(estimates: Sequence[SerEstimate], fh: TextIO, format: str = "csv") -> None:
+    """Write estimates to an open text file as CSV (fixed 11-column schema) or a JSON array.
 
     Open fh with newline="" so line endings are written as given. Floats
     are serialized with shortest round-trip precision, so parsing a file and
     re-serializing it reproduces it byte for byte.
     """
-    if not records:
-        raise ValueError("no records to write")
+    if not estimates:
+        raise ValueError("no estimates to write")
+    rows = [_row(est) for est in estimates]
     if format == "csv":
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_cell(getattr(rec, col)) for col in _CSV_COLUMNS])
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_cell(value) for value in row.values()])
     elif format == "json":
-        payload = [{col: getattr(rec, col) for col in _CSV_COLUMNS} for rec in records]
-        json.dump(payload, fh, indent=2)
+        json.dump(rows, fh, indent=2)
         fh.write("\n")
     else:
         raise ValueError(f"unknown output format {format!r}")
@@ -296,9 +244,10 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
     # open the output first so a bad path fails before any point is computed
     with open(config.output_path, "w", newline="", encoding="utf-8") as fh:
         estimates = run_sweep(config, progress=progress)
-        records = records_from_estimates(estimates, config)
-        write_results(records, fh, config.format)
-    print(f"wrote {len(records)} records to {config.output_path}", file=sys.stderr)
+        if not config.record_timing:
+            estimates = [dataclasses.replace(est, elapsed=0.0) for est in estimates]
+        write_results(estimates, fh, config.format)
+    print(f"wrote {len(estimates)} records to {config.output_path}", file=sys.stderr)
     return 0
 
 
@@ -308,7 +257,7 @@ def _cmd_certify(argv: Sequence[str]) -> int:
         description="Certify the chip-rate model against the continuous-time reference.",
     )
     p.add_argument("--sf", default="4", help="comma-separated spreading factors")
-    p.add_argument("-w", "--waveform", default="rect,rc", help="comma-separated waveforms")
+    p.add_argument("-w", "--waveform", default=_ALL_WAVEFORMS, help="comma-separated waveforms")
     p.add_argument("--trials", type=int, default=100, help="random realizations per combination")
     p.add_argument("--delta-s", dest="delta_s", type=float, default=1.0, help="max offset in [0,1]")
     p.add_argument("--seed", type=int, default=1)
@@ -317,13 +266,17 @@ def _cmd_certify(argv: Sequence[str]) -> int:
     sfs = _convert(p, "sf", _sf_list, ns.sf)
     waveforms = _convert(p, "waveform", _waveform_list, ns.waveform)
     delta_s = _convert(p, "delta-s", validate_delta_s, ns.delta_s)
-    if ns.trials < 1:
-        p.error(f"invalid trials value {ns.trials}: must be >= 1")
     failures = 0
     for sf in sfs:
         for wi, wf in enumerate(waveforms):
             rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=(sf, wi)))
-            err = certify_discrete_model(sf, wf, ns.trials, rng, delta_s=delta_s)
+            # certify_discrete_model owns the trials >= 1 check; it fails
+            # on the first combination, before anything is printed
+            err = _convert(
+                p, "trials",
+                lambda trials: certify_discrete_model(sf, wf, trials, rng, delta_s=delta_s),
+                ns.trials,
+            )
             ok = err < ns.tolerance
             failures += 0 if ok else 1
             print(
@@ -338,8 +291,12 @@ def _cmd_oracle(argv: Sequence[str]) -> int:
         prog="qslora oracle",
         description="Analytical synchronous SER table (noncoherent M-ary orthogonal).",
     )
-    p.add_argument("--sf", default="4,5,6,7", help="comma-separated spreading factors")
-    p.add_argument("--snr", default="-4:24:2", help="SNR axis start:stop:step in dB")
+    # the table defaults to the sweep's default grid
+    grid = SweepConfig()
+    p.add_argument("--sf", default=",".join(map(str, grid.sf_list)),
+                   help="comma-separated spreading factors")
+    p.add_argument("--snr", default=f"{grid.snr_start_db}:{grid.snr_stop_db}:{grid.snr_step_db}",
+                   help="SNR axis start:stop:step in dB")
     ns = p.parse_args(list(argv))
     sfs = _convert(p, "sf", _sf_list, ns.sf)
     snrs = _convert(p, "snr", _snr_list, ns.snr)
@@ -355,7 +312,7 @@ def _cmd_corr(argv: Sequence[str]) -> int:
         prog="qslora corr",
         description="Partial autocorrelation tables R(delta), Rhat(delta).",
     )
-    p.add_argument("-w", "--waveform", default="rect,rc", help="comma-separated waveforms")
+    p.add_argument("-w", "--waveform", default=_ALL_WAVEFORMS, help="comma-separated waveforms")
     p.add_argument("--steps", type=int, default=21, help="number of offsets on [0, 1]")
     p.add_argument(
         "--quad", action="store_true",

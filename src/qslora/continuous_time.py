@@ -191,13 +191,11 @@ def certify_discrete_model(
     worst = 0.0
     for _ in range(trials):
         x = rng.integers(0, m, size=3)
-        delta = draw_offset(delta_s, rng)
+        delta = draw_offset(delta_s, rng, 1)
         sig = synthesize(tuple(x), waveform, sf, power)
-        reference = synthesize_chip_rows(
-            x[:1], x[1:2], x[2:3], np.array([delta]), waveform, power, sf
-        )[0]
+        reference = synthesize_chip_rows(x[:1], x[1:2], x[2:3], delta, waveform, power, sf)[0]
         for k in range(m):
-            got = matched_filter_chip(sig, 1, k, delta)
+            got = matched_filter_chip(sig, 1, k, float(delta[0]))
             err = abs(got - reference[k])
             if err > worst:
                 worst = err

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import validate_offset
 from .modulation import envelope_matrix, symbol_cardinality
 from .waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 
@@ -93,8 +94,7 @@ def analytic_decision_statistic(
     cap = symbol_cardinality(sf)
     for name, val in (("x_cur", x_cur), ("x_adj", x_adj), ("m", m)):
         _validate_index(val, cap, name)
-    if not abs(delta) <= 0.5:
-        raise ValueError(f"chip offset magnitude must be <= 0.5, got {delta}")
+    validate_offset(delta)
     if power < 0.0:
         raise ValueError(f"power must be >= 0, got {power}")
     amp = float(np.sqrt(power))

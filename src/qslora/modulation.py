@@ -66,13 +66,17 @@ def envelope_matrix(sf: int) -> np.ndarray:
     """M x M chip matrix whose row x is the chip sequence of symbol x.
 
     Rows have unit norm. The integer phase k*((x+k) mod M) is reduced mod M
-    before the complex exponential so the argument stays below 2*pi at any
-    spreading factor. Cached and read-only.
+    in place, in one integer array, and then indexes a table of the M
+    scaled roots of unity, so the exponential's argument stays below 2*pi
+    and building the matrix needs about 1.5x its own size. Cached and
+    read-only.
     """
     m = symbol_cardinality(sf)
     k = np.arange(m)
-    x = k[:, None]
-    phase = (k * ((x + k) % m)) % m
-    mat = np.exp(2j * np.pi * phase / m) / np.sqrt(m)
+    phase = k[:, None] + k
+    phase %= m
+    phase *= k
+    phase %= m
+    mat = (np.exp(2j * np.pi * k / m) / np.sqrt(m))[phase]
     mat.setflags(write=False)
     return mat

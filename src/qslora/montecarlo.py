@@ -24,10 +24,10 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
-from .channel import synthesize_chip_rows, validate_delta_s
+from .channel import draw_offset, synthesize_chip_rows, validate_delta_s, validate_offset
 from .modulation import symbol_cardinality, validate_sf
 from .receiver import despread_fft
-from .waveforms import ChipWaveform, waveform_from_token
+from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
 __all__ = [
     "TRIALS_PER_CHUNK",
@@ -177,10 +177,8 @@ def _chunk_error_flags(
     x_next = rng.integers(0, m, size=n)
     if fixed_delta is not None:
         delta = np.full(n, float(fixed_delta))
-    elif point.delta_s == 0.0:
-        delta = np.zeros(n)
     else:
-        delta = rng.uniform(-0.5 * point.delta_s, 0.5 * point.delta_s, size=n)
+        delta = draw_offset(point.delta_s, rng, n)
     rows = synthesize_chip_rows(x_prev, x_cur, x_next, delta, point.waveform, 1.0, point.sf)
     n0 = 10.0 ** (-point.snr_db / 10.0)
     scale = math.sqrt(n0 / 2.0)
@@ -205,6 +203,8 @@ def run_trial(
     """
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
+    if fixed_delta is not None:
+        fixed_delta = validate_offset(fixed_delta)
     flags = _chunk_error_flags(
         point, master_seed, trial_index // TRIALS_PER_CHUNK, fixed_delta
     )
@@ -224,9 +224,10 @@ def run_point(
     Chunks are consumed strictly in index order and the stopping rule is
     evaluated on cumulative counts, so the estimate does not depend on how
     many workers computed the chunks. fixed_delta, when given, replaces the
-    offset draw for every trial; its magnitude must be <= 0.5, which is
-    checked by SweepConfig, not here.
+    offset draw for every trial; its magnitude must be <= 0.5.
     """
+    if fixed_delta is not None:
+        fixed_delta = validate_offset(fixed_delta)
     t_start = time.perf_counter()
     n_chunks = -(-stop.max_trials // TRIALS_PER_CHUNK)
     trials = 0
@@ -286,7 +287,10 @@ def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
         raise ValueError(f"snr axis bounds must be finite, got {start_db}:{stop_db}:{step_db}")
     if not step_db > 0:
         raise ValueError(f"snr step must be > 0, got {step_db}")
-    count = int(math.floor((stop_db - start_db) / step_db + 1e-9)) + 1
+    steps = (stop_db - start_db) / step_db
+    if not math.isfinite(steps):
+        raise ValueError(f"snr axis {start_db}:{stop_db}:{step_db} has too many points")
+    count = int(math.floor(steps + 1e-9)) + 1
     if count < 1:
         raise ValueError(f"snr axis is empty (start {start_db} > stop {stop_db})")
     return [float(start_db + i * step_db) for i in range(count)]
@@ -298,12 +302,14 @@ class SweepConfig:
 
     Construction checks every field once, through the type that owns the
     value (validate_sf, ChipWaveform, validate_delta_s, snr_axis,
-    StoppingRule); a bad field raises ValueError whose message starts with
-    the field's config key (sf, waveform, delta-s, snr, ...).
+    StoppingRule, validate_offset); a bad field raises ValueError whose
+    message starts with the field's config key (sf, waveform, delta-s,
+    snr, ...). These defaults are the only ones; the CLI passes only the
+    fields a flag, the environment or a config file set.
     """
 
     sf_list: tuple[int, ...] = (4, 5, 6, 7)
-    waveforms: tuple[str, ...] = ("rect", "rc")
+    waveforms: tuple[str, ...] = WAVEFORM_TOKENS
     delta_s_list: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     snr_start_db: float = -4.0
     snr_stop_db: float = 24.0
@@ -327,11 +333,12 @@ class SweepConfig:
                 raise ValueError(f"{key} list is empty")
         checks = (
             ("sf", lambda: [validate_sf(sf) for sf in self.sf_list]),
-            ("waveform", lambda: [waveform_from_token(tok) for tok in self.waveforms]),
+            ("waveform", lambda: [ChipWaveform(tok) for tok in self.waveforms]),
             ("delta-s", lambda: [validate_delta_s(ds) for ds in self.delta_s_list]),
             ("snr", lambda: snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)),
             ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
             ("min-errors", lambda: StoppingRule(min_errors=self.min_errors)),
+            ("fixed-delta", lambda: self.fixed_delta is None or validate_offset(self.fixed_delta)),
         )
         for key, check in checks:
             try:
@@ -340,8 +347,6 @@ class SweepConfig:
                 raise ValueError(f"{key}: {exc}") from None
         if self.workers < 1:
             raise ValueError(f"workers: must be >= 1, got {self.workers}")
-        if self.fixed_delta is not None and not abs(self.fixed_delta) <= 0.5:
-            raise ValueError(f"fixed-delta: magnitude must be <= 0.5, got {self.fixed_delta}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format: expected csv or json, got {self.format!r}")
 
@@ -352,7 +357,7 @@ def sweep_points(config: SweepConfig) -> list[GridPoint]:
     Ordering is (sf, waveform token, delta_s, snr_db) so output layout is
     independent of how the axes were listed.
     """
-    waveforms = [waveform_from_token(tok) for tok in config.waveforms]
+    waveforms = [ChipWaveform(tok) for tok in config.waveforms]
     snrs = snr_axis(config.snr_start_db, config.snr_stop_db, config.snr_step_db)
     points = [
         GridPoint(sf=int(sf), waveform=wf, delta_s=float(ds), snr_db=float(snr))

@@ -19,7 +19,6 @@ satisfy R(0) = 1, Rhat(0) = 0, R(+-1) = 0, Rhat(+-1) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "ChipWaveform",
     "rectangular",
     "raised_cosine",
-    "waveform_from_token",
     "WAVEFORM_TOKENS",
     "sample_waveform",
     "energy",
@@ -40,6 +38,7 @@ __all__ = [
 ]
 
 _RC_AMP = np.sqrt(2.0 / 3.0)
+WAVEFORM_TOKENS = ("rect", "rc")
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,10 @@ class ChipWaveform:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rect", "rc"):
-            raise ValueError(f"unknown waveform kind {self.kind!r} (expected 'rect' or 'rc')")
-
-    def sample(self, t: np.ndarray | float) -> np.ndarray:
-        return sample_waveform(self, t)
-
-
-WAVEFORM_TOKENS = ("rect", "rc")
+        if self.kind not in WAVEFORM_TOKENS:
+            raise ValueError(
+                f"unknown waveform kind {self.kind!r} (expected one of {', '.join(WAVEFORM_TOKENS)})"
+            )
 
 
 def rectangular() -> ChipWaveform:
@@ -65,11 +60,6 @@ def rectangular() -> ChipWaveform:
 
 def raised_cosine() -> ChipWaveform:
     return ChipWaveform("rc")
-
-
-def waveform_from_token(token: str) -> ChipWaveform:
-    """Build a waveform from its CLI token, 'rect' or 'rc'."""
-    return ChipWaveform(token)
 
 
 def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
@@ -81,14 +71,12 @@ def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
     return np.where(inside, _RC_AMP * (1.0 - np.cos(2.0 * np.pi * t)), 0.0)
 
 
-def energy(w: ChipWaveform | Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> float:
+def energy(w: ChipWaveform, tol: float = 1e-12) -> float:
     """Pulse energy integral of psi**2 over one chip, by quadrature.
 
-    Accepts either a ChipWaveform or any callable t -> psi(t); unit-energy
-    pulses return 1 up to the quadrature tolerance.
+    Unit-energy pulses return 1 up to the quadrature tolerance.
     """
-    fn = w.sample if isinstance(w, ChipWaveform) else w
-    return float(integrate(lambda t: np.asarray(fn(t)) ** 2, 0.0, 1.0, tol=tol))
+    return float(integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0, tol=tol))
 
 
 def _check_offsets(delta: np.ndarray) -> np.ndarray:

@@ -32,12 +32,12 @@ from qslora.montecarlo import (
 from qslora.receiver import despread
 from qslora.waveforms import (
     WAVEFORM_TOKENS,
+    ChipWaveform,
     autocorr_overlapped,
     autocorr_overlapped_quad,
     autocorr_overlapping,
     autocorr_overlapping_quad,
     energy,
-    waveform_from_token,
 )
 
 MASTER_SEED = 1
@@ -45,7 +45,7 @@ MASTER_SEED = 1
 
 def _estimate(sf, token, delta_s, snr_db, max_trials, min_errors=0):
     point = GridPoint(
-        sf=sf, waveform=waveform_from_token(token), delta_s=delta_s, snr_db=snr_db
+        sf=sf, waveform=ChipWaveform(token), delta_s=delta_s, snr_db=snr_db
     )
     rule = StoppingRule(max_trials=max_trials, min_errors=min_errors)
     return run_point(point, rule, master_seed=MASTER_SEED)
@@ -83,8 +83,8 @@ def test_criterion_01_orthonormality():
 
 
 def test_criterion_02_correlation_closed_forms():
-    rect = waveform_from_token("rect")
-    rc = waveform_from_token("rc")
+    rect = ChipWaveform("rect")
+    rc = ChipWaveform("rc")
     offsets = np.linspace(0.0, 1.0, 1000)
     worst_rect = 0.0
     for d in offsets:
@@ -113,7 +113,7 @@ def test_criterion_03_model_certification():
     worst = {}
     for token in WAVEFORM_TOKENS:
         rng = np.random.default_rng(101)
-        worst[token] = certify_discrete_model(4, waveform_from_token(token), 100, rng)
+        worst[token] = certify_discrete_model(4, ChipWaveform(token), 100, rng)
         assert worst[token] < 1e-6, (token, worst[token])
     print(
         "criterion 3 PASS: chip-rate model matches continuous-time matched filter, "
@@ -128,7 +128,7 @@ def test_criterion_04_analytic_decomposition():
     for i in range(200):
         sf = 4 if i % 2 == 0 else 5
         m = symbol_cardinality(sf)
-        wf = waveform_from_token("rect" if i % 4 < 2 else "rc")
+        wf = ChipWaveform("rect" if i % 4 < 2 else "rc")
         x_prev, x_cur, x_next = (int(v) for v in rng.integers(0, m, size=3))
         delta = float(rng.uniform(-0.5, 0.5))
         rows = synthesize_chip_rows(

@@ -7,16 +7,9 @@ import json
 
 import pytest
 
-from qslora.cli import (
-    ResultRecord,
-    SweepConfig,
-    main,
-    parse_config,
-    records_from_estimates,
-    write_results,
-)
+from qslora.cli import SweepConfig, main, parse_config, write_results
 from qslora.montecarlo import GridPoint, SerEstimate, analytical_ser_sync
-from qslora.waveforms import waveform_from_token
+from qslora.waveforms import ChipWaveform
 
 EXPECTED_HEADER = "sf,waveform,delta_s,snr_db,trials,errors,ser,ci_low,ci_high,seed,elapsed_s"
 
@@ -95,6 +88,9 @@ class TestParseConfig:
             (["--workers", "0"], "workers"),
             (["--fixed-delta", "0.75"], "fixed-delta"),
             (["--format", "xml"], "format"),
+            (["--fixed-delta", "nan"], "fixed-delta"),
+            (["--snr", "0:1:1e-320"], "snr"),
+            (["--snr", "0:1e308:1e-10"], "snr"),
         ],
     )
     def test_invalid_values_exit_2_naming_field(self, argv, needle, capsys):
@@ -171,27 +167,18 @@ class TestParseConfig:
         assert exc.value.code == 2
 
 
-def _record(**overrides):
-    base = dict(
-        sf=4,
-        waveform="rect",
-        delta_s=0.4,
-        snr_db=8.0,
-        trials=4096,
-        errors=123,
-        ser=123 / 4096,
-        ci_low=0.025,
-        ci_high=0.036,
-        seed=1,
-        elapsed_s=0.0,
+def _estimate(sf=4, waveform="rect", delta_s=0.4, snr_db=8.0, trials=4096, errors=123,
+              ci_low=0.025, ci_high=0.036, seed=1, elapsed=0.0):
+    point = GridPoint(sf=sf, waveform=ChipWaveform(waveform), delta_s=delta_s, snr_db=snr_db)
+    return SerEstimate(
+        point=point, trials=trials, errors=errors, ser=errors / trials,
+        ci_low=ci_low, ci_high=ci_high, seed=seed, elapsed=elapsed,
     )
-    base.update(overrides)
-    return ResultRecord(**base)
 
 
-def _write(records, path, format="csv"):
+def _write(estimates, path, format="csv"):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_results(records, fh, format)
+        write_results(estimates, fh, format)
 
 
 class TestWriteResults:
@@ -201,11 +188,13 @@ class TestWriteResults:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            write_results([_record()], io.StringIO(), format="xml")
+            write_results([_estimate()], io.StringIO(), format="xml")
 
     def test_csv_schema_and_values(self, tmp_path):
         path = tmp_path / "out.csv"
-        _write([_record(), _record(snr_db=10.0, errors=7, ser=7 / 4096)], path)
+        second = _estimate(waveform="rc", delta_s=0.2, snr_db=6.0, errors=10,
+                           ci_low=0.001, ci_high=0.005, seed=3, elapsed=1.25)
+        _write([_estimate(), second], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == EXPECTED_HEADER
         assert len(lines) == 3
@@ -214,26 +203,29 @@ class TestWriteResults:
         assert row[1] == "rect"
         assert row[2] == repr(0.4)
         assert row[6] == repr(123 / 4096)
+        # every column is copied from the estimate and its grid point
+        assert lines[2].split(",") == [
+            "4", "rc", "0.2", "6.0", "4096", "10", repr(10 / 4096), "0.001", "0.005", "3", "1.25",
+        ]
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        _write([_record(), _record(delta_s=0.6, ci_low=1e-17)], first)
+        _write([_estimate(), _estimate(delta_s=0.6, ci_low=1e-17)], first)
         with open(first, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         parsed = [
-            ResultRecord(
+            _estimate(
                 sf=int(r["sf"]),
                 waveform=r["waveform"],
                 delta_s=float(r["delta_s"]),
                 snr_db=float(r["snr_db"]),
                 trials=int(r["trials"]),
                 errors=int(r["errors"]),
-                ser=float(r["ser"]),
                 ci_low=float(r["ci_low"]),
                 ci_high=float(r["ci_high"]),
                 seed=int(r["seed"]),
-                elapsed_s=float(r["elapsed_s"]),
+                elapsed=float(r["elapsed_s"]),
             )
             for r in rows
         ]
@@ -242,45 +234,12 @@ class TestWriteResults:
 
     def test_json_payload(self, tmp_path):
         path = tmp_path / "out.json"
-        _write([_record()], path, format="json")
+        _write([_estimate()], path, format="json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert len(payload) == 1
         assert list(payload[0]) == EXPECTED_HEADER.split(",")
         assert payload[0]["errors"] == 123
         assert payload[0]["waveform"] == "rect"
-
-
-class TestRecordsFromEstimates:
-    def _estimate(self):
-        point = GridPoint(
-            sf=4, waveform=waveform_from_token("rc"), delta_s=0.2, snr_db=6.0
-        )
-        return SerEstimate(
-            point=point,
-            trials=4096,
-            errors=10,
-            ser=10 / 4096,
-            ci_low=0.001,
-            ci_high=0.005,
-            seed=3,
-            elapsed=1.25,
-        )
-
-    def test_fields_copied(self):
-        config = SweepConfig(trials_max=4096, min_errors=0)
-        (rec,) = records_from_estimates([self._estimate()], config)
-        assert (rec.sf, rec.waveform, rec.delta_s, rec.snr_db) == (4, "rc", 0.2, 6.0)
-        assert (rec.trials, rec.errors, rec.seed) == (4096, 10, 3)
-        assert (rec.trials_max, rec.min_errors) == (4096, 0)
-
-    def test_timing_suppressed_by_default(self):
-        (rec,) = records_from_estimates([self._estimate()], SweepConfig())
-        assert rec.elapsed_s == 0.0
-
-    def test_timing_recorded_on_request(self):
-        config = SweepConfig(record_timing=True)
-        (rec,) = records_from_estimates([self._estimate()], config)
-        assert rec.elapsed_s == 1.25
 
 
 TINY_SWEEP = [
@@ -300,6 +259,8 @@ class TestMain:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == EXPECTED_HEADER
         assert len(lines) == 3
+        # elapsed_s is written as 0.0 unless --record-timing is given
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0.0", "0.0"]
         assert "wrote 2 records" in capsys.readouterr().err
 
     def test_sweep_is_default_subcommand(self, tmp_path):
@@ -358,6 +319,8 @@ class TestMain:
             (["certify", "--trials", "0"], "trials"),
             (["certify", "--delta-s", "2"], "delta-s"),
             (["corr", "-w", "foo"], "waveform"),
+            (["oracle", "--snr", "0:1:1e-320"], "snr"),
+            (["oracle", "--snr", "0:1e308:1e-10"], "snr"),
         ],
     )
     def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):

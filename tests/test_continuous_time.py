@@ -7,7 +7,7 @@ import pytest
 from qslora.channel import synthesize_chip_rows
 from qslora.continuous_time import certify_discrete_model, matched_filter_chip, synthesize
 from qslora.modulation import envelope_matrix
-from qslora.waveforms import autocorr_overlapped, autocorr_overlapping
+from qslora.waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 
 
 class TestSynthesize:
@@ -52,9 +52,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("token,power", [("rect", 1.0), ("rc", 2.0)])
     def test_symbol_energy_is_power(self, token, power):
-        from qslora.waveforms import waveform_from_token
-
-        sig = synthesize((7,), waveform_from_token(token), 4, power=power)
+        sig = synthesize((7,), ChipWaveform(token), 4, power=power)
         assert sig.symbol_energy(0) == pytest.approx(power, abs=1e-6)
 
 
@@ -118,10 +116,8 @@ class TestMatchedFilterChip:
 class TestCertifyDiscreteModel:
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_random_offsets_agree(self, token):
-        from qslora.waveforms import waveform_from_token
-
         rng = np.random.default_rng(31)
-        err = certify_discrete_model(4, waveform_from_token(token), 30, rng)
+        err = certify_discrete_model(4, ChipWaveform(token), 30, rng)
         assert err < 1e-6
 
     def test_synchronous_path_is_tighter(self, rect):

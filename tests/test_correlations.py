@@ -14,7 +14,7 @@ from qslora.correlations import (
 )
 from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.receiver import despread
-from qslora.waveforms import raised_cosine, rectangular, waveform_from_token
+from qslora.waveforms import ChipWaveform, raised_cosine, rectangular
 
 
 def brute_force_partition(mhat, m, ell, sf):
@@ -175,7 +175,7 @@ class TestAnalyticDecisionStatistic:
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_statistic_linear_in_amplitude(self, token):
-        w = waveform_from_token(token)
+        w = ChipWaveform(token)
         base = analytic_decision_statistic(3, 7, 5, 0.3, w, 1.0, 4)
         scaled = analytic_decision_statistic(3, 7, 5, 0.3, w, 9.0, 4)
         assert scaled == pytest.approx(3.0 * base, abs=1e-12)

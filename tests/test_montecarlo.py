@@ -18,7 +18,7 @@ from qslora.montecarlo import (
     sweep_points,
     wilson_interval,
 )
-from qslora.waveforms import waveform_from_token
+from qslora.waveforms import ChipWaveform
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -108,7 +108,7 @@ class TestAnalyticalSerSync:
 
 
 def _point(**overrides):
-    base = dict(sf=4, waveform=waveform_from_token("rect"), delta_s=0.4, snr_db=8.0)
+    base = dict(sf=4, waveform=ChipWaveform("rect"), delta_s=0.4, snr_db=8.0)
     base.update(overrides)
     return GridPoint(**base)
 
@@ -204,6 +204,14 @@ class TestRunPoint:
         sigma = np.sqrt(p * (1.0 - p) / est.trials)
         assert abs(est.ser - p) < 4.0 * sigma
 
+    @pytest.mark.parametrize("fixed_delta", [0.75, -0.6, float("nan")])
+    def test_fixed_delta_out_of_bound_rejected(self, fixed_delta):
+        # checked once per call, before any chunk is computed
+        with pytest.raises(ValueError, match="0.5"):
+            run_point(_point(), NO_EARLY_STOP, master_seed=1, fixed_delta=fixed_delta)
+        with pytest.raises(ValueError, match="0.5"):
+            run_trial(_point(), 0, master_seed=1, fixed_delta=fixed_delta)
+
     def test_noise_calibration(self, monkeypatch):
         # with the signal zeroed the rows reaching the despreader are pure
         # noise; per-chip variance over 2^20 draws must land within 1% of
@@ -265,7 +273,7 @@ STREAM_PINS = [
     ],
 )
 def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
-    point = GridPoint(**{**coords, "waveform": waveform_from_token(coords["waveform"])})
+    point = GridPoint(**{**coords, "waveform": ChipWaveform(coords["waveform"])})
     est = run_point(
         point,
         StoppingRule(max_trials=max_trials, min_errors=min_errors),
@@ -300,6 +308,8 @@ class TestSweep:
             snr_axis(0.0, 10.0, 0.0)
         with pytest.raises(ValueError):
             snr_axis(10.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match="too many points"):
+            snr_axis(0.0, 1.0, 1e-320)
 
     def test_point_grid_order_and_count(self):
         config = _config(

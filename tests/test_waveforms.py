@@ -10,18 +10,15 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslora.quadrature import integrate
 from qslora.waveforms import (
+    WAVEFORM_TOKENS,
     ChipWaveform,
     autocorr_overlapped,
     autocorr_overlapped_quad,
     autocorr_overlapping,
     autocorr_overlapping_quad,
     energy,
-    raised_cosine,
-    rectangular,
     sample_waveform,
-    waveform_from_token,
 )
 
 RC_AMP = np.sqrt(2.0 / 3.0)
@@ -29,12 +26,11 @@ RC_AMP = np.sqrt(2.0 / 3.0)
 
 class TestTokens:
     def test_known_tokens(self):
-        assert waveform_from_token("rect").kind == "rect"
-        assert waveform_from_token("rc").kind == "rc"
+        assert [ChipWaveform(token).kind for token in WAVEFORM_TOKENS] == ["rect", "rc"]
 
     def test_unknown_token_rejected(self):
-        with pytest.raises(ValueError):
-            waveform_from_token("gaussian")
+        with pytest.raises(ValueError, match="rect, rc"):
+            ChipWaveform("gaussian")
 
     def test_constructor_validates_kind(self):
         with pytest.raises(ValueError):
@@ -72,15 +68,6 @@ class TestEnergy:
     def test_unit_energy_against_scipy(self, rc):
         val, err = scipy.integrate.quad(lambda t: sample_waveform(rc, t) ** 2, 0.0, 1.0)
         assert abs(val - 1.0) < 1e-9
-
-    def test_unnormalized_profile_energy(self):
-        # the raised-cosine profile without its sqrt(2/3) prefactor has
-        # energy integral of (1 - cos(2 pi t))^2 = 3/2, which is what fixes
-        # the normalization constant
-        profile = lambda t: np.where((t >= 0) & (t < 1), 1.0 - np.cos(2 * np.pi * t), 0.0)
-        assert abs(energy(profile) - 1.5) < 1e-9
-        val, _ = scipy.integrate.quad(lambda t: profile(t) ** 2, 0.0, 1.0)
-        assert abs(val - 1.5) < 1e-9
 
 
 class TestRectangularClosedForms:
@@ -135,7 +122,7 @@ class TestRaisedCosineClosedForms:
 class TestCommonProperties:
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_endpoints(self, token):
-        w = waveform_from_token(token)
+        w = ChipWaveform(token)
         assert autocorr_overlapping(w, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert autocorr_overlapped(w, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert autocorr_overlapping(w, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -145,14 +132,14 @@ class TestCommonProperties:
     @settings(max_examples=80, deadline=None)
     def test_even_in_delta(self, delta):
         for token in ("rect", "rc"):
-            w = waveform_from_token(token)
+            w = ChipWaveform(token)
             assert autocorr_overlapping(w, delta) == autocorr_overlapping(w, -delta)
             assert autocorr_overlapped(w, delta) == autocorr_overlapped(w, -delta)
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_closed_forms_match_adaptive_quadrature(self, token, rng):
         # the closed forms are defined by the pair of overlap integrals
-        w = waveform_from_token(token)
+        w = ChipWaveform(token)
         offsets = rng.uniform(-1.0, 1.0, size=1000)
         for d in offsets:
             assert abs(autocorr_overlapping(w, d) - autocorr_overlapping_quad(w, d)) < 1e-10
@@ -160,7 +147,7 @@ class TestCommonProperties:
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_offset_out_of_range_rejected(self, token):
-        w = waveform_from_token(token)
+        w = ChipWaveform(token)
         with pytest.raises(ValueError):
             autocorr_overlapping(w, 1.5)
         with pytest.raises(ValueError):
