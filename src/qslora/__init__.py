@@ -34,7 +34,6 @@ from .montecarlo import (
     analytical_ser_sync,
     run_point,
     run_sweep,
-    run_trial,
     wilson_interval,
 )
 from .quadrature import QuadratureError, integrate
@@ -76,7 +75,6 @@ __all__ = [
     "rectangular",
     "run_point",
     "run_sweep",
-    "run_trial",
     "sample_to_word",
     "sample_waveform",
     "symbol_cardinality",

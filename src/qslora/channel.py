@@ -4,21 +4,18 @@ A trial involves three consecutive symbols (previous, current, next) and a
 timing offset delta held constant over the current symbol. The receiver's
 k-th matched-filter window then sees
 
-    r[k] = sqrt(P) * env(x_cur)[k] * R(delta)
-         + sqrt(P) * env(x_src)[k + s] * Rhat(delta)
-         + noise[k]
+    r[k] = env(x_cur)[k] * R(delta) + env(x_src)[k + s] * Rhat(delta) + noise[k]
 
 with s = sign(delta): the window also covers a sliver of the chip one step
 ahead (delta > 0) or behind (delta < 0). That chip belongs to the current
 symbol except at the boundary window (k = M-1 for delta > 0, k = 0 for
 delta < 0), where it is the first chip of the next symbol or the last chip
-of the previous one. The Monte-Carlo harness adds the noise: i.i.d.
+of the previous one. Symbols have unit energy, so the SNR Es/N0 enters
+only through the noise, which the Monte-Carlo harness adds: i.i.d.
 circularly-symmetric complex Gaussian with total variance N0 per chip.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -64,15 +61,14 @@ def synthesize_chip_rows(
     x_next: np.ndarray,
     delta: np.ndarray,
     waveform: ChipWaveform,
-    power: float,
     sf: int,
 ) -> np.ndarray:
     """Noise-free received chips for a batch of trials, one row per trial.
 
     The spill term reads one chip ahead (delta > 0) or behind (delta < 0),
     crossing into the adjacent symbol only at the boundary chip. Inputs are
-    not range-checked here: symbol indices must lie in [0, M), offsets in
-    [-0.5, 0.5] and power must be >= 0, as the callers' own types guarantee.
+    not range-checked here: symbol indices must lie in [0, M) and offsets
+    in [-0.5, 0.5], as the callers' own types guarantee.
     """
     m = symbol_cardinality(sf)
     env = envelope_matrix(sf)
@@ -91,5 +87,4 @@ def synthesize_chip_rows(
         src[:, 1:] = env[x_cur[neg]][:, : m - 1]
         src[:, 0] = env[x_prev[neg], m - 1]
         rows[neg] += spill[neg, None] * src
-    rows *= math.sqrt(power)
     return rows

@@ -80,6 +80,12 @@ def _snr_list(text: str) -> list[float]:
     return snr_axis(*_snr_range(text))
 
 
+def _positive(value: float) -> float:
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return value
+
+
 # config key -> (SweepConfig fields it sets, converter from the flag or
 # config-file string); a key's flag dest is the key with "-" -> "_"
 _CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], object]]] = {
@@ -266,10 +272,12 @@ def _cmd_certify(argv: Sequence[str]) -> int:
     sfs = _convert(p, "sf", _sf_list, ns.sf)
     waveforms = _convert(p, "waveform", _waveform_list, ns.waveform)
     delta_s = _convert(p, "delta-s", validate_delta_s, ns.delta_s)
+    seed = _convert(p, "seed", np.random.SeedSequence, ns.seed).entropy
+    tolerance = _convert(p, "tolerance", _positive, ns.tolerance)
     failures = 0
     for sf in sfs:
         for wi, wf in enumerate(waveforms):
-            rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=(sf, wi)))
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(sf, wi)))
             # certify_discrete_model owns the trials >= 1 check; it fails
             # on the first combination, before anything is printed
             err = _convert(
@@ -277,7 +285,7 @@ def _cmd_certify(argv: Sequence[str]) -> int:
                 lambda trials: certify_discrete_model(sf, wf, trials, rng, delta_s=delta_s),
                 ns.trials,
             )
-            ok = err < ns.tolerance
+            ok = err < tolerance
             failures += 0 if ok else 1
             print(
                 f"sf={sf} waveform={wf.kind} trials={ns.trials} "

@@ -3,12 +3,12 @@
 This is the slow path that certifies the chip-rate model: it represents the
 transmitted baseband signal
 
-    s(t) = sqrt(P) * sum_n sum_k env(x(n))[k] * psi(t - t0 - n*T - k*Tc)
+    s(t) = sum_n sum_k env(x(n))[k] * psi(t - n*T - k*Tc)
 
-with T = M*Tc and Tc = 1 (symbol n occupies [t0 + n*T, t0 + (n+1)*T)), then
-matched-filters it at receiver windows shifted by a fractional chip offset.
-Chip samples obtained this way must agree with synthesize_chip_rows to
-certify the discrete decomposition.
+with T = M*Tc and Tc = 1 (symbol n occupies [n*T, (n+1)*T) and has unit
+energy), then matched-filters it at receiver windows shifted by a
+fractional chip offset. Chip samples obtained this way must agree with
+synthesize_chip_rows to certify the discrete decomposition.
 
 Integration uses piecewise adaptive Gauss-Legendre with the pieces split at
 the signal's chip boundaries (its only non-smooth points); the integrand is
@@ -33,28 +33,24 @@ __all__ = ["ContinuousSignal", "synthesize", "matched_filter_chip", "certify_dis
 
 @dataclass(frozen=True)
 class ContinuousSignal:
-    """A baseband signal spanning (len(symbols) * M + guard_chips) chips from t0.
+    """A baseband signal spanning len(symbols) * M chips from t = 0.
 
     The generating metadata allows exact evaluation at arbitrary instants
     via value_at.
     """
 
-    t0: float
     symbols: tuple[int, ...]
     sf: int
-    power: float
     waveform: ChipWaveform
-    guard_chips: int = 0
 
     @property
     def span(self) -> tuple[float, float]:
-        m = symbol_cardinality(self.sf)
-        return self.t0, self.t0 + len(self.symbols) * m + self.guard_chips
+        return 0.0, float(len(self.symbols) * symbol_cardinality(self.sf))
 
     def value_at(self, t: np.ndarray | float) -> np.ndarray:
         """Exact s(t), zero outside the synthesized span."""
         m = symbol_cardinality(self.sf)
-        rel = np.asarray(t, dtype=float) - self.t0
+        rel = np.asarray(t, dtype=float)
         scalar = rel.ndim == 0
         rel = np.atleast_1d(rel)
         chip = np.floor(rel).astype(np.int64)
@@ -67,39 +63,14 @@ class ContinuousSignal:
             env = envelope_matrix(self.sf)
             sym = np.asarray(self.symbols)[n[idx]]
             k = chip[idx] - n[idx] * m
-            out[idx] = (
-                math.sqrt(self.power)
-                * env[sym, k]
-                * sample_waveform(self.waveform, frac[idx])
-            )
+            out[idx] = env[sym, k] * sample_waveform(self.waveform, frac[idx])
         return out[0] if scalar else out
-
-    def symbol_energy(self, n: int, tol: float = 1e-10) -> float:
-        """Energy of symbol n by chip-wise quadrature of |s(t)|^2."""
-        m = symbol_cardinality(self.sf)
-        if not 0 <= n < len(self.symbols):
-            raise ValueError(f"symbol index {n} out of range [0, {len(self.symbols)})")
-        start = self.t0 + n * m
-        total = 0.0
-        for k in range(m):
-            total += float(
-                integrate(
-                    lambda t: np.abs(self.value_at(t)) ** 2,
-                    start + k,
-                    start + k + 1,
-                    tol=tol,
-                )
-            )
-        return total
 
 
 def synthesize(
     symbols: list[int] | tuple[int, ...],
     waveform: ChipWaveform,
     sf: int,
-    power: float = 1.0,
-    t0: float = 0.0,
-    guard_chips: int = 0,
 ) -> ContinuousSignal:
     """Build the continuous-time signal for a symbol sequence."""
     m = symbol_cardinality(sf)
@@ -108,18 +79,7 @@ def synthesize(
         raise ValueError("need at least one symbol")
     if any(not 0 <= s < m for s in symbols):
         raise ValueError(f"symbol indices must be in [0, {m})")
-    if power < 0.0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    if guard_chips < 0:
-        raise ValueError(f"guard_chips must be >= 0, got {guard_chips}")
-    return ContinuousSignal(
-        t0=float(t0),
-        symbols=symbols,
-        sf=int(sf),
-        power=float(power),
-        waveform=waveform,
-        guard_chips=int(guard_chips),
-    )
+    return ContinuousSignal(symbols=symbols, sf=int(sf), waveform=waveform)
 
 
 def matched_filter_chip(
@@ -127,8 +87,6 @@ def matched_filter_chip(
     n: int,
     k: int,
     delta: float,
-    waveform: ChipWaveform | None = None,
-    tol: float = 1e-10,
 ) -> complex:
     """Matched-filter output for chip k of symbol n at window offset delta.
 
@@ -143,7 +101,6 @@ def matched_filter_chip(
         raise ValueError(f"chip index {k} out of range [0, {m})")
     if not abs(delta) <= 1.0:
         raise ValueError(f"chip offset magnitude must be <= 1, got {delta}")
-    w = sig.waveform if waveform is None else waveform
     a = n * m + k + delta
     b = a + 1.0
     lo, hi = sig.span
@@ -151,22 +108,18 @@ def matched_filter_chip(
         raise ValueError(
             f"filter window [{a}, {b}] outside synthesized span [{lo}, {hi}]"
         )
-    # Split at the signal's chip boundaries (t0 + integers) inside the window.
+    # Split at the signal's chip boundary: a unit window holds at most one
+    # integer strictly inside it.
     eps = 1e-12
-    points = [a]
-    j = math.floor(a - sig.t0) + 1
-    while sig.t0 + j < b - eps:
-        if sig.t0 + j > a + eps:
-            points.append(sig.t0 + j)
-        j += 1
-    points.append(b)
+    c = math.floor(a) + 1.0
+    points = [a, c, b] if a + eps < c < b - eps else [a, b]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return sig.value_at(t) * sample_waveform(w, t - a)
+        return sig.value_at(t) * sample_waveform(sig.waveform, t - a)
 
     total = 0.0 + 0.0j
     for left, right in zip(points[:-1], points[1:]):
-        total += integrate(integrand, left, right, tol=tol)
+        total += integrate(integrand, left, right)
     return complex(total)
 
 
@@ -176,7 +129,6 @@ def certify_discrete_model(
     trials: int,
     rng: np.random.Generator,
     delta_s: float = 1.0,
-    power: float = 1.0,
 ) -> float:
     """Max |continuous - discrete| chip sample difference over random trials.
 
@@ -192,8 +144,8 @@ def certify_discrete_model(
     for _ in range(trials):
         x = rng.integers(0, m, size=3)
         delta = draw_offset(delta_s, rng, 1)
-        sig = synthesize(tuple(x), waveform, sf, power)
-        reference = synthesize_chip_rows(x[:1], x[1:2], x[2:3], delta, waveform, power, sf)[0]
+        sig = synthesize(tuple(x), waveform, sf)
+        reference = synthesize_chip_rows(x[:1], x[1:2], x[2:3], delta, waveform, sf)[0]
         for k in range(m):
             got = matched_filter_chip(sig, 1, k, float(delta[0]))
             err = abs(got - reference[k])

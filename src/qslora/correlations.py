@@ -76,37 +76,33 @@ def analytic_decision_statistic(
     m: int,
     delta: float,
     waveform: ChipWaveform,
-    power: float,
     sf: int,
 ) -> complex:
     """Noise-free despread output at candidate m for a given chip offset.
 
     x_adj is the neighbouring symbol on the side the window drifts toward
     (the next symbol for delta > 0, the previous one for delta < 0). For
-    delta = 0 this collapses to sqrt(P) * kronecker(x_cur, m); otherwise
-    the shifted chip stream contributes the in-symbol and boundary
-    correlation terms, weighted by the overlapped partial autocorrelation
-    of the chip pulse:
+    delta = 0 this collapses to kronecker(x_cur, m) (symbols have unit
+    energy); otherwise the shifted chip stream contributes the in-symbol
+    and boundary correlation terms, weighted by the overlapped partial
+    autocorrelation of the chip pulse:
 
-        sqrt(P) * R(delta) * kron(x_cur, m)
-        + sqrt(P) * Rhat(delta) * (R_{x_cur,m}(ell) + Rhat_{x_adj,m}(ell))
+        R(delta) * kron(x_cur, m)
+        + Rhat(delta) * (R_{x_cur,m}(ell) + Rhat_{x_adj,m}(ell))
     """
     cap = symbol_cardinality(sf)
     for name, val in (("x_cur", x_cur), ("x_adj", x_adj), ("m", m)):
         _validate_index(val, cap, name)
     validate_offset(delta)
-    if power < 0.0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    amp = float(np.sqrt(power))
     if delta == 0.0:
-        return complex(amp) if m == x_cur else 0.0j
+        return 1.0 + 0.0j if m == x_cur else 0.0j
     ell = 1 if delta > 0.0 else -1
     r_keep = autocorr_overlapping(waveform, delta)
     r_spill = autocorr_overlapped(waveform, delta)
-    val = amp * r_spill * (
+    val = r_spill * (
         cross_corr_same_symbol(x_cur, m, ell, sf)
         + cross_corr_adjacent_symbol(x_adj, m, ell, sf)
     )
     if m == x_cur:
-        val += amp * r_keep
+        val += r_keep
     return complex(val)

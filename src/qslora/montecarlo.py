@@ -35,8 +35,8 @@ __all__ = [
     "StoppingRule",
     "SerEstimate",
     "wilson_interval",
+    "noise_variance",
     "analytical_ser_sync",
-    "run_trial",
     "run_point",
     "snr_axis",
     "SweepConfig",
@@ -46,6 +46,22 @@ __all__ = [
 
 TRIALS_PER_CHUNK = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def noise_variance(snr_db: float) -> float:
+    """Complex noise variance N0 per chip at Es/N0 = snr_db dB.
+
+    Symbols have unit energy, so N0 = 10^(-snr_db/10). Raises ValueError
+    unless snr_db is finite and N0 is a finite float (it overflows below
+    about -3083 dB).
+    """
+    try:
+        n0 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        n0 = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(n0)):
+        raise ValueError(f"snr_db must be finite with a finite noise variance, got {snr_db}")
+    return n0
 
 
 @dataclass(frozen=True)
@@ -60,8 +76,7 @@ class GridPoint:
     def __post_init__(self) -> None:
         validate_sf(self.sf)
         validate_delta_s(self.delta_s)
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        noise_variance(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -107,13 +122,14 @@ class SerEstimate:
             raise ValueError("confidence interval must bracket the estimate")
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= errors <= trials:
         raise ValueError(f"need 0 <= errors <= trials, got {errors}/{trials}")
     p = errors / trials
+    z = _Z95
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
@@ -179,36 +195,13 @@ def _chunk_error_flags(
         delta = np.full(n, float(fixed_delta))
     else:
         delta = draw_offset(point.delta_s, rng, n)
-    rows = synthesize_chip_rows(x_prev, x_cur, x_next, delta, point.waveform, 1.0, point.sf)
-    n0 = 10.0 ** (-point.snr_db / 10.0)
-    scale = math.sqrt(n0 / 2.0)
+    rows = synthesize_chip_rows(x_prev, x_cur, x_next, delta, point.waveform, point.sf)
+    scale = math.sqrt(noise_variance(point.snr_db) / 2.0)
     rows += scale * rng.standard_normal((n, m))
     rows += 1j * scale * rng.standard_normal((n, m))
     stats = despread_fft(rows, point.sf)
     detected = np.argmax(np.abs(stats), axis=1)
     return detected != x_cur
-
-
-def run_trial(
-    point: GridPoint,
-    trial_index: int,
-    master_seed: int,
-    fixed_delta: Optional[float] = None,
-) -> bool:
-    """Outcome of a single trial (True = detection error).
-
-    Trial trial_index lives in chunk trial_index // TRIALS_PER_CHUNK; the
-    whole chunk is regenerated and the one outcome extracted, so the result
-    matches what run_point aggregates at any worker count.
-    """
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    if fixed_delta is not None:
-        fixed_delta = validate_offset(fixed_delta)
-    flags = _chunk_error_flags(
-        point, master_seed, trial_index // TRIALS_PER_CHUNK, fixed_delta
-    )
-    return bool(flags[trial_index % TRIALS_PER_CHUNK])
 
 
 def run_point(
@@ -301,10 +294,10 @@ class SweepConfig:
     """Fully resolved sweep parameters (defaults span the full grid).
 
     Construction checks every field once, through the type that owns the
-    value (validate_sf, ChipWaveform, validate_delta_s, snr_axis,
-    StoppingRule, validate_offset); a bad field raises ValueError whose
-    message starts with the field's config key (sf, waveform, delta-s,
-    snr, ...). These defaults are the only ones; the CLI passes only the
+    value (validate_sf, ChipWaveform, validate_delta_s, snr_axis and
+    noise_variance, StoppingRule, SeedSequence, validate_offset); a bad
+    field raises ValueError whose message starts with the field's config
+    key (sf, waveform, delta-s, snr, ...). These defaults are the only ones; the CLI passes only the
     fields a flag, the environment or a config file set.
     """
 
@@ -335,9 +328,13 @@ class SweepConfig:
             ("sf", lambda: [validate_sf(sf) for sf in self.sf_list]),
             ("waveform", lambda: [ChipWaveform(tok) for tok in self.waveforms]),
             ("delta-s", lambda: [validate_delta_s(ds) for ds in self.delta_s_list]),
-            ("snr", lambda: snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)),
+            ("snr", lambda: [
+                noise_variance(snr)
+                for snr in snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
+            ]),
             ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
             ("min-errors", lambda: StoppingRule(min_errors=self.min_errors)),
+            ("seed", lambda: np.random.SeedSequence(self.master_seed)),
             ("fixed-delta", lambda: self.fixed_delta is None or validate_offset(self.fixed_delta)),
         )
         for key, check in checks:

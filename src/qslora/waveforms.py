@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _RC_AMP = np.sqrt(2.0 / 3.0)
+_QUAD_TOL = 1e-12  # absolute tolerance of the quadrature references
 WAVEFORM_TOKENS = ("rect", "rc")
 
 
@@ -71,12 +72,12 @@ def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
     return np.where(inside, _RC_AMP * (1.0 - np.cos(2.0 * np.pi * t)), 0.0)
 
 
-def energy(w: ChipWaveform, tol: float = 1e-12) -> float:
+def energy(w: ChipWaveform) -> float:
     """Pulse energy integral of psi**2 over one chip, by quadrature.
 
     Unit-energy pulses return 1 up to the quadrature tolerance.
     """
-    return float(integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0, tol=tol))
+    return float(integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0, tol=_QUAD_TOL))
 
 
 def _check_offsets(delta: np.ndarray) -> np.ndarray:
@@ -120,23 +121,23 @@ def autocorr_overlapped(w: ChipWaveform, delta: np.ndarray | float):
     return out if np.ndim(out) else float(out)
 
 
-def autocorr_overlapping_quad(w: ChipWaveform, delta: float, tol: float = 1e-12) -> float:
+def autocorr_overlapping_quad(w: ChipWaveform, delta: float) -> float:
     """Quadrature reference for autocorr_overlapping (scalar delta)."""
     d = float(_check_offsets(delta))
     if d == 1.0:
         return 0.0
     val = integrate(
-        lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0, tol=tol
+        lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0, tol=_QUAD_TOL
     )
     return float(val)
 
 
-def autocorr_overlapped_quad(w: ChipWaveform, delta: float, tol: float = 1e-12) -> float:
+def autocorr_overlapped_quad(w: ChipWaveform, delta: float) -> float:
     """Quadrature reference for autocorr_overlapped (scalar delta)."""
     d = float(_check_offsets(delta))
     if d == 0.0:
         return 0.0
     val = integrate(
-        lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d, tol=tol
+        lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d, tol=_QUAD_TOL
     )
     return float(val)

@@ -137,13 +137,12 @@ def test_criterion_04_analytic_decomposition():
             np.array([x_next]),
             np.array([delta]),
             wf,
-            1.0,
             sf,
         )
         stats = despread(rows[0], sf)
         x_adj = x_next if delta > 0 else x_prev
         for cand in range(m):
-            expected = analytic_decision_statistic(x_cur, x_adj, cand, delta, wf, 1.0, sf)
+            expected = analytic_decision_statistic(x_cur, x_adj, cand, delta, wf, sf)
             worst = max(worst, abs(stats[cand] - expected))
     assert worst < 1e-9
     print(

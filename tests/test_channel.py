@@ -13,11 +13,11 @@ from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.waveforms import autocorr_overlapped, autocorr_overlapping, rectangular
 
 
-def _chips(x_prev, x_cur, x_next, delta, waveform, power=1.0, sf=4):
+def _chips(x_prev, x_cur, x_next, delta, waveform, sf=4):
     """Noise-free chips of one trial: a one-row synthesize_chip_rows batch."""
     return synthesize_chip_rows(
         np.array([x_prev]), np.array([x_cur]), np.array([x_next]),
-        np.array([float(delta)]), waveform, power, sf,
+        np.array([float(delta)]), waveform, sf,
     )[0]
 
 
@@ -103,8 +103,8 @@ class TestOverlapIndices:
 
 class TestSynthesizeChips:
     def test_synchronous_noise_free_is_pure_envelope(self, rect):
-        chips = _chips(3, 9, 12, 0.0, rect, power=4.0)
-        np.testing.assert_allclose(chips, 2.0 * envelope_matrix(4)[9], atol=1e-15)
+        chips = _chips(3, 9, 12, 0.0, rect)
+        np.testing.assert_allclose(chips, envelope_matrix(4)[9], atol=1e-15)
 
     def test_interior_chip_half_offset(self, rect):
         # delta = 0.5 rect: equal-weight mix of chip k and chip k+1 of the
@@ -131,12 +131,12 @@ class TestSynthesizeChips:
     )
     @settings(max_examples=40, deadline=None)
     def test_noise_free_synchronous_chip_energy(self, sf, data):
+        # symbols have unit energy
         cap = symbol_cardinality(sf)
         x = data.draw(st.integers(0, cap - 1))
-        power = data.draw(st.floats(min_value=0.1, max_value=10.0))
-        chips = _chips(0, x, 0, 0.0, rectangular(), power, sf)
+        chips = _chips(0, x, 0, 0.0, rectangular(), sf)
         total = float(np.sum(np.abs(chips) ** 2))
-        assert abs(total - power) < 1e-12
+        assert abs(total - 1.0) < 1e-12
 
     def test_batch_matches_scalar_path(self, rc):
         # each row of a mixed-sign batch equals the same trial synthesized
@@ -145,7 +145,7 @@ class TestSynthesizeChips:
         xp = np.array([1, 2, 3, 4, 5])
         xc = np.array([9, 8, 7, 6, 5])
         xn = np.array([0, 15, 14, 13, 12])
-        batch = synthesize_chip_rows(xp, xc, xn, deltas, rc, 2.0, 4)
+        batch = synthesize_chip_rows(xp, xc, xn, deltas, rc, 4)
         for i in range(5):
-            single = _chips(xp[i], xc[i], xn[i], deltas[i], rc, power=2.0)
+            single = _chips(xp[i], xc[i], xn[i], deltas[i], rc)
             np.testing.assert_array_equal(batch[i], single)

@@ -91,6 +91,8 @@ class TestParseConfig:
             (["--fixed-delta", "nan"], "fixed-delta"),
             (["--snr", "0:1:1e-320"], "snr"),
             (["--snr", "0:1e308:1e-10"], "snr"),
+            (["--seed", "-1"], "seed"),
+            (["--snr=-4000:-4000:1"], "snr"),
         ],
     )
     def test_invalid_values_exit_2_naming_field(self, argv, needle, capsys):
@@ -321,6 +323,10 @@ class TestMain:
             (["corr", "-w", "foo"], "waveform"),
             (["oracle", "--snr", "0:1:1e-320"], "snr"),
             (["oracle", "--snr", "0:1e308:1e-10"], "snr"),
+            (["certify", "--seed", "-1"], "seed"),
+            (["certify", "--tolerance", "nan"], "tolerance"),
+            (["certify", "--tolerance", "0"], "tolerance"),
+            (["certify", "--tolerance", "-1"], "tolerance"),
         ],
     )
     def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):
@@ -352,6 +358,12 @@ class TestMain:
         assert lines[0] == "sf snr_db ser"
         assert len(lines) == 4
         assert lines[1] == f"4 0 {analytical_ser_sync(4, 0.0)!r}"
+
+    def test_oracle_needs_no_noise_variance(self, capsys):
+        # N0 overflows at -4000 dB, which the sweep rejects; the oracle
+        # never forms N0 and prints the uniform-guess error rate
+        assert main(["oracle", "--sf", "4", "--snr=-4000:-4000:1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "4 -4000 0.9375"
 
     def test_corr_smoke(self, capsys):
         assert main(["corr", "--steps", "3"]) == 0

@@ -7,14 +7,15 @@ import pytest
 from qslora.channel import synthesize_chip_rows
 from qslora.continuous_time import certify_discrete_model, matched_filter_chip, synthesize
 from qslora.modulation import envelope_matrix
+from qslora.quadrature import integrate
 from qslora.waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 
 
 class TestSynthesize:
     def test_grid_size_contract(self, rect):
-        # the signal spans len(symbols) * M chips plus the guard chips
-        sig = synthesize((3, 5), rect, 4, guard_chips=2)
-        assert sig.span == (0.0, 34.0)
+        # the signal spans len(symbols) * M chips from t = 0
+        sig = synthesize((3, 5), rect, 4)
+        assert sig.span == (0.0, 32.0)
 
     def test_requires_symbols(self, rect):
         with pytest.raises(ValueError):
@@ -25,10 +26,10 @@ class TestSynthesize:
             synthesize((16,), rect, 4)
 
     def test_rect_mid_chip_samples_equal_envelope(self, rect):
-        sig = synthesize((9,), rect, 4, power=4.0)
+        sig = synthesize((9,), rect, 4)
         env = envelope_matrix(4)[9]
         for k in range(16):
-            assert sig.value_at(k + 0.5) == pytest.approx(2.0 * env[k], abs=1e-12)
+            assert sig.value_at(k + 0.5) == pytest.approx(env[k], abs=1e-12)
 
     def test_rc_nulls_at_chip_boundaries(self, rc):
         sig = synthesize((9,), rc, 4)
@@ -40,30 +41,25 @@ class TestSynthesize:
         assert sig.value_at(-0.5) == 0.0
         assert sig.value_at(16.01) == 0.0
 
-    def test_guard_region_is_silent(self, rect):
-        sig = synthesize((9,), rect, 4, guard_chips=3)
-        assert sig.value_at(17.5) == 0.0
+    @pytest.mark.parametrize("token", ["rect", "rc"])
+    def test_symbol_energy_is_unit(self, token):
+        # chip-wise quadrature of |s(t)|^2 over one symbol
+        sig = synthesize((7,), ChipWaveform(token), 4)
+        total = sum(
+            integrate(lambda t: np.abs(sig.value_at(t)) ** 2, k, k + 1.0) for k in range(16)
+        )
+        assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_time_origin_shift(self, rc):
-        base = synthesize((9, 3), rc, 4)
-        moved = synthesize((9, 3), rc, 4, t0=5.25)
-        t = np.linspace(0.0, 32.0, 257)
-        np.testing.assert_allclose(moved.value_at(t + 5.25), base.value_at(t), atol=1e-12)
-
-    @pytest.mark.parametrize("token,power", [("rect", 1.0), ("rc", 2.0)])
-    def test_symbol_energy_is_power(self, token, power):
-        sig = synthesize((7,), ChipWaveform(token), 4, power=power)
-        assert sig.symbol_energy(0) == pytest.approx(power, abs=1e-6)
 
 
 class TestMatchedFilterChip:
     def test_synchronous_recovers_envelope(self, rect, rc):
         for wf in (rect, rc):
-            sig = synthesize((5, 9, 2), wf, 4, power=4.0)
+            sig = synthesize((5, 9, 2), wf, 4)
             env = envelope_matrix(4)[9]
             for k in (0, 7, 15):
                 got = matched_filter_chip(sig, 1, k, 0.0)
-                assert got == pytest.approx(2.0 * env[k], abs=1e-6)
+                assert got == pytest.approx(env[k], abs=1e-6)
 
     def test_rect_quarter_chip_interior(self, rect):
         sig = synthesize((5, 9, 2), rect, 4)
@@ -83,7 +79,7 @@ class TestMatchedFilterChip:
         sig = synthesize((5, 9, 2), rect, 4)
         reference = synthesize_chip_rows(
             np.array([5]), np.array([9]), np.array([2]),
-            np.array([-0.4]), rect, 1.0, 4,
+            np.array([-0.4]), rect, 4,
         )[0]
         got = matched_filter_chip(sig, 1, 0, -0.4)
         assert got == pytest.approx(reference[0], abs=1e-9)
@@ -103,10 +99,10 @@ class TestMatchedFilterChip:
             matched_filter_chip(sig, 1, 16, 0.0)
 
     def test_time_shift_consistency(self, rc):
-        # shifting the signal by one symbol period and querying n+1 must
-        # reproduce the chip samples
+        # prepending a symbol shifts the signal by one symbol period, so
+        # querying n+1 must reproduce the chip samples
         base = synthesize((5, 9, 2), rc, 4)
-        shifted = synthesize((5, 9, 2), rc, 4, t0=16.0, guard_chips=16)
+        shifted = synthesize((7, 5, 9, 2), rc, 4)
         for k in (0, 6, 15):
             a = matched_filter_chip(base, 1, k, 0.37)
             b = matched_filter_chip(shifted, 2, k, 0.37)

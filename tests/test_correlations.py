@@ -14,7 +14,7 @@ from qslora.correlations import (
 )
 from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.receiver import despread
-from qslora.waveforms import ChipWaveform, raised_cosine, rectangular
+from qslora.waveforms import raised_cosine, rectangular
 
 
 def brute_force_partition(mhat, m, ell, sf):
@@ -120,19 +120,14 @@ class TestCrossCorrAdjacentSymbol:
 
 class TestAnalyticDecisionStatistic:
     def test_synchronous_match(self, rect):
-        assert analytic_decision_statistic(9, 2, 9, 0.0, rect, 1.0, 4) == pytest.approx(1.0)
-        assert analytic_decision_statistic(9, 2, 9, 0.0, rect, 4.0, 4) == pytest.approx(2.0)
+        assert analytic_decision_statistic(9, 2, 9, 0.0, rect, 4) == pytest.approx(1.0)
 
     def test_synchronous_mismatch(self, rect):
-        assert analytic_decision_statistic(9, 2, 5, 0.0, rect, 1.0, 4) == 0.0
+        assert analytic_decision_statistic(9, 2, 5, 0.0, rect, 4) == 0.0
 
     def test_offset_out_of_range_rejected(self, rect):
         with pytest.raises(ValueError):
-            analytic_decision_statistic(1, 2, 3, 0.7, rect, 1.0, 4)
-
-    def test_negative_power_rejected(self, rect):
-        with pytest.raises(ValueError):
-            analytic_decision_statistic(1, 2, 3, 0.1, rect, -1.0, 4)
+            analytic_decision_statistic(1, 2, 3, 0.7, rect, 4)
 
     @pytest.mark.parametrize("sf", [4, 5])
     def test_equivalence_with_simulated_path(self, sf, rng):
@@ -151,13 +146,12 @@ class TestAnalyticDecisionStatistic:
                 np.array([x_next]),
                 np.array([delta]),
                 wf,
-                1.0,
                 sf,
             )[0]
             stats = despread(chips, sf)
             x_adj = x_next if delta > 0 else x_prev
             for m in range(cap):
-                ref = analytic_decision_statistic(x_cur, x_adj, m, delta, wf, 1.0, sf)
+                ref = analytic_decision_statistic(x_cur, x_adj, m, delta, wf, sf)
                 worst = max(worst, abs(stats[m] - ref))
         assert worst < 1e-9
 
@@ -166,16 +160,9 @@ class TestAnalyticDecisionStatistic:
         # autocorrelation term
         chips = synthesize_chip_rows(
             np.array([0]), np.array([9]), np.array([2]),
-            np.array([0.25]), rect, 1.0, 4,
+            np.array([0.25]), rect, 4,
         )[0]
         stats = despread(chips, 4)
-        val = analytic_decision_statistic(9, 2, 9, 0.25, rect, 1.0, 4)
+        val = analytic_decision_statistic(9, 2, 9, 0.25, rect, 4)
         assert stats[9] == pytest.approx(val, abs=1e-12)
         assert abs(val) > 0.7
-
-    @pytest.mark.parametrize("token", ["rect", "rc"])
-    def test_statistic_linear_in_amplitude(self, token):
-        w = ChipWaveform(token)
-        base = analytic_decision_statistic(3, 7, 5, 0.3, w, 1.0, 4)
-        scaled = analytic_decision_statistic(3, 7, 5, 0.3, w, 9.0, 4)
-        assert scaled == pytest.approx(3.0 * base, abs=1e-12)

@@ -11,9 +11,9 @@ from qslora.montecarlo import (
     StoppingRule,
     SweepConfig,
     analytical_ser_sync,
+    noise_variance,
     run_point,
     run_sweep,
-    run_trial,
     snr_axis,
     sweep_points,
     wilson_interval,
@@ -116,31 +116,11 @@ def _point(**overrides):
 NO_EARLY_STOP = StoppingRule(max_trials=TRIALS_PER_CHUNK, min_errors=0)
 
 
-class TestRunTrial:
-    def test_deterministic(self):
-        point = _point()
-        first = [run_trial(point, i, master_seed=1) for i in range(50)]
-        second = [run_trial(point, i, master_seed=1) for i in range(50)]
-        assert first == second
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            run_trial(_point(), -1, master_seed=1)
-
-    def test_seed_changes_outcomes(self):
-        a = [run_trial(_point(), i, master_seed=1) for i in range(400)]
-        b = [run_trial(_point(), i, master_seed=2) for i in range(400)]
-        assert a != b
-
-
 class TestRunPoint:
-    def test_matches_per_trial_replay(self):
-        point = _point(snr_db=4.0)
-        rule = StoppingRule(max_trials=6000, min_errors=0)
-        est = run_point(point, rule, master_seed=1)
-        replayed = sum(run_trial(point, i, master_seed=1) for i in range(est.trials))
-        assert est.trials == 6000
-        assert est.errors == replayed
+    def test_seed_changes_outcomes(self):
+        a = montecarlo._chunk_error_flags(_point(), 1, 0)
+        b = montecarlo._chunk_error_flags(_point(), 2, 0)
+        assert not np.array_equal(a, b)
 
     def test_early_stop_reaches_error_floor(self):
         point = _point(snr_db=0.0)
@@ -209,8 +189,6 @@ class TestRunPoint:
         # checked once per call, before any chunk is computed
         with pytest.raises(ValueError, match="0.5"):
             run_point(_point(), NO_EARLY_STOP, master_seed=1, fixed_delta=fixed_delta)
-        with pytest.raises(ValueError, match="0.5"):
-            run_trial(_point(), 0, master_seed=1, fixed_delta=fixed_delta)
 
     def test_noise_calibration(self, monkeypatch):
         # with the signal zeroed the rows reaching the despreader are pure
@@ -301,6 +279,19 @@ def _config(**overrides):
 
 
 class TestSweep:
+    def test_noise_variance(self):
+        assert noise_variance(8.0) == 10.0 ** (-8.0 / 10.0)
+        assert noise_variance(4000.0) == 0.0
+        # N0 overflows below about -3083 dB; GridPoint and the sweep's snr
+        # axis reject such an SNR like a non-finite one
+        for snr in (-4000.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="snr_db"):
+                noise_variance(snr)
+            with pytest.raises(ValueError, match="snr_db"):
+                _point(snr_db=snr)
+        with pytest.raises(ValueError, match="^snr: "):
+            _config(snr_start_db=-4000.0, snr_stop_db=0.0, snr_step_db=1000.0)
+
     def test_snr_axis_inclusive(self):
         assert snr_axis(-4.0, 24.0, 2.0) == [float(v) for v in range(-4, 25, 2)]
         assert snr_axis(0.0, 0.0, 2.0) == [0.0]

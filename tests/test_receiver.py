@@ -33,11 +33,11 @@ class TestDespread:
         # statistic equals the analytic decomposition
         chips = synthesize_chip_rows(
             np.array([4]), np.array([9]), np.array([2]),
-            np.array([0.25]), rect, 1.0, 4,
+            np.array([0.25]), rect, 4,
         )[0]
         stats = despread(chips, 4)
         for m in range(16):
-            ref = analytic_decision_statistic(9, 2, m, 0.25, rect, 1.0, 4)
+            ref = analytic_decision_statistic(9, 2, m, 0.25, rect, 4)
             assert stats[m] == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("sf", [4, 5, 6, 7, 8])
@@ -96,12 +96,12 @@ class TestDetect:
             x_prev, x_cur, x_next = (int(v) for v in rng.integers(0, 16, 3))
             chips = synthesize_chip_rows(
                 np.array([x_prev]), np.array([x_cur]), np.array([x_next]),
-                np.array([0.5]), rect, 1.0, 4,
+                np.array([0.5]), rect, 4,
             )[0]
             got = detect(despread(chips, 4))
             mags = np.array(
                 [
-                    abs(analytic_decision_statistic(x_cur, x_next, m, 0.5, rect, 1.0, 4))
+                    abs(analytic_decision_statistic(x_cur, x_next, m, 0.5, rect, 4))
                     for m in range(16)
                 ]
             )
