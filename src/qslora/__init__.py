@@ -16,11 +16,7 @@ from .continuous_time import (
     matched_filter_chip,
     synthesize,
 )
-from .correlations import (
-    analytic_decision_statistic,
-    cross_corr_adjacent_symbol,
-    cross_corr_same_symbol,
-)
+from .correlations import analytic_decision_statistic
 from .modulation import (
     envelope_matrix,
     sample_to_word,
@@ -61,8 +57,6 @@ __all__ = [
     "autocorr_overlapped",
     "autocorr_overlapping",
     "certify_discrete_model",
-    "cross_corr_adjacent_symbol",
-    "cross_corr_same_symbol",
     "despread",
     "despread_fft",
     "detect",

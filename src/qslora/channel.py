@@ -1,6 +1,6 @@
 """Discrete chip-rate channel: timing-offset draw and chip synthesis.
 
-A trial involves three consecutive symbols (previous, current, next) and a
+A trial is the current symbol x_cur, the symbol before it x_prev, and a
 timing offset delta held constant over the current symbol. The receiver's
 k-th matched-filter window then sees
 
@@ -8,11 +8,14 @@ k-th matched-filter window then sees
 
 with s = sign(delta): the window also covers a sliver of the chip one step
 ahead (delta > 0) or behind (delta < 0). That chip belongs to the current
-symbol except at the boundary window (k = M-1 for delta > 0, k = 0 for
-delta < 0), where it is the first chip of the next symbol or the last chip
-of the previous one. Symbols have unit energy, so the SNR Es/N0 enters
-only through the noise, which the Monte-Carlo harness adds: i.i.d.
-circularly-symmetric complex Gaussian with total variance N0 per chip.
+symbol except at the boundary window. For delta < 0 that is window 0, which
+reads the last chip of the previous symbol. For delta > 0 it is window M-1,
+which reads chip 0 of the next symbol; chip 0 of every symbol is 1/sqrt(M),
+the same as the current symbol's own chip 0, so the next symbol is not
+observable and the spill is the current symbol's chips rotated by one.
+Symbols have unit energy, so the SNR Es/N0 enters only through the noise,
+which the Monte-Carlo harness adds: i.i.d. circularly-symmetric complex
+Gaussian with total variance N0 per chip.
 """
 
 from __future__ import annotations
@@ -58,17 +61,18 @@ def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
 def synthesize_chip_rows(
     x_prev: np.ndarray,
     x_cur: np.ndarray,
-    x_next: np.ndarray,
     delta: np.ndarray,
     waveform: ChipWaveform,
     sf: int,
 ) -> np.ndarray:
     """Noise-free received chips for a batch of trials, one row per trial.
 
-    The spill term reads one chip ahead (delta > 0) or behind (delta < 0),
-    crossing into the adjacent symbol only at the boundary chip. Inputs are
-    not range-checked here: symbol indices must lie in [0, M) and offsets
-    in [-0.5, 0.5], as the callers' own types guarantee.
+    The spill term reads one chip ahead (delta > 0) or behind (delta < 0).
+    Ahead, the boundary chip is chip 0, equal for every symbol, so the
+    current symbol's chips rotate; behind, the boundary chip is the previous
+    symbol's last one. Inputs are not range-checked here: symbol indices
+    must lie in [0, M) and offsets in [-0.5, 0.5], as the callers' own
+    types guarantee.
     """
     m = symbol_cardinality(sf)
     env = envelope_matrix(sf)
@@ -77,14 +81,10 @@ def synthesize_chip_rows(
     rows = keep[:, None] * env[x_cur]
     pos = delta > 0
     if np.any(pos):
-        src = np.empty((int(pos.sum()), m), dtype=complex)
-        src[:, : m - 1] = env[x_cur[pos]][:, 1:]
-        src[:, m - 1] = env[x_next[pos], 0]
-        rows[pos] += spill[pos, None] * src
+        rows[pos] += spill[pos, None] * np.roll(env[x_cur[pos]], -1, axis=1)
     neg = delta < 0
     if np.any(neg):
-        src = np.empty((int(neg.sum()), m), dtype=complex)
-        src[:, 1:] = env[x_cur[neg]][:, : m - 1]
+        src = np.roll(env[x_cur[neg]], 1, axis=1)
         src[:, 0] = env[x_prev[neg], m - 1]
         rows[neg] += spill[neg, None] * src
     return rows

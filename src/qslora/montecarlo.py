@@ -5,11 +5,13 @@ Reproducibility contract: every trial outcome is a pure function of
 chunks; each chunk gets an independent counter-based stream seeded by
 SeedSequence(master_seed, spawn_key=(point_hash..., chunk_index)) where
 point_hash is derived from the point's own coordinates. A chunk always
-draws full-size arrays in a fixed order (x_prev, x_cur, x_next, offsets,
-noise), so truncating at max_trials or stopping early never shifts the
-stream, and results are identical for any worker count. Adding or removing
-other grid points cannot change a point's estimate because nothing but the
-point's coordinates enters its seed derivation.
+draws full-size arrays in a fixed order (previous symbols, current symbols,
+next symbols, offsets, noise), so truncating at max_trials or stopping early
+never shifts the stream, and results are identical for any worker count.
+Adding or removing other grid points cannot change a point's estimate
+because nothing but the point's coordinates enters its seed derivation.
+The next-symbol draw is unobservable; it is kept only to hold stream v1,
+the stream every pinned outcome was recorded under.
 """
 
 from __future__ import annotations
@@ -190,12 +192,12 @@ def _chunk_error_flags(
     n = TRIALS_PER_CHUNK
     x_prev = rng.integers(0, m, size=n)
     x_cur = rng.integers(0, m, size=n)
-    x_next = rng.integers(0, m, size=n)
+    rng.integers(0, m, size=n)  # next symbols: unobservable, drawn only to hold stream v1
     if fixed_delta is not None:
         delta = np.full(n, float(fixed_delta))
     else:
         delta = draw_offset(point.delta_s, rng, n)
-    rows = synthesize_chip_rows(x_prev, x_cur, x_next, delta, point.waveform, point.sf)
+    rows = synthesize_chip_rows(x_prev, x_cur, delta, point.waveform, point.sf)
     scale = math.sqrt(noise_variance(point.snr_db) / 2.0)
     rows += scale * rng.standard_normal((n, m))
     rows += 1j * scale * rng.standard_normal((n, m))

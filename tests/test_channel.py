@@ -13,11 +13,10 @@ from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.waveforms import autocorr_overlapped, autocorr_overlapping, rectangular
 
 
-def _chips(x_prev, x_cur, x_next, delta, waveform, sf=4):
+def _chips(x_prev, x_cur, delta, waveform, sf=4):
     """Noise-free chips of one trial: a one-row synthesize_chip_rows batch."""
     return synthesize_chip_rows(
-        np.array([x_prev]), np.array([x_cur]), np.array([x_next]),
-        np.array([float(delta)]), waveform, sf,
+        np.array([x_prev]), np.array([x_cur]), np.array([float(delta)]), waveform, sf,
     )[0]
 
 
@@ -59,19 +58,19 @@ class TestOverlapIndices:
 
     def test_synchronous_identity(self, rect):
         np.testing.assert_array_equal(
-            _chips(3, 9, 12, 0.0, rect), _chips(0, 9, 0, 0.0, rect)
+            _chips(3, 9, 0.0, rect), _chips(0, 9, 0.0, rect)
         )
 
     def test_positive_offset_boundary_wraps_forward(self, rect):
         env = envelope_matrix(4)
-        chips = _chips(2, 11, 5, 0.3, rect)
+        chips = _chips(2, 11, 0.3, rect)  # chip 0 of any next symbol, here 5
         keep, spill = autocorr_overlapping(rect, 0.3), autocorr_overlapped(rect, 0.3)
         assert chips[15] == pytest.approx(keep * env[11, 15] + spill * env[5, 0], abs=1e-15)
         assert chips[7] == pytest.approx(keep * env[11, 7] + spill * env[11, 8], abs=1e-15)
 
     def test_negative_offset_boundary_reaches_back(self, rect):
         env = envelope_matrix(4)
-        chips = _chips(2, 11, 5, -0.3, rect)
+        chips = _chips(2, 11, -0.3, rect)
         keep, spill = autocorr_overlapping(rect, 0.3), autocorr_overlapped(rect, 0.3)
         assert chips[0] == pytest.approx(keep * env[11, 0] + spill * env[2, 15], abs=1e-15)
         assert chips[7] == pytest.approx(keep * env[11, 7] + spill * env[11, 6], abs=1e-15)
@@ -80,7 +79,9 @@ class TestOverlapIndices:
     @pytest.mark.parametrize("sf", [2, 4, 6])
     def test_exactly_one_boundary_chip(self, delta, sf, rc):
         # reference rule, chip by chip: window k reads chip k+s of the
-        # current symbol, except the one window where k+s leaves [0, M)
+        # current symbol, except the one window where k+s leaves [0, M) and
+        # reads the neighbouring symbol; the model is not told x_next, which
+        # only its chip 0 (the same for every symbol) could reveal
         cap = symbol_cardinality(sf)
         env = envelope_matrix(sf)
         x_prev, x_cur, x_next = 1, 2, 3
@@ -97,30 +98,31 @@ class TestOverlapIndices:
             expected[k] = keep * env[x_cur, k] + spill * src
         assert boundary == [cap - 1 if s > 0 else 0]
         np.testing.assert_allclose(
-            _chips(x_prev, x_cur, x_next, delta, rc, sf=sf), expected, atol=1e-15
+            _chips(x_prev, x_cur, delta, rc, sf=sf), expected, atol=1e-15
         )
 
 
 class TestSynthesizeChips:
     def test_synchronous_noise_free_is_pure_envelope(self, rect):
-        chips = _chips(3, 9, 12, 0.0, rect)
+        chips = _chips(3, 9, 0.0, rect)
         np.testing.assert_allclose(chips, envelope_matrix(4)[9], atol=1e-15)
 
     def test_interior_chip_half_offset(self, rect):
         # delta = 0.5 rect: equal-weight mix of chip k and chip k+1 of the
         # same symbol for interior k
-        chips = _chips(2, 11, 5, 0.5, rect)
+        chips = _chips(2, 11, 0.5, rect)
         env_cur = envelope_matrix(4)[11]
         assert chips[7] == pytest.approx(0.5 * env_cur[7] + 0.5 * env_cur[8], abs=1e-12)
 
     def test_boundary_chip_half_offset_spills_into_next(self, rect):
-        chips = _chips(2, 11, 5, 0.5, rect)
+        # chip 0 of any next symbol, here 5
+        chips = _chips(2, 11, 0.5, rect)
         env = envelope_matrix(4)
         expected = 0.5 * env[11, 15] + 0.5 * env[5, 0]
         assert chips[15] == pytest.approx(expected, abs=1e-12)
 
     def test_boundary_chip_negative_offset_spills_into_previous(self, rect):
-        chips = _chips(2, 11, 5, -0.25, rect)
+        chips = _chips(2, 11, -0.25, rect)
         env = envelope_matrix(4)
         expected = 0.75 * env[11, 0] + 0.25 * env[2, 15]
         assert chips[0] == pytest.approx(expected, abs=1e-12)
@@ -134,7 +136,7 @@ class TestSynthesizeChips:
         # symbols have unit energy
         cap = symbol_cardinality(sf)
         x = data.draw(st.integers(0, cap - 1))
-        chips = _chips(0, x, 0, 0.0, rectangular(), sf)
+        chips = _chips(0, x, 0.0, rectangular(), sf)
         total = float(np.sum(np.abs(chips) ** 2))
         assert abs(total - 1.0) < 1e-12
 
@@ -144,8 +146,7 @@ class TestSynthesizeChips:
         deltas = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
         xp = np.array([1, 2, 3, 4, 5])
         xc = np.array([9, 8, 7, 6, 5])
-        xn = np.array([0, 15, 14, 13, 12])
-        batch = synthesize_chip_rows(xp, xc, xn, deltas, rc, 4)
+        batch = synthesize_chip_rows(xp, xc, deltas, rc, 4)
         for i in range(5):
-            single = _chips(xp[i], xc[i], xn[i], deltas[i], rc)
+            single = _chips(xp[i], xc[i], deltas[i], rc)
             np.testing.assert_array_equal(batch[i], single)

@@ -78,8 +78,7 @@ class TestMatchedFilterChip:
     def test_negative_offset_spills_from_previous_symbol(self, rect):
         sig = synthesize((5, 9, 2), rect, 4)
         reference = synthesize_chip_rows(
-            np.array([5]), np.array([9]), np.array([2]),
-            np.array([-0.4]), rect, 4,
+            np.array([5]), np.array([9]), np.array([-0.4]), rect, 4,
         )[0]
         got = matched_filter_chip(sig, 1, 0, -0.4)
         assert got == pytest.approx(reference[0], abs=1e-9)
@@ -97,6 +96,9 @@ class TestMatchedFilterChip:
             matched_filter_chip(sig, 3, 0, 0.0)
         with pytest.raises(ValueError):
             matched_filter_chip(sig, 1, 16, 0.0)
+        # the window would lie inside the span; the offset bound rejects it
+        with pytest.raises(ValueError, match="chip offset magnitude"):
+            matched_filter_chip(sig, 1, 3, 0.75)
 
     def test_time_shift_consistency(self, rc):
         # prepending a symbol shifts the signal by one symbol period, so
