@@ -33,7 +33,7 @@ from .montecarlo import (
     wilson_interval,
 )
 from .quadrature import QuadratureError, integrate
-from .receiver import despread, despread_fft, detect
+from .receiver import despread, detect
 from .waveforms import (
     ChipWaveform,
     autocorr_overlapped,
@@ -58,7 +58,6 @@ __all__ = [
     "autocorr_overlapping",
     "certify_discrete_model",
     "despread",
-    "despread_fft",
     "detect",
     "draw_offset",
     "energy",

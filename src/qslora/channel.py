@@ -13,9 +13,12 @@ reads the last chip of the previous symbol. For delta > 0 it is window M-1,
 which reads chip 0 of the next symbol; chip 0 of every symbol is 1/sqrt(M),
 the same as the current symbol's own chip 0, so the next symbol is not
 observable and the spill is the current symbol's chips rotated by one.
-Symbols have unit energy, so the SNR Es/N0 enters only through the noise,
-which the Monte-Carlo harness adds: i.i.d. circularly-symmetric complex
-Gaussian with total variance N0 per chip.
+Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
+i.i.d. circularly-symmetric complex Gaussian with total variance N0 per
+chip. Despreading is unitary, so that is white noise of the same N0 in every
+bin, and the Monte-Carlo harness adds it there, to the closed-form despread
+vector; the chip rows built here are the reference that vector is tested
+against.
 """
 
 from __future__ import annotations
@@ -40,11 +43,16 @@ def validate_delta_s(delta_s: float) -> float:
     return float(delta_s)
 
 
-def validate_offset(delta: float) -> float:
-    """Check a chip offset: |delta| must be <= 0.5 chips (NaN is rejected)."""
-    if not abs(delta) <= 0.5:
-        raise ValueError(f"chip offset magnitude must be <= 0.5, got {delta}")
-    return float(delta)
+def validate_offset(delta):
+    """Check chip offsets: every |delta| must be <= 0.5 chips (NaN is rejected).
+
+    Returns a float for a scalar and a float array otherwise.
+    """
+    d = np.asarray(delta, dtype=float)
+    bad = d[~(np.abs(d) <= 0.5)]
+    if bad.size:
+        raise ValueError(f"chip offset magnitude must be <= 0.5, got {bad[0]}")
+    return d if d.ndim else float(d)
 
 
 def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -19,11 +19,14 @@ R(0) = 1 and Rhat(0) = 0 make delta = 0 the Kronecker delta at x_cur. The
 boundary term c is the previous symbol's last chip replacing the current
 symbol's; for delta > 0 the boundary window reads chip 0 of the next symbol,
 which equals chip 0 of the current one, so the next symbol never appears.
+
+Despreading is unitary (the envelope rows are orthonormal), so a noisy trial
+is this vector plus M i.i.d. complex normals of variance N0. The Monte-Carlo
+builds every trial that way, a chunk of trials per call; the chip rows and
+the continuous-time matched filter are its references.
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
@@ -34,38 +37,42 @@ from .waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 __all__ = ["analytic_decision_statistic"]
 
 
-def _validate_index(x: int, m: int, name: str) -> int:
-    if not 0 <= x < m:
-        raise ValueError(f"{name}={x} out of range [0, {m})")
-    return int(x)
-
-
-def _root(p: int, m: int) -> complex:
-    """w**p with w = exp(2j*pi/M), the exponent reduced mod M."""
-    return cmath.exp(2j * cmath.pi * (p % m) / m)
+def _validate_indices(x, m: int, name: str) -> np.ndarray:
+    """Symbol indices as an int array; each must be an integer in [0, M)."""
+    x = np.asarray(x)
+    bad = x[~((x >= 0) & (x < m) & (x % 1 == 0))]
+    if bad.size:
+        raise ValueError(f"{name}={bad[0]} is not an integer in [0, {m})")
+    return x.astype(np.int64)
 
 
 def analytic_decision_statistic(
-    x_prev: int,
-    x_cur: int,
-    delta: float,
+    x_prev,
+    x_cur,
+    delta,
     waveform: ChipWaveform,
     sf: int,
 ) -> np.ndarray:
-    """Noise-free despread M-vector of one trial, from the three coefficients.
+    """Noise-free despread M-vector of each trial, from the three coefficients.
 
-    x_prev only enters for delta < 0, through the boundary term c that is
-    added to every candidate (see the module docstring).
+    x_prev, x_cur and delta broadcast against each other; the result has
+    their shape plus a last axis of length M, so scalars give one (M,)
+    vector and arrays of n trials an (n, M) batch. x_prev only enters for
+    delta < 0, through the boundary term c that is added to every candidate
+    (see the module docstring).
     """
     m = symbol_cardinality(sf)
-    x_prev = _validate_index(x_prev, m, "x_prev")
-    x_cur = _validate_index(x_cur, m, "x_cur")
-    validate_offset(delta)
-    s = -1 if delta < 0.0 else 1
+    x_prev = _validate_indices(x_prev, m, "x_prev")
+    x_cur = _validate_indices(x_cur, m, "x_cur")
+    delta = validate_offset(delta)
+    shape = np.broadcast_shapes(x_prev.shape, x_cur.shape, np.shape(delta))
+    x_prev, x_cur, delta = (np.broadcast_to(a, shape).ravel() for a in (x_prev, x_cur, delta))
+    roots = np.exp(2j * np.pi * np.arange(m) / m)  # roots[p] = w**p
+    s = np.where(delta < 0.0, -1, 1)
     r_spill = autocorr_overlapped(waveform, delta)
-    stats = np.zeros(m, dtype=complex)
-    if s < 0:
-        stats += r_spill / m * (_root(1 - x_prev, m) - _root(1 - x_cur, m))
-    stats[x_cur] += autocorr_overlapping(waveform, delta)
-    stats[(x_cur + 2 * s) % m] += r_spill * _root(s * x_cur + 1, m)
-    return stats
+    c = np.where(s < 0, r_spill / m * (roots[(1 - x_prev) % m] - roots[(1 - x_cur) % m]), 0.0)
+    stats = np.repeat(c[:, None], m, axis=1)
+    trial = np.arange(delta.size)
+    stats[trial, x_cur] += autocorr_overlapping(waveform, delta)
+    stats[trial, (x_cur + 2 * s) % m] += r_spill * roots[(s * x_cur + 1) % m]
+    return stats.reshape(shape + (m,))

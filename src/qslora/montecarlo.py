@@ -5,13 +5,19 @@ Reproducibility contract: every trial outcome is a pure function of
 chunks; each chunk gets an independent counter-based stream seeded by
 SeedSequence(master_seed, spawn_key=(point_hash..., chunk_index)) where
 point_hash is derived from the point's own coordinates. A chunk always
-draws full-size arrays in a fixed order (previous symbols, current symbols,
-next symbols, offsets, noise), so truncating at max_trials or stopping early
-never shifts the stream, and results are identical for any worker count.
-Adding or removing other grid points cannot change a point's estimate
-because nothing but the point's coordinates enters its seed derivation.
-The next-symbol draw is unobservable; it is kept only to hold stream v1,
-the stream every pinned outcome was recorded under.
+draws full-size arrays in a fixed order, so truncating at max_trials or
+stopping early never shifts the stream, and results are identical for any
+worker count. Adding or removing other grid points cannot change a point's
+estimate because nothing but the point's coordinates enters its seed
+derivation.
+
+Stream v2: a chunk of n trials draws, in this order, the previous symbols
+(n), the current symbols (n), the offsets through channel.draw_offset (none
+at delta_s = 0 or under fixed_delta), then the real and the imaginary part
+of the bin noise, (n, M) each, scaled by sqrt(N0/2). A trial is the
+closed-form despread vector of correlations.analytic_decision_statistic plus
+that noise: despreading is unitary, so white chip noise is white bin noise
+of the same N0, and no chips are synthesized.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
-from .channel import draw_offset, synthesize_chip_rows, validate_delta_s, validate_offset
+from .channel import draw_offset, validate_delta_s, validate_offset
+from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
+from .correlations import analytic_decision_statistic
 from .modulation import symbol_cardinality, validate_sf
-from .receiver import despread_fft
 from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
 __all__ = [
@@ -186,22 +193,20 @@ def _chunk_error_flags(
     chunk_index: int,
     fixed_delta: Optional[float] = None,
 ) -> np.ndarray:
-    """Detection-error flags for one full chunk of trials (vectorized)."""
+    """Detection-error flags for one full chunk of trials (stream v2, vectorized)."""
     rng = _chunk_rng(point, master_seed, chunk_index)
     m = symbol_cardinality(point.sf)
     n = TRIALS_PER_CHUNK
     x_prev = rng.integers(0, m, size=n)
     x_cur = rng.integers(0, m, size=n)
-    rng.integers(0, m, size=n)  # next symbols: unobservable, drawn only to hold stream v1
     if fixed_delta is not None:
-        delta = np.full(n, float(fixed_delta))
+        delta = fixed_delta
     else:
         delta = draw_offset(point.delta_s, rng, n)
-    rows = synthesize_chip_rows(x_prev, x_cur, delta, point.waveform, point.sf)
+    stats = analytic_decision_statistic(x_prev, x_cur, delta, point.waveform, point.sf)
     scale = math.sqrt(noise_variance(point.snr_db) / 2.0)
-    rows += scale * rng.standard_normal((n, m))
-    rows += 1j * scale * rng.standard_normal((n, m))
-    stats = despread_fft(rows, point.sf)
+    stats.real += scale * rng.standard_normal((n, m))
+    stats.imag += scale * rng.standard_normal((n, m))
     detected = np.argmax(np.abs(stats), axis=1)
     return detected != x_cur
 

@@ -5,54 +5,33 @@ chips against envelope m:
 
     stats[m] = sum_k chips[k] * conj(env(m)[k])
 
-The direct summation is the specification; because env(m)[k] factors into a
-common dechirp term exp(2j*pi*k^2/M)/sqrt(M) and a pure tone exp(2j*pi*k*m/M),
-the whole bank is also one FFT of the dechirped chips, which the
-Monte-Carlo hot path uses. Both forms work along the last axis, so a batch
-of trials is one (trials, M) array. Detection picks the smallest index
-maximizing |stats[m]|.
+This direct summation is the one map from chips to bins. It works along the
+last axis, so a batch of trials is one (trials, M) array. The Monte-Carlo
+does not call it: it draws trials in the bin domain from the closed form in
+correlations, and despread is the reference that closed form is tested
+against. Detection picks the smallest index maximizing |stats[m]|.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .modulation import envelope_matrix, symbol_cardinality
 
-__all__ = ["dechirp_vector", "despread", "despread_fft", "detect"]
+__all__ = ["despread", "detect"]
 
 
-@lru_cache(maxsize=8)
-def dechirp_vector(sf: int) -> np.ndarray:
-    """conj of the common chirp factor: d[k] = exp(-2j*pi*(k^2 mod M)/M)."""
-    m = symbol_cardinality(sf)
-    k = np.arange(m)
-    vec = np.exp(-2j * np.pi * ((k * k) % m) / m)
-    vec.setflags(write=False)
-    return vec
+def despread(chips: np.ndarray, sf: int) -> np.ndarray:
+    """Correlate chips against every candidate envelope (direct summation).
 
-
-def _check_chips(chips: np.ndarray, sf: int) -> np.ndarray:
+    Computed as conj(conj(chips) @ env.T), so only the chips are conjugated,
+    never the cached M x M matrix.
+    """
     m = symbol_cardinality(sf)
     chips = np.asarray(chips)
     if chips.shape[-1:] != (m,):
         raise ValueError(f"chips must have last axis of length {m}, got shape {chips.shape}")
-    return chips
-
-
-def despread(chips: np.ndarray, sf: int) -> np.ndarray:
-    """Correlate chips against every candidate envelope (direct summation)."""
-    chips = _check_chips(chips, sf)
-    return chips @ envelope_matrix(sf).conj().T
-
-
-def despread_fft(chips: np.ndarray, sf: int) -> np.ndarray:
-    """FFT form of despread: fft(chips * dechirp) / sqrt(M)."""
-    chips = _check_chips(chips, sf)
-    m = symbol_cardinality(sf)
-    return np.fft.fft(chips * dechirp_vector(sf)) / np.sqrt(m)
+    return np.conj(np.conj(chips) @ envelope_matrix(sf).T)
 
 
 def detect(stats: np.ndarray) -> int:

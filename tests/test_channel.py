@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslora.channel import draw_offset, synthesize_chip_rows
+from qslora.channel import draw_offset, synthesize_chip_rows, validate_offset
 from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.waveforms import autocorr_overlapped, autocorr_overlapping, rectangular
 
@@ -18,6 +18,21 @@ def _chips(x_prev, x_cur, delta, waveform, sf=4):
     return synthesize_chip_rows(
         np.array([x_prev]), np.array([x_cur]), np.array([float(delta)]), waveform, sf,
     )[0]
+
+
+class TestValidateOffset:
+    def test_scalar_returns_float(self):
+        assert validate_offset(-0.5) == -0.5
+        assert isinstance(validate_offset(np.float32(0.25)), float)
+
+    def test_array_checked_as_a_whole(self):
+        deltas = np.array([-0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(validate_offset(deltas), deltas)
+        for bad in (0.75, -0.6, np.nan):
+            with pytest.raises(ValueError, match="0.5"):
+                validate_offset(np.array([0.1, bad, 0.2]))
+            with pytest.raises(ValueError, match="0.5"):
+                validate_offset(bad)
 
 
 class TestDrawOffset:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qslora.channel import synthesize_chip_rows
 from qslora.correlations import analytic_decision_statistic
 from qslora.modulation import symbol_cardinality
-from qslora.receiver import despread, despread_fft
+from qslora.receiver import despread
 from qslora.waveforms import ChipWaveform, autocorr_overlapped, raised_cosine, rectangular
 
 
@@ -24,18 +24,24 @@ class TestAnalyticDecisionStatistic:
     def test_offset_out_of_range_rejected(self, rect):
         with pytest.raises(ValueError):
             analytic_decision_statistic(1, 2, 0.7, rect, 4)
+        with pytest.raises(ValueError, match="0.5"):
+            analytic_decision_statistic(1, 2, np.array([0.1, np.nan]), rect, 4)
 
     def test_index_out_of_range_rejected(self, rect):
         with pytest.raises(ValueError):
             analytic_decision_statistic(16, 2, 0.3, rect, 4)
         with pytest.raises(ValueError):
             analytic_decision_statistic(1, -1, 0.3, rect, 4)
+        with pytest.raises(ValueError):
+            analytic_decision_statistic(2.7, 9.9, 0.25, rect, 4)
+        with pytest.raises(ValueError, match="x_cur"):
+            analytic_decision_statistic(np.array([1, 2]), np.array([3, 16]), 0.25, rect, 4)
 
     @pytest.mark.parametrize("sf", range(2, 11))
     def test_equivalence_with_simulated_path(self, sf, rng):
         # the closed form must reproduce the noise-free despread output in
         # every bin: the offsets 0 and +-0.5 for both waveforms, then 100
-        # random trials over both waveforms
+        # random trials over both waveforms, all despread in one batch
         cap = symbol_cardinality(sf)
         waveforms = [rectangular(), raised_cosine()]
         cases = [(d, wf) for d in (0.0, 0.5, -0.5) for wf in waveforms]
@@ -43,15 +49,32 @@ class TestAnalyticDecisionStatistic:
             (float(rng.uniform(-0.5, 0.5)), waveforms[int(rng.integers(2))])
             for _ in range(100)
         ]
-        worst = 0.0
+        chips, refs = [], []
         for delta, wf in cases:
             x_prev, x_cur = (int(v) for v in rng.integers(0, cap, 2))
-            chips = synthesize_chip_rows(
+            row = synthesize_chip_rows(
                 np.array([x_prev]), np.array([x_cur]), np.array([delta]), wf, sf
-            )[0]
-            ref = analytic_decision_statistic(x_prev, x_cur, delta, wf, sf)
-            worst = max(worst, float(np.max(np.abs(despread_fft(chips, sf) - ref))))
+            )
+            chips.append(row[0])
+            refs.append(analytic_decision_statistic(x_prev, x_cur, delta, wf, sf))
+        worst = float(np.max(np.abs(despread(np.array(chips), sf) - np.array(refs))))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("token", ["rect", "rc"])
+    def test_batch_matches_single_trials(self, token, rng):
+        # a batch of trials is row for row the vector of each trial alone
+        wf = ChipWaveform(token)
+        x_prev, x_cur = rng.integers(0, 32, (2, 50))
+        delta = rng.uniform(-0.5, 0.5, 50)
+        delta[:3] = (0.0, 0.5, -0.5)
+        batch = analytic_decision_statistic(x_prev, x_cur, delta, wf, 5)
+        assert batch.shape == (50, 32)
+        for i in range(50):
+            single = analytic_decision_statistic(
+                int(x_prev[i]), int(x_cur[i]), float(delta[i]), wf, 5
+            )
+            assert single.shape == (32,)
+            np.testing.assert_array_equal(batch[i], single)
 
     def test_example_rect_quarter_chip(self, rect):
         # x_cur=9, delta=0.25: candidate 9 keeps the strong autocorrelation

@@ -1,10 +1,14 @@
 """Tests for the Monte-Carlo harness: confidence intervals, the analytical
 synchronous reference, trial-level reproducibility, and the sweep driver."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qslora import montecarlo
+from qslora.channel import synthesize_chip_rows
+from qslora.modulation import envelope_matrix
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
     GridPoint,
@@ -18,6 +22,7 @@ from qslora.montecarlo import (
     sweep_points,
     wilson_interval,
 )
+from qslora.receiver import despread
 from qslora.waveforms import ChipWaveform
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -191,48 +196,57 @@ class TestRunPoint:
             run_point(_point(), NO_EARLY_STOP, master_seed=1, fixed_delta=fixed_delta)
 
     def test_noise_calibration(self, monkeypatch):
-        # with the signal zeroed the rows reaching the despreader are pure
-        # noise; per-chip variance over 2^20 draws must land within 1% of
-        # N0 = 10^(-snr/10), split evenly between the two quadratures
-        monkeypatch.setattr(
-            montecarlo,
-            "synthesize_chip_rows",
-            lambda x_prev, x_cur, *_: np.zeros((x_cur.size, 256), dtype=complex),
-        )
-        seen = []
-        despread_fft = montecarlo.despread_fft
+        # with the signal zeroed the decision vectors hold pure noise; over
+        # 2^20 draws the per-bin variance must match N0 = 10^(-snr/10), split
+        # evenly between the two quadratures
+        kept = []
 
-        def capture(rows, sf):
-            seen.append(rows.copy())
-            return despread_fft(rows, sf)
+        def zero_signal(x_prev, x_cur, *_):
+            kept.append(np.zeros((x_cur.size, 256), dtype=complex))
+            return kept[-1]
 
-        monkeypatch.setattr(montecarlo, "despread_fft", capture)
+        monkeypatch.setattr(montecarlo, "analytic_decision_statistic", zero_signal)
         point = _point(sf=8, snr_db=4.0)
         montecarlo._chunk_error_flags(point, 1, 0)
-        (samples,) = seen
+        (samples,) = kept
         assert samples.size >= 1_000_000
         n0 = 10.0 ** (-4.0 / 10.0)
-        assert abs(float(np.mean(np.abs(samples) ** 2)) - n0) / n0 < 0.01
+        power = np.abs(samples) ** 2
+        assert abs(float(np.mean(power)) - n0) / n0 < 0.01
         assert abs(float(np.mean(samples.real**2)) - n0 / 2) / n0 < 0.01
+        # each bin's mean of 4096 exponential draws has a relative sigma of
+        # 1/64; 5 sigma bounds all 256 bins
+        per_bin = np.mean(power, axis=0)
+        assert np.all(np.abs(per_bin - n0) / n0 < 5.0 / 64.0)
+        per_bin_real = np.mean(samples.real**2, axis=0) / per_bin
+        assert np.all(np.abs(per_bin_real - 0.5) < 5.0 / 64.0)
+
+    def test_chunk_builds_no_chip_matrix(self):
+        # trials are drawn in the bin domain, so even an sf-10 point never
+        # builds the 16 MB chip matrix
+        envelope_matrix.cache_clear()
+        run_point(_point(sf=10, snr_db=20.0), NO_EARLY_STOP, master_seed=1)
+        assert envelope_matrix.cache_info().currsize == 0
 
 
-# (trials, errors) of run_point at master seed 3 under the current random
-# stream. A change here changes every published estimate, so it may only
-# come with a new stream version recorded in CHANGES.md.
+# (trials, errors) of run_point at master seed 3 under random stream v2 (see
+# the montecarlo docstring). A change here changes every published
+# estimate, so it may only come with a new stream version recorded in
+# CHANGES.md.
 STREAM_PINS = [
     # synchronous, truncated last chunk (5000 = 4096 + 904)
-    (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 698)),
+    (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 729)),
     # random offsets of both signs, truncated last chunk
-    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2191)),
+    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2187)),
     # early stop after three chunks
-    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (12288, 141)),
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (12288, 143)),
     # 25 chunks, the last one truncated (100000 = 24 * 4096 + 1696)
-    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 62)),
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 46)),
     # fixed offsets of both signs, overriding delta_s
-    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2663)),
-    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3911)),
-    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3594)),
-    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3585)),
+    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2641)),
+    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3924)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3578)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3604)),
 ]
 
 
@@ -259,6 +273,49 @@ def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
         fixed_delta=fixed_delta,
     )
     assert (est.trials, est.errors) == expected
+
+
+def _chip_rate_errors(sf, token, delta_s, snr_db, trials, rng):
+    """Detection errors of the chip-rate pipeline over trials from rng.
+
+    Each trial is built in the chip domain: synthesized chip rows, complex
+    chip noise of variance N0, the direct-summation despreader, argmax.
+    """
+    m = 2**sf
+    wf = ChipWaveform(token)
+    scale = math.sqrt(noise_variance(snr_db) / 2.0)
+    errors = 0
+    for start in range(0, trials, TRIALS_PER_CHUNK):
+        n = min(TRIALS_PER_CHUNK, trials - start)
+        x_prev, x_cur = rng.integers(0, m, (2, n))
+        delta = rng.uniform(-0.5 * delta_s, 0.5 * delta_s, n)
+        rows = synthesize_chip_rows(x_prev, x_cur, delta, wf, sf)
+        rows += scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        detected = np.argmax(np.abs(despread(rows, sf)), axis=1)
+        errors += int(np.count_nonzero(detected != x_cur))
+    return errors
+
+
+@pytest.mark.slow
+def test_chip_rate_reference_agrees():
+    # the Monte-Carlo draws trials in the bin domain; the chip-rate pipeline
+    # must give the same SER within a two-proportion |z| < 4.5 off
+    # synchronism, and match the exact synchronous SER at delta_s = 0
+    rng = np.random.default_rng(20240601)
+    n = 2**16
+    rule = StoppingRule(max_trials=n, min_errors=0)
+    for sf in (4, 6):
+        for token in ("rect", "rc"):
+            ref = _chip_rate_errors(sf, token, 1.0, 10.0, n, rng)
+            point = _point(sf=sf, waveform=ChipWaveform(token), delta_s=1.0, snr_db=10.0)
+            est = run_point(point, rule)
+            pooled = (ref + est.errors) / (2 * n)
+            z = (est.errors - ref) / math.sqrt(pooled * (1.0 - pooled) * 2 * n)
+            assert abs(z) < 4.5, (sf, token, est.errors, ref, z)
+    ref = _chip_rate_errors(4, "rect", 0.0, 10.0, n, rng)
+    p = analytical_ser_sync(4, 10.0)
+    z = (ref - n * p) / math.sqrt(n * p * (1.0 - p))
+    assert abs(z) < 4.5, (ref, n * p, z)
 
 
 def _config(**overrides):
