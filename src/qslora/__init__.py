@@ -18,6 +18,7 @@ from .continuous_time import (
 )
 from .correlations import analytic_decision_statistic
 from .modulation import (
+    despread,
     envelope_matrix,
     sample_to_word,
     symbol_cardinality,
@@ -33,7 +34,6 @@ from .montecarlo import (
     wilson_interval,
 )
 from .quadrature import QuadratureError, integrate
-from .receiver import despread, detect
 from .waveforms import (
     ChipWaveform,
     autocorr_overlapped,
@@ -58,7 +58,6 @@ __all__ = [
     "autocorr_overlapping",
     "certify_discrete_model",
     "despread",
-    "detect",
     "draw_offset",
     "energy",
     "envelope_matrix",

@@ -111,7 +111,12 @@ def _convert(parser: argparse.ArgumentParser, key: str, convert: Callable[..., T
         parser.error(f"invalid {key} value {raw!r}: {exc}")
 
 
-def _parse_config_file(text: str, error) -> dict[str, str]:
+def _read_config_file(path: str, error) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        error(f"cannot read config file: {exc}")
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,7 +144,8 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials-max", dest="trials_max", help="max trials per grid point")
     p.add_argument("--min-errors", dest="min_errors", help="early-stop error count (0 disables)")
     p.add_argument("--seed", help="master seed for all random streams")
-    p.add_argument("--workers", help=f"process count (env {WORKERS_ENV_VAR} overrides config file)")
+    p.add_argument("--workers", help=f"process count, at most the CPU count "
+                                     f"(env {WORKERS_ENV_VAR} overrides config file)")
     p.add_argument("--fixed-delta", dest="fixed_delta", help="pin the per-trial offset, |delta| <= 0.5")
     p.add_argument("-o", "--output", help="output file path")
     p.add_argument("--format", help="output format: csv or json")
@@ -154,25 +160,18 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_config(argv: Sequence[str], config_text: Optional[str] = None) -> SweepConfig:
+def parse_config(argv: Sequence[str]) -> SweepConfig:
     """Resolve a SweepConfig from flags, environment, and config file.
 
-    Precedence: CLI flags > QSLORA_WORKERS (workers only) > config file >
-    SweepConfig's defaults: only the keys one of the first three sets are
-    passed on. config_text, when given, is used as the config file
-    content; otherwise --config names a file to read. Strings are only
-    converted here; SweepConfig checks the values, and either failure exits
-    2 with a message naming the field.
+    Precedence: CLI flags > QSLORA_WORKERS (workers only) > the file named
+    by --config > SweepConfig's defaults: only the keys one of the first
+    three sets are passed on. Strings are only converted here; SweepConfig
+    checks the values, and either failure exits 2 with a message naming
+    the field.
     """
     parser = _build_sweep_parser()
     ns = parser.parse_args(list(argv))
-    if config_text is None and ns.config:
-        try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                config_text = fh.read()
-        except OSError as exc:
-            parser.error(f"cannot read config file: {exc}")
-    file_vals = _parse_config_file(config_text, parser.error) if config_text else {}
+    file_vals = _read_config_file(ns.config, parser.error) if ns.config else {}
     env_vals = {"workers": os.environ.get(WORKERS_ENV_VAR)}
 
     fields: dict[str, object] = {"record_timing": ns.record_timing}

@@ -7,7 +7,9 @@ symbols. Symbol x is transmitted as M unit-modulus chips
 
 a discretely frequency-shifted chirp. The rows of the resulting M x M chip
 matrix are orthonormal, which is what makes noncoherent argmax detection
-work.
+work. despread, the one map from chips to bins, correlates chips with every
+row, stats[m] = sum_k chips[k] * conj(env(m)[k]); the Monte-Carlo draws bins
+from the closed form in correlations instead, and tests compare it to despread.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "word_to_sample",
     "sample_to_word",
     "envelope_matrix",
+    "despread",
 ]
 
 MIN_SF = 2
@@ -80,3 +83,16 @@ def envelope_matrix(sf: int) -> np.ndarray:
     mat = (np.exp(2j * np.pi * k / m) / np.sqrt(m))[phase]
     mat.setflags(write=False)
     return mat
+
+
+def despread(chips: np.ndarray, sf: int) -> np.ndarray:
+    """Correlate chips against every candidate envelope (direct summation).
+
+    Computed as conj(conj(chips) @ env.T), so only the chips are conjugated,
+    never the cached M x M matrix.
+    """
+    m = symbol_cardinality(sf)
+    chips = np.asarray(chips)
+    if chips.shape[-1:] != (m,):
+        raise ValueError(f"chips must have last axis of length {m}, got shape {chips.shape}")
+    return np.conj(np.conj(chips) @ envelope_matrix(sf).T)

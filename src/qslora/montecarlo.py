@@ -17,13 +17,15 @@ at delta_s = 0 or under fixed_delta), then the real and the imaginary part
 of the bin noise, (n, M) each, scaled by sqrt(N0/2). A trial is the
 closed-form despread vector of correlations.analytic_decision_statistic plus
 that noise: despreading is unitary, so white chip noise is white bin noise
-of the same N0, and no chips are synthesized.
+of the same N0, and no chips are synthesized. Detection picks the smallest
+index maximizing |stats[m]|; a trial errs when that index is not x_cur.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -84,8 +86,10 @@ class GridPoint:
 
     def __post_init__(self) -> None:
         validate_sf(self.sf)
-        validate_delta_s(self.delta_s)
         noise_variance(self.snr_db)
+        # canonical floats: 1, 1.0 and np.float64(1.0), or -0.0 and 0.0, share a stream
+        object.__setattr__(self, "delta_s", validate_delta_s(self.delta_s) + 0.0)
+        object.__setattr__(self, "snr_db", float(self.snr_db) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class SerEstimate:
-    """SER estimate for one grid point with a Wilson 95% interval.
+    """SER (ser) and Wilson 95% interval (ci_low, ci_high) derived from counts.
 
     elapsed is wall-clock seconds and is excluded from equality so that
     estimates from different runs or worker counts compare equal.
@@ -116,19 +120,23 @@ class SerEstimate:
     point: GridPoint
     trials: int
     errors: int
-    ser: float
-    ci_low: float
-    ci_high: float
     seed: int
     elapsed: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.errors <= self.trials:
-            raise ValueError(f"need 0 <= errors <= trials, got {self.errors}/{self.trials}")
-        if self.ser != self.errors / self.trials:
-            raise ValueError("ser must equal errors/trials")
-        if not self.ci_low <= self.ser <= self.ci_high:
-            raise ValueError("confidence interval must bracket the estimate")
+        wilson_interval(self.errors, self.trials)  # checks 0 <= errors <= trials, trials >= 1
+
+    @property
+    def ser(self) -> float:
+        return self.errors / self.trials
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.errors, self.trials)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.errors, self.trials)[1]
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -211,6 +219,11 @@ def _chunk_error_flags(
     return detected != x_cur
 
 
+def _pool_size(workers: int) -> int:
+    """Worker processes for a pool: past the CPU count they only add idle forks."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def run_point(
     point: GridPoint,
     stop: StoppingRule = StoppingRule(),
@@ -223,9 +236,11 @@ def run_point(
 
     Chunks are consumed strictly in index order and the stopping rule is
     evaluated on cumulative counts, so the estimate does not depend on how
-    many workers computed the chunks. fixed_delta, when given, replaces the
-    offset draw for every trial; its magnitude must be <= 0.5.
+    many workers computed the chunks. At most one worker per CPU is used.
+    fixed_delta, when given, replaces the offset draw for every trial; its
+    magnitude must be <= 0.5.
     """
+    workers = _pool_size(workers)
     if fixed_delta is not None:
         fixed_delta = validate_offset(fixed_delta)
     t_start = time.perf_counter()
@@ -268,14 +283,10 @@ def run_point(
             if own:
                 pool.shutdown(wait=True, cancel_futures=True)
 
-    low, high = wilson_interval(errors, trials)
     return SerEstimate(
         point=point,
         trials=trials,
         errors=errors,
-        ser=errors / trials,
-        ci_low=low,
-        ci_high=high,
         seed=master_seed,
         elapsed=time.perf_counter() - t_start,
     )
@@ -359,19 +370,18 @@ def sweep_points(config: SweepConfig) -> list[GridPoint]:
     """Expand a sweep config into an ordered list of grid points.
 
     Ordering is (sf, waveform token, delta_s, snr_db) so output layout is
-    independent of how the axes were listed.
+    independent of how the axes were listed; equal coordinates give one point.
     """
     waveforms = [ChipWaveform(tok) for tok in config.waveforms]
     snrs = snr_axis(config.snr_start_db, config.snr_stop_db, config.snr_step_db)
-    points = [
-        GridPoint(sf=int(sf), waveform=wf, delta_s=float(ds), snr_db=float(snr))
+    points = {
+        GridPoint(sf=int(sf), waveform=wf, delta_s=ds, snr_db=snr)
         for sf in config.sf_list
         for wf in waveforms
         for ds in config.delta_s_list
         for snr in snrs
-    ]
-    points.sort(key=lambda p: (p.sf, p.waveform.kind, p.delta_s, p.snr_db))
-    return points
+    }
+    return sorted(points, key=lambda p: (p.sf, p.waveform.kind, p.delta_s, p.snr_db))
 
 
 def run_sweep(
@@ -381,7 +391,7 @@ def run_sweep(
     """Run every grid point of a sweep config; see sweep_points for ordering."""
     points = sweep_points(config)
     stop = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
-    workers = config.workers
+    workers = _pool_size(config.workers)
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     results: list[SerEstimate] = []
     try:

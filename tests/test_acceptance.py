@@ -21,7 +21,7 @@ from qslora.channel import synthesize_chip_rows
 from qslora.cli import main
 from qslora.continuous_time import certify_discrete_model
 from qslora.correlations import analytic_decision_statistic
-from qslora.modulation import envelope_matrix, symbol_cardinality
+from qslora.modulation import despread, envelope_matrix, symbol_cardinality
 from qslora.montecarlo import (
     GridPoint,
     StoppingRule,
@@ -29,7 +29,6 @@ from qslora.montecarlo import (
     run_point,
     snr_axis,
 )
-from qslora.receiver import despread
 from qslora.waveforms import (
     WAVEFORM_TOKENS,
     ChipWaveform,

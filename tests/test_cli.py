@@ -8,7 +8,7 @@ import json
 import pytest
 
 from qslora.cli import SweepConfig, main, parse_config, write_results
-from qslora.montecarlo import GridPoint, SerEstimate, analytical_ser_sync
+from qslora.montecarlo import GridPoint, SerEstimate, analytical_ser_sync, wilson_interval
 from qslora.waveforms import ChipWaveform
 
 EXPECTED_HEADER = "sf,waveform,delta_s,snr_db,trials,errors,ser,ci_low,ci_high,seed,elapsed_s"
@@ -17,6 +17,13 @@ EXPECTED_HEADER = "sf,waveform,delta_s,snr_db,trials,errors,ser,ci_low,ci_high,s
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("QSLORA_WORKERS", raising=False)
+
+
+def _config_file(tmp_path, text):
+    """The --config flag naming a file that holds text."""
+    path = tmp_path / "sweep.conf"
+    path.write_text(text, encoding="utf-8")
+    return ["--config", str(path)]
 
 
 class TestParseConfig:
@@ -106,7 +113,7 @@ class TestParseConfig:
             parse_config(["--spreading", "4"])
         assert exc.value.code == 2
 
-    def test_config_file_supplies_values(self):
+    def test_config_file_supplies_values(self, tmp_path):
         text = "\n".join(
             [
                 "# sweep setup",
@@ -120,7 +127,7 @@ class TestParseConfig:
                 "",
             ]
         )
-        config = parse_config([], config_text=text)
+        config = parse_config(_config_file(tmp_path, text))
         assert config.sf_list == (5,)
         assert config.waveforms == ("rect",)
         assert config.delta_s_list == (0.2,)
@@ -130,13 +137,13 @@ class TestParseConfig:
         # untouched keys keep their defaults
         assert config.min_errors == 100
 
-    def test_flag_beats_config_file(self):
-        config = parse_config(["--seed", "3"], config_text="seed = 11\n")
+    def test_flag_beats_config_file(self, tmp_path):
+        config = parse_config(["--seed", "3", *_config_file(tmp_path, "seed = 11\n")])
         assert config.master_seed == 3
 
-    def test_env_overrides_file_for_workers_only(self, monkeypatch):
+    def test_env_overrides_file_for_workers_only(self, monkeypatch, tmp_path):
         monkeypatch.setenv("QSLORA_WORKERS", "6")
-        config = parse_config([], config_text="workers = 2\nseed = 11\n")
+        config = parse_config(_config_file(tmp_path, "workers = 2\nseed = 11\n"))
         assert config.workers == 6
         assert config.master_seed == 11
 
@@ -145,15 +152,15 @@ class TestParseConfig:
         config = parse_config(["--workers", "4"])
         assert config.workers == 4
 
-    def test_unknown_config_key_exits_2(self, capsys):
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            parse_config([], config_text="spreading = 4\n")
+            parse_config(_config_file(tmp_path, "spreading = 4\n"))
         assert exc.value.code == 2
         assert "spreading" in capsys.readouterr().err
 
-    def test_malformed_config_line_exits_2(self, capsys):
+    def test_malformed_config_line_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            parse_config([], config_text="sf 4\n")
+            parse_config(_config_file(tmp_path, "sf 4\n"))
         assert exc.value.code == 2
         assert "line 1" in capsys.readouterr().err
 
@@ -170,12 +177,9 @@ class TestParseConfig:
 
 
 def _estimate(sf=4, waveform="rect", delta_s=0.4, snr_db=8.0, trials=4096, errors=123,
-              ci_low=0.025, ci_high=0.036, seed=1, elapsed=0.0):
+              seed=1, elapsed=0.0):
     point = GridPoint(sf=sf, waveform=ChipWaveform(waveform), delta_s=delta_s, snr_db=snr_db)
-    return SerEstimate(
-        point=point, trials=trials, errors=errors, ser=errors / trials,
-        ci_low=ci_low, ci_high=ci_high, seed=seed, elapsed=elapsed,
-    )
+    return SerEstimate(point=point, trials=trials, errors=errors, seed=seed, elapsed=elapsed)
 
 
 def _write(estimates, path, format="csv"):
@@ -195,7 +199,7 @@ class TestWriteResults:
     def test_csv_schema_and_values(self, tmp_path):
         path = tmp_path / "out.csv"
         second = _estimate(waveform="rc", delta_s=0.2, snr_db=6.0, errors=10,
-                           ci_low=0.001, ci_high=0.005, seed=3, elapsed=1.25)
+                           seed=3, elapsed=1.25)
         _write([_estimate(), second], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == EXPECTED_HEADER
@@ -205,15 +209,18 @@ class TestWriteResults:
         assert row[1] == "rect"
         assert row[2] == repr(0.4)
         assert row[6] == repr(123 / 4096)
-        # every column is copied from the estimate and its grid point
+        # every column is copied from the estimate and its grid point; the
+        # interval is the Wilson interval of the counts
+        low, high = wilson_interval(10, 4096)
         assert lines[2].split(",") == [
-            "4", "rc", "0.2", "6.0", "4096", "10", repr(10 / 4096), "0.001", "0.005", "3", "1.25",
+            "4", "rc", "0.2", "6.0", "4096", "10", repr(10 / 4096), repr(low), repr(high), "3",
+            "1.25",
         ]
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        _write([_estimate(), _estimate(delta_s=0.6, ci_low=1e-17)], first)
+        _write([_estimate(), _estimate(delta_s=0.6, errors=0)], first)
         with open(first, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         parsed = [
@@ -224,8 +231,6 @@ class TestWriteResults:
                 snr_db=float(r["snr_db"]),
                 trials=int(r["trials"]),
                 errors=int(r["errors"]),
-                ci_low=float(r["ci_low"]),
-                ci_high=float(r["ci_high"]),
                 seed=int(r["seed"]),
                 elapsed=float(r["elapsed_s"]),
             )
@@ -278,6 +283,16 @@ class TestMain:
         assert main([*TINY_SWEEP, "-o", str(a)]) == 0
         assert main([*TINY_SWEEP, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_repeated_axis_values_give_one_row(self, tmp_path):
+        # 4 and 4, rect and rect, 0, -0 and 0.0 are one grid point
+        once = tmp_path / "once.csv"
+        repeated = tmp_path / "repeated.csv"
+        tail = ["--snr", "8:8:2", "--trials-max", "4096", "--min-errors", "0"]
+        assert main(["--sf", "4", "-w", "rect", "--delta-s", "0", *tail, "-o", str(once)]) == 0
+        argv = ["--sf", "4,4", "-w", "rect,rect", "--delta-s", "0,-0,0.0", *tail]
+        assert main([*argv, "-o", str(repeated)]) == 0
+        assert repeated.read_bytes() == once.read_bytes()
 
     def test_record_timing_populates_elapsed(self, tmp_path):
         path = tmp_path / "out.csv"

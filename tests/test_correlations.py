@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from qslora.channel import synthesize_chip_rows
 from qslora.correlations import analytic_decision_statistic
-from qslora.modulation import symbol_cardinality
-from qslora.receiver import despread
+from qslora.modulation import despread, symbol_cardinality
 from qslora.waveforms import ChipWaveform, autocorr_overlapped, raised_cosine, rectangular
 
 

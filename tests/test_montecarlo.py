@@ -2,16 +2,19 @@
 synchronous reference, trial-level reproducibility, and the sweep driver."""
 
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from qslora import montecarlo
 from qslora.channel import synthesize_chip_rows
-from qslora.modulation import envelope_matrix
+from qslora.modulation import despread, envelope_matrix
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
     GridPoint,
+    SerEstimate,
     StoppingRule,
     SweepConfig,
     analytical_ser_sync,
@@ -22,7 +25,6 @@ from qslora.montecarlo import (
     sweep_points,
     wilson_interval,
 )
-from qslora.receiver import despread
 from qslora.waveforms import ChipWaveform
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -141,6 +143,21 @@ class TestRunPoint:
         serial = run_point(point, rule, master_seed=1, workers=1)
         parallel = run_point(point, rule, master_seed=1, workers=2)
         assert serial == parallel
+
+    def test_equal_coordinates_share_a_stream(self):
+        # the int, float and numpy forms of one coordinate, and -0.0 and 0.0,
+        # are one grid point, so they must draw one random stream
+        rule = StoppingRule(max_trials=2 * TRIALS_PER_CHUNK, min_errors=0)
+        forms = [(1, 8), (1.0, 8.0), (np.float64(1.0), np.float64(8.0))]
+        estimates = [run_point(_point(delta_s=ds, snr_db=snr), rule) for ds, snr in forms]
+        assert estimates[1] == estimates[0]
+        assert estimates[2] == estimates[0]
+        assert run_point(_point(delta_s=-0.0), rule) == run_point(_point(delta_s=0.0), rule)
+
+    @pytest.mark.parametrize("trials,errors", [(4, 5), (4, -1), (0, 0)])
+    def test_estimate_rejects_impossible_counts(self, trials, errors):
+        with pytest.raises(ValueError):
+            SerEstimate(point=_point(), trials=trials, errors=errors, seed=1)
 
     def test_interval_consistent_with_counts(self):
         est = run_point(_point(), NO_EARLY_STOP, master_seed=1)
@@ -421,6 +438,32 @@ class TestSweep:
         rule = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
         assert [e.point for e in swept] == points
         assert swept == [run_point(p, rule, config.master_seed) for p in points]
+
+    def test_pools_are_capped_at_cpu_count(self, monkeypatch):
+        # more workers than CPUs would only fork idle interpreters; the fake
+        # pool records its size and runs every task inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        config = _config(workers=10**6)
+        rule = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
+        serial = run_point(sweep_points(config)[0], rule, config.master_seed)
+        assert run_sweep(config) == [serial]
+        assert run_point(sweep_points(config)[0], rule, config.master_seed, workers=10**6) == serial
+        assert sizes == [3, 3]
 
     def test_progress_callback_sees_every_point(self):
         config = _config(snr_start_db=4.0, snr_stop_db=6.0)
