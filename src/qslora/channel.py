@@ -16,9 +16,10 @@ observable and the spill is the current symbol's chips rotated by one.
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
 i.i.d. circularly-symmetric complex Gaussian with total variance N0 per
 chip. Despreading is unitary, so that is white noise of the same N0 in every
-bin, and the Monte-Carlo harness adds it there, to the closed-form despread
-vector; the chip rows built here are the reference that vector is tested
-against.
+bin. The Monte-Carlo harness draws it there, and only for the bins the
+decision needs: it builds no M-vector of bin noise for an offset delta >= 0
+(see qslora.montecarlo). The chip rows built here are the reference the
+closed-form despread vector is tested against.
 """
 
 from __future__ import annotations

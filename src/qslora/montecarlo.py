@@ -11,14 +11,29 @@ worker count. Adding or removing other grid points cannot change a point's
 estimate because nothing but the point's coordinates enters its seed
 derivation.
 
-Stream v2: a chunk of n trials draws, in this order, the previous symbols
-(n), the current symbols (n), the offsets through channel.draw_offset (none
-at delta_s = 0 or under fixed_delta), then the real and the imaginary part
-of the bin noise, (n, M) each, scaled by sqrt(N0/2). A trial is the
-closed-form despread vector of correlations.analytic_decision_statistic plus
-that noise: despreading is unitary, so white chip noise is white bin noise
-of the same N0, and no chips are synthesized. Detection picks the smallest
-index maximizing |stats[m]|; a trial errs when that index is not x_cur.
+Stream v3: a trial's despread vector holds at most three distinct noise-free
+values (correlations.decision_coefficients): a = R + c in bin x_cur,
+b = Rhat * phase + c in the spill bin x_cur + 2*sign(delta), and the boundary
+term c in the M - 2 others (c = 0 unless delta < 0). Despreading is unitary,
+so white chip noise is white bin noise of the same N0, and no chips are
+synthesized. A chunk of n trials draws, in this order:
+
+1. the previous symbols (n) and the current symbols (n),
+2. the offsets through channel.draw_offset (none at delta_s = 0 or under
+   fixed_delta),
+3. the noise of a and of b: real then imaginary parts, n each, scaled by
+   sqrt(N0/2),
+4. one uniform U on [0, 1) per trial (n),
+5. for the k trials with delta < 0, in trial order, the real and then the
+   imaginary parts of the noise of their M - 2 other bins, (k, M - 2) each.
+
+For delta >= 0 the other bins hold noise only, and the largest of their
+M - 2 energies has the CDF (1 - exp(-x/N0))**(M - 2); it is drawn exactly by
+inverting that CDF at U (order statistics), so such a trial costs O(1) and
+never builds an M-vector. U = 0 maps to its quantile 0. For delta < 0 the
+other bins carry c, and their largest energy is taken from the drawn noise;
+U is drawn but unused. A trial errs when max(|b|^2, largest other energy) >=
+|a|^2: a tie with the wanted bin counts as an error.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ import numpy as np
 
 from .channel import draw_offset, validate_delta_s, validate_offset
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
-from .correlations import analytic_decision_statistic
+from .correlations import decision_coefficients
 from .modulation import symbol_cardinality, validate_sf
 from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
@@ -195,28 +210,62 @@ def _chunk_rng(point: GridPoint, master_seed: int, chunk_index: int) -> np.rando
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _bin_noise(rng: np.random.Generator, scale: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Real and then imaginary parts of complex bin noise, scale * N(0, 1) each."""
+    real = rng.standard_normal(shape)
+    real *= scale
+    imag = rng.standard_normal(shape)
+    imag *= scale
+    return real, imag
+
+
+def _noisy_energy(mean: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """|mean + real + 1j*imag|**2, formed in place in real (imag is overwritten)."""
+    real += mean.real
+    imag += mean.imag
+    np.square(real, out=real)
+    np.square(imag, out=imag)
+    real += imag
+    return real
+
+
+def _max_noise_energy(u: np.ndarray, n0: float, count: int) -> np.ndarray:
+    """Largest of count i.i.d. noise-only bin energies, by inversion at u.
+
+    Each energy is exponential with mean n0, so the largest has the CDF
+    (1 - exp(-x/n0))**count; u in [0, 1) maps to its quantile, and u = 0 to 0.
+    """
+    with np.errstate(divide="ignore"):  # log(0) = -inf is the u = 0 endpoint
+        return -n0 * np.log(-np.expm1(np.log(u) / count))
+
+
 def _chunk_error_flags(
     point: GridPoint,
     master_seed: int,
     chunk_index: int,
     fixed_delta: Optional[float] = None,
 ) -> np.ndarray:
-    """Detection-error flags for one full chunk of trials (stream v2, vectorized)."""
+    """Detection-error flags for one full chunk of trials (stream v3, vectorized)."""
     rng = _chunk_rng(point, master_seed, chunk_index)
     m = symbol_cardinality(point.sf)
     n = TRIALS_PER_CHUNK
     x_prev = rng.integers(0, m, size=n)
     x_cur = rng.integers(0, m, size=n)
     if fixed_delta is not None:
-        delta = fixed_delta
+        delta = np.full(n, fixed_delta)
     else:
         delta = draw_offset(point.delta_s, rng, n)
-    stats = analytic_decision_statistic(x_prev, x_cur, delta, point.waveform, point.sf)
-    scale = math.sqrt(noise_variance(point.snr_db) / 2.0)
-    stats.real += scale * rng.standard_normal((n, m))
-    stats.imag += scale * rng.standard_normal((n, m))
-    detected = np.argmax(np.abs(stats), axis=1)
-    return detected != x_cur
+    wanted, spill, c = decision_coefficients(x_prev, x_cur, delta, point.waveform, point.sf)
+    n0 = noise_variance(point.snr_db)
+    scale = math.sqrt(n0 / 2.0)
+    energy_a = _noisy_energy(wanted + c, *_bin_noise(rng, scale, n))
+    energy_b = _noisy_energy(spill + c, *_bin_noise(rng, scale, n))
+    energy_rest = _max_noise_energy(rng.random(n), n0, m - 2)
+    neg = np.flatnonzero(delta < 0.0)
+    if neg.size:
+        others = _noisy_energy(c[neg, None], *_bin_noise(rng, scale, (neg.size, m - 2)))
+        energy_rest[neg] = others.max(axis=1)
+    return np.maximum(energy_b, energy_rest) >= energy_a
 
 
 def _pool_size(workers: int) -> int:

@@ -367,6 +367,33 @@ class TestMain:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_certify_line_independent_of_other_waveforms(self, capsys):
+        # each waveform's stream is keyed by the waveform itself, so the rc
+        # line is the same whether rc is listed alone or after rect
+        assert main(["certify", "--sf", "4", "-w", "rc", "--trials", "3"]) == 0
+        alone = capsys.readouterr().out.splitlines()
+        assert main(["certify", "--sf", "4", "-w", "rect,rc", "--trials", "3"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert len(alone) == 1 and len(listed) == 2
+        assert listed[1] == alone[0]
+
+    @pytest.mark.parametrize(
+        "repeated,once",
+        [
+            (["oracle", "--sf", "5,4,5,4", "--snr", "0:2:2"], ["oracle", "--sf", "5,4", "--snr", "0:2:2"]),
+            (
+                ["certify", "--sf", "4,4", "-w", "rc,rect,rc", "--trials", "2"],
+                ["certify", "--sf", "4", "-w", "rc,rect", "--trials", "2"],
+            ),
+        ],
+    )
+    def test_repeated_values_give_one_line(self, repeated, once, capsys):
+        # repeated --sf and -w values are dropped, first occurrences kept in order
+        assert main(repeated) == 0
+        got = capsys.readouterr().out
+        assert main(once) == 0
+        assert got == capsys.readouterr().out
+
     def test_oracle_smoke(self, capsys):
         assert main(["oracle", "--sf", "4", "--snr", "0:4:2"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -3,6 +3,7 @@ synchronous reference, trial-level reproducibility, and the sweep driver."""
 
 import math
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from qslora import montecarlo
 from qslora.channel import synthesize_chip_rows
+from qslora.correlations import analytic_decision_statistic
 from qslora.modulation import despread, envelope_matrix
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
@@ -123,6 +125,21 @@ def _point(**overrides):
 NO_EARLY_STOP = StoppingRule(max_trials=TRIALS_PER_CHUNK, min_errors=0)
 
 
+@pytest.fixture
+def recorded_noise(monkeypatch):
+    """The kernel's bin noise as drawn, one complex array per draw."""
+    kept = []
+    draw = montecarlo._bin_noise
+
+    def recording(*args):
+        real, imag = draw(*args)
+        kept.append(real + 1j * imag)
+        return real, imag
+
+    monkeypatch.setattr(montecarlo, "_bin_noise", recording)
+    return kept
+
+
 class TestRunPoint:
     def test_seed_changes_outcomes(self):
         a = montecarlo._chunk_error_flags(_point(), 1, 0)
@@ -212,20 +229,16 @@ class TestRunPoint:
         with pytest.raises(ValueError, match="0.5"):
             run_point(_point(), NO_EARLY_STOP, master_seed=1, fixed_delta=fixed_delta)
 
-    def test_noise_calibration(self, monkeypatch):
-        # with the signal zeroed the decision vectors hold pure noise; over
-        # 2^20 draws the per-bin variance must match N0 = 10^(-snr/10), split
-        # evenly between the two quadratures
-        kept = []
-
-        def zero_signal(x_prev, x_cur, *_):
-            kept.append(np.zeros((x_cur.size, 256), dtype=complex))
-            return kept[-1]
-
-        monkeypatch.setattr(montecarlo, "analytic_decision_statistic", zero_signal)
+    def test_noise_calibration(self, recorded_noise):
+        # the kernel's bin noise as drawn, for a chunk of negative offsets:
+        # the a and b bins and the 254 other bins of 4096 trials, over 2^20
+        # draws, must have the variance N0 = 10^(-snr/10), split evenly
+        # between the two quadratures
         point = _point(sf=8, snr_db=4.0)
-        montecarlo._chunk_error_flags(point, 1, 0)
-        (samples,) = kept
+        montecarlo._chunk_error_flags(point, 1, 0, fixed_delta=-0.3)
+        noise_a, noise_b, others = recorded_noise
+        assert others.shape == (TRIALS_PER_CHUNK, 254)
+        samples = np.column_stack([noise_a, noise_b, others])
         assert samples.size >= 1_000_000
         n0 = 10.0 ** (-4.0 / 10.0)
         power = np.abs(samples) ** 2
@@ -238,6 +251,63 @@ class TestRunPoint:
         per_bin_real = np.mean(samples.real**2, axis=0) / per_bin
         assert np.all(np.abs(per_bin_real - 0.5) < 5.0 / 64.0)
 
+    def test_negative_offsets_decide_as_the_full_vector(self, recorded_noise):
+        # a negative-offset trial draws the noise of all its bins, so its
+        # flag must equal argmax detection on the M-vector of
+        # analytic_decision_statistic plus that same noise
+        point = _point(sf=5, snr_db=8.0)
+        flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta=-0.3)
+        noise_a, noise_b, others = recorded_noise
+        rng = montecarlo._chunk_rng(point, 1, 0)
+        n, m = TRIALS_PER_CHUNK, 32
+        x_prev = rng.integers(0, m, size=n)
+        x_cur = rng.integers(0, m, size=n)
+        trial = np.arange(n)
+        noise = np.empty((n, m), dtype=complex)
+        rest = np.ones((n, m), dtype=bool)
+        rest[trial, x_cur] = rest[trial, (x_cur - 2) % m] = False
+        noise[rest] = others.ravel()
+        noise[trial, x_cur] = noise_a
+        noise[trial, (x_cur - 2) % m] = noise_b
+        stats = analytic_decision_statistic(x_prev, x_cur, -0.3, point.waveform, 5) + noise
+        expected = np.argmax(np.abs(stats), axis=1) != x_cur
+        assert 0 < np.count_nonzero(flags) < n
+        np.testing.assert_array_equal(flags, expected)
+
+    @pytest.mark.parametrize("sf", [4, 10])
+    def test_max_noise_energy_law(self, sf):
+        # one uniform per trial draws the largest of the M - 2 noise-only
+        # energies; a two-sample KS test compares 20000 such draws with the
+        # brute-force maximum of M - 2 exponentials of mean N0
+        rng = np.random.default_rng(sf)
+        m, n0, n = 2**sf, 0.4, 20_000
+        drawn = montecarlo._max_noise_energy(rng.random(n), n0, m - 2)
+        brute = np.concatenate(
+            [rng.exponential(n0, (1000, m - 2)).max(axis=1) for _ in range(n // 1000)]
+        )
+        assert scipy_stats.ks_2samp(drawn, brute).pvalue > 1e-3
+
+    def test_max_noise_energy_endpoints(self):
+        # u = 0, the closed end of the uniform draw, is the quantile 0 and
+        # raises no warning; the largest u below 1 stays finite
+        u = np.array([0.0, np.nextafter(1.0, 0.0)])
+        energy = montecarlo._max_noise_energy(u, 1.0, 4094)
+        assert energy[0] == 0.0
+        assert np.isfinite(energy[1]) and energy[1] > 0.0
+
+    def test_synchronous_chunk_allocates_no_bin_array(self):
+        # a delta >= 0 trial takes its largest noise-only energy from one
+        # uniform, so a one-chunk sf-10 point at delta_s = 0 stays below one
+        # byte per bin of an (n, M) array, let alone a complex one
+        point = _point(sf=10, delta_s=0.0, snr_db=11.0)
+        tracemalloc.start()
+        try:
+            run_point(point, NO_EARLY_STOP, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TRIALS_PER_CHUNK * 2**10
+
     def test_chunk_builds_no_chip_matrix(self):
         # trials are drawn in the bin domain, so even an sf-10 point never
         # builds the 16 MB chip matrix
@@ -246,24 +316,24 @@ class TestRunPoint:
         assert envelope_matrix.cache_info().currsize == 0
 
 
-# (trials, errors) of run_point at master seed 3 under random stream v2 (see
+# (trials, errors) of run_point at master seed 3 under random stream v3 (see
 # the montecarlo docstring). A change here changes every published
 # estimate, so it may only come with a new stream version recorded in
 # CHANGES.md.
 STREAM_PINS = [
     # synchronous, truncated last chunk (5000 = 4096 + 904)
-    (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 729)),
+    (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 730)),
     # random offsets of both signs, truncated last chunk
-    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2187)),
-    # early stop after three chunks
-    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (12288, 143)),
+    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2155)),
+    # early stop after two chunks
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (8192, 107)),
     # 25 chunks, the last one truncated (100000 = 24 * 4096 + 1696)
-    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 46)),
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 66)),
     # fixed offsets of both signs, overriding delta_s
-    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2641)),
-    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3924)),
-    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3578)),
-    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3604)),
+    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2660)),
+    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3919)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3620)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3584)),
 ]
 
 
@@ -315,24 +385,32 @@ def _chip_rate_errors(sf, token, delta_s, snr_db, trials, rng):
 
 @pytest.mark.slow
 def test_chip_rate_reference_agrees():
-    # the Monte-Carlo draws trials in the bin domain; the chip-rate pipeline
-    # must give the same SER within a two-proportion |z| < 4.5 off
-    # synchronism, and match the exact synchronous SER at delta_s = 0
+    # the Monte-Carlo draws trials in the bin domain, with the noise-only
+    # bins reduced to their largest energy; the chip-rate pipeline must give
+    # the same SER within a two-proportion |z| < 4.5, sf 8 covering both
+    # kernel branches at a larger M, and both must match the exact
+    # synchronous SER at delta_s = 0
     rng = np.random.default_rng(20240601)
     n = 2**16
     rule = StoppingRule(max_trials=n, min_errors=0)
-    for sf in (4, 6):
-        for token in ("rect", "rc"):
-            ref = _chip_rate_errors(sf, token, 1.0, 10.0, n, rng)
-            point = _point(sf=sf, waveform=ChipWaveform(token), delta_s=1.0, snr_db=10.0)
-            est = run_point(point, rule)
-            pooled = (ref + est.errors) / (2 * n)
-            z = (est.errors - ref) / math.sqrt(pooled * (1.0 - pooled) * 2 * n)
-            assert abs(z) < 4.5, (sf, token, est.errors, ref, z)
+    cases = [(sf, token, 1.0) for sf in (4, 6) for token in ("rect", "rc")]
+    cases += [(8, "rect", 0.0), (8, "rect", 1.0), (8, "rc", 1.0)]
+    for sf, token, delta_s in cases:
+        ref = _chip_rate_errors(sf, token, delta_s, 10.0, n, rng)
+        point = _point(sf=sf, waveform=ChipWaveform(token), delta_s=delta_s, snr_db=10.0)
+        est = run_point(point, rule)
+        pooled = (ref + est.errors) / (2 * n)
+        z = (est.errors - ref) / math.sqrt(pooled * (1.0 - pooled) * 2 * n)
+        assert abs(z) < 4.5, (sf, token, delta_s, est.errors, ref, z)
     ref = _chip_rate_errors(4, "rect", 0.0, 10.0, n, rng)
     p = analytical_ser_sync(4, 10.0)
     z = (ref - n * p) / math.sqrt(n * p * (1.0 - p))
     assert abs(z) < 4.5, (ref, n * p, z)
+    trials = 2**18
+    est = run_point(_point(sf=10, delta_s=0.0, snr_db=10.0), StoppingRule(trials, 0))
+    p = analytical_ser_sync(10, 10.0)
+    z = (est.errors - trials * p) / math.sqrt(trials * p * (1.0 - p))
+    assert abs(z) < 4.5, (est.errors, trials * p, z)
 
 
 def _config(**overrides):
