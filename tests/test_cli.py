@@ -4,8 +4,13 @@ entry point."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qslora
 
 from qslora.cli import SweepConfig, main, parse_config, write_results
 from qslora.montecarlo import GridPoint, SerEstimate, analytical_ser_sync, wilson_interval
@@ -424,3 +429,16 @@ class TestMain:
             _, _, keep_c, spill_c = closed_row.split()
             assert float(keep_q) == pytest.approx(float(keep_c), abs=1e-9)
             assert float(spill_q) == pytest.approx(float(spill_c), abs=1e-9)
+
+
+def test_cli_imports_neither_mpmath_nor_scipy():
+    # both cost start-up time and memory on every subcommand; mpmath is a
+    # test-only dependency now that the oracle is a float64 integral
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qslora.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, qslora.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -36,6 +36,13 @@ class TestSynthesize:
         boundary_samples = sig.value_at(np.arange(16.0))
         np.testing.assert_allclose(boundary_samples, 0.0, atol=1e-12)
 
+    def test_value_at_keeps_the_shape(self, rc):
+        sig = synthesize((9, 2), rc, 4)
+        t = np.array([[0.3, 5.5, 31.2], [-1.0, 17.25, 40.0]])
+        got = sig.value_at(t)
+        assert got.shape == t.shape
+        np.testing.assert_array_equal(got.ravel(), sig.value_at(t.ravel()))
+
     def test_zero_outside_span(self, rect):
         sig = synthesize((9,), rect, 4)
         assert sig.value_at(-0.5) == 0.0
@@ -99,6 +106,25 @@ class TestMatchedFilterChip:
         # the window would lie inside the span; the offset bound rejects it
         with pytest.raises(ValueError, match="chip offset magnitude"):
             matched_filter_chip(sig, 1, 3, 0.75)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.37, -0.21, 0.5, -0.5])
+    def test_chip_array_equals_scalar_calls(self, rect, rc, delta):
+        for wf in (rect, rc):
+            sig = synthesize((5, 9, 2), wf, 4)
+            chips = np.arange(16)
+            got = matched_filter_chip(sig, 1, chips, delta)
+            assert got.shape == (16,) and got.dtype == complex
+            want = [matched_filter_chip(sig, 1, k, delta) for k in chips]
+            assert all(isinstance(w, complex) for w in want)
+            np.testing.assert_array_equal(got, want)
+            grid = matched_filter_chip(sig, 1, chips.reshape(4, 4)[:, ::-1], delta)
+            np.testing.assert_array_equal(grid, np.reshape(want, (4, 4))[:, ::-1])
+
+    @pytest.mark.parametrize("chips", [[0, 7, 16], [-1, 3], [[2, 3], [4, 99]]])
+    def test_chip_array_out_of_range_rejected(self, rect, chips):
+        sig = synthesize((5, 9, 2), rect, 4)
+        with pytest.raises(ValueError, match="chip index"):
+            matched_filter_chip(sig, 1, np.array(chips), 0.1)
 
     def test_time_shift_consistency(self, rc):
         # prepending a symbol shifts the signal by one symbol period, so

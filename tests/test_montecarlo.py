@@ -66,7 +66,83 @@ class TestWilsonInterval:
             wilson_interval(0, 0)
 
 
+def _exact_ser_sync(sf: int, snr_db: float) -> float:
+    """The exact alternating sum, in arbitrary precision (mpmath).
+
+    P_e = sum_{j=1}^{M-1} (-1)^(j+1) C(M-1, j) exp(-gamma j/(j+1)) / (j+1)
+    with gamma = 10^(snr_db/10). Its terms grow like 2^M, so it is summed
+    with exact integer binomials at a working precision scaled to M.
+    """
+    mp = pytest.importorskip("mpmath")
+    m = 2**sf
+    with mp.workdps(int(0.302 * m) + 30):
+        gamma = mp.mpf(10.0) ** (mp.mpf(snr_db) / 10.0)
+        total = mp.mpf(0)
+        for j in range(1, m):
+            term = mp.mpf(math.comb(m - 1, j)) * mp.exp(-gamma * j / (j + 1)) / (j + 1)
+            total = total + term if j % 2 == 1 else total - term
+        return float(total)
+
+
 class TestAnalyticalSerSync:
+    @pytest.mark.parametrize("sf", range(4, 10))
+    def test_matches_exact_sum(self, sf):
+        for snr_db in np.arange(-4.0, 24.1, 2.0):
+            exact = _exact_ser_sync(sf, float(snr_db))
+            assert analytical_ser_sync(sf, float(snr_db)) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("sf", [10, 11, 12])
+    def test_matches_exact_sum_large_sf(self, sf):
+        for snr_db in (-4.0, 10.0, 24.0):
+            exact = _exact_ser_sync(sf, snr_db)
+            assert analytical_ser_sync(sf, snr_db) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_log_i0e_against_scipy(self):
+        from scipy.special import i0e
+
+        z = np.concatenate((np.logspace(-6, 4, 400), [24.999, 25.0, 25.001, 699.0, 701.0]))
+        np.testing.assert_allclose(np.exp(montecarlo._log_i0e(z)), i0e(z), rtol=5e-15, atol=0)
+
+    @pytest.mark.parametrize("snr_db", [60.0, 400.0, 5000.0, 1e300])
+    def test_beyond_the_smallest_subnormal_is_zero(self, snr_db):
+        assert analytical_ser_sync(4, snr_db) == 0.0
+        assert analytical_ser_sync(12, snr_db) == 0.0
+
+    def test_zero_decided_by_the_union_bound(self):
+        # the union bound (M-1)/2 exp(-gamma/2) crosses the smallest
+        # subnormal at gamma = 2 (log((M-1)/2) - log(5e-324)) ~ 1494 at sf 4
+        cut_db = 10.0 * math.log10(2.0 * (math.log(7.5) - math.log(math.ulp(0.0))))
+        assert analytical_ser_sync(4, cut_db + 1e-9) == 0.0
+        assert 0.0 < analytical_ser_sync(4, cut_db - 0.1) < 1e-315
+
+    @pytest.mark.parametrize("snr_db", [-400.0, -5000.0, -1e300])
+    def test_deep_noise_is_the_uniform_guess(self, snr_db):
+        assert analytical_ser_sync(4, snr_db) == 15.0 / 16.0
+        assert analytical_ser_sync(12, snr_db) == 4095.0 / 4096.0
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            analytical_ser_sync(4, snr_db)
+
+    def test_work_bounded_in_snr(self, monkeypatch):
+        # every integrand node passes through _log_i0e once
+        nodes = []
+        log_i0e = montecarlo._log_i0e
+
+        def counted(z):
+            nodes.append(z.size)
+            return log_i0e(z)
+
+        monkeypatch.setattr(montecarlo, "_log_i0e", counted)
+        for snr_db in (-4.0, 10.0, 24.0, 31.5, 31.7, 32.0, 60.0, 400.0, 5000.0):
+            analytical_ser_sync(12, snr_db)
+        # nodes are built up to the cutoff near 31.7 dB only: about 1.6k at
+        # sf 12, and none at all beyond it
+        assert len(nodes) == 5
+        assert max(nodes) == nodes[-1] < 2000
+
     def test_frozen_values(self):
         # reference values computed independently at 200-digit precision
         assert analytical_ser_sync(4, 8.0) == pytest.approx(
