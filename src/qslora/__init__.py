@@ -9,21 +9,14 @@ deterministic, worker-count-independent Monte-Carlo.
 
 __version__ = "0.1.0"
 
-from .channel import draw_offset
+from .channel import analytic_decision_statistic, draw_offset
 from .continuous_time import (
     ContinuousSignal,
     certify_discrete_model,
     matched_filter_chip,
     synthesize,
 )
-from .correlations import analytic_decision_statistic
-from .modulation import (
-    despread,
-    envelope_matrix,
-    sample_to_word,
-    symbol_cardinality,
-    word_to_sample,
-)
+from .modulation import despread, envelope_matrix, symbol_cardinality
 from .montecarlo import (
     GridPoint,
     SerEstimate,
@@ -67,10 +60,8 @@ __all__ = [
     "rectangular",
     "run_point",
     "run_sweep",
-    "sample_to_word",
     "sample_waveform",
     "symbol_cardinality",
     "synthesize",
     "wilson_interval",
-    "word_to_sample",
 ]

@@ -1,4 +1,4 @@
-"""Discrete chip-rate channel: timing-offset draw and chip synthesis.
+"""The trial model: timing-offset draw, chip rows and their closed form.
 
 A trial is the current symbol x_cur, the symbol before it x_prev, and a
 timing offset delta held constant over the current symbol. The receiver's
@@ -6,20 +6,43 @@ k-th matched-filter window then sees
 
     r[k] = env(x_cur)[k] * R(delta) + env(x_src)[k + s] * Rhat(delta) + noise[k]
 
-with s = sign(delta): the window also covers a sliver of the chip one step
-ahead (delta > 0) or behind (delta < 0). That chip belongs to the current
-symbol except at the boundary window. For delta < 0 that is window 0, which
-reads the last chip of the previous symbol. For delta > 0 it is window M-1,
-which reads chip 0 of the next symbol; chip 0 of every symbol is 1/sqrt(M),
-the same as the current symbol's own chip 0, so the next symbol is not
-observable and the spill is the current symbol's chips rotated by one.
+with s = sign(delta) and the pulse's partial autocorrelations
+R = autocorr_overlapping(delta) and Rhat = autocorr_overlapped(delta): the
+window also covers a sliver of the chip one step ahead (delta > 0) or behind
+(delta < 0). That chip belongs to the current symbol except at the boundary
+window. For delta < 0 that is window 0, which reads the last chip of the
+previous symbol. For delta > 0 it is window M-1, which reads chip 0 of the
+next symbol; chip 0 of every symbol is 1/sqrt(M), the same as the current
+symbol's own chip 0, so the next symbol is not observable and the spill is
+the current symbol's chips rotated by one. synthesize_chip_rows builds these
+chips.
+
+Symbol x has chips env(x)[k] = w**(k*(x+k)) / sqrt(M) with w = exp(2j*pi/M),
+so a chirp shifted by one chip is another chirp times a phase:
+
+    env(x)[k+1] = w**(x+1) * env(x+2)[k]
+    env(x)[k-1] = w**(1-x) * env(x-2)[k]
+
+(indices mod M). Despreading the chip rows therefore leaves at most three
+distinct values:
+
+    delta >= 0: R at x_cur, Rhat * w**(x_cur+1) at x_cur+2, 0 elsewhere
+    delta <  0: R at x_cur, Rhat * w**(1-x_cur) at x_cur-2, plus
+                c = (Rhat/M) * (w**(1-x_prev) - w**(1-x_cur)) in every bin
+
+R(0) = 1 and Rhat(0) = 0 make delta = 0 the Kronecker delta at x_cur; the
+boundary term c is the previous symbol's last chip replacing the current
+symbol's. _coefficients computes the three values; it checks nothing, and
+the Monte-Carlo kernel (qslora.montecarlo) calls it on symbols and offsets
+it has just drawn in range. analytic_decision_statistic, the checked entry,
+spreads them over the M-vector, which the chip rows and the continuous-time
+matched filter are tested against.
+
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
 i.i.d. circularly-symmetric complex Gaussian with total variance N0 per
-chip. Despreading is unitary, so that is white noise of the same N0 in every
-bin. The Monte-Carlo harness draws it there, and only for the bins the
-decision needs: it builds no M-vector of bin noise for an offset delta >= 0
-(see qslora.montecarlo). The chip rows built here are the reference the
-closed-form despread vector is tested against.
+chip. Despreading is unitary (the envelope rows are orthonormal), so that
+is white noise of the same N0 in every bin, and the Monte-Carlo draws it
+there, for no more bins than the decision needs.
 """
 
 from __future__ import annotations
@@ -34,6 +57,7 @@ __all__ = [
     "validate_offset",
     "draw_offset",
     "synthesize_chip_rows",
+    "analytic_decision_statistic",
 ]
 
 
@@ -97,3 +121,56 @@ def synthesize_chip_rows(
         src[:, 0] = env[x_prev[neg], m - 1]
         rows[neg] += spill[neg, None] * src
     return rows
+
+
+def _coefficients(x_prev, x_cur, delta, waveform: ChipWaveform, m: int):
+    """(R, Rhat * w**(s*x_cur + 1), c) of flat trial arrays; s = sign(delta).
+
+    Bin x_cur holds R + c, bin x_cur + 2s holds the second value plus c, and
+    every other bin holds c (0 unless delta < 0). Unchecked: symbols must be
+    integer arrays in [0, m) and offsets a float array in [-0.5, 0.5].
+    """
+    roots = np.exp(2j * np.pi * np.arange(m) / m)  # roots[p] = w**p
+    s = np.where(delta < 0.0, -1, 1)
+    r_spill = autocorr_overlapped(waveform, delta)
+    c = np.where(s < 0, r_spill / m * (roots[(1 - x_prev) % m] - roots[(1 - x_cur) % m]), 0.0)
+    return autocorr_overlapping(waveform, delta), r_spill * roots[(s * x_cur + 1) % m], c
+
+
+def _validate_indices(x, m: int, name: str) -> np.ndarray:
+    """Symbol indices as an int array; each must be an integer in [0, M)."""
+    x = np.asarray(x)
+    bad = x[~((x >= 0) & (x < m) & (x % 1 == 0))]
+    if bad.size:
+        raise ValueError(f"{name}={bad[0]} is not an integer in [0, {m})")
+    return x.astype(np.int64)
+
+
+def analytic_decision_statistic(
+    x_prev,
+    x_cur,
+    delta,
+    waveform: ChipWaveform,
+    sf: int,
+) -> np.ndarray:
+    """Noise-free despread M-vector of each trial, from the three coefficients.
+
+    x_prev, x_cur and delta broadcast against each other; the result has
+    their shape plus a last axis of length M, so scalars give one (M,)
+    vector and arrays of n trials an (n, M) batch. x_prev only enters for
+    delta < 0, through the boundary term c that is added to every candidate
+    (see the module docstring). Raises ValueError for a symbol that is not
+    an integer in [0, M) or an offset magnitude above 0.5.
+    """
+    m = symbol_cardinality(sf)
+    x_prev = _validate_indices(x_prev, m, "x_prev")
+    x_cur = _validate_indices(x_cur, m, "x_cur")
+    delta = validate_offset(delta)
+    shape = np.broadcast_shapes(x_prev.shape, x_cur.shape, np.shape(delta))
+    x_prev, x_cur, delta = (np.broadcast_to(a, shape).ravel() for a in (x_prev, x_cur, delta))
+    wanted, spill, c = _coefficients(x_prev, x_cur, delta, waveform, m)
+    stats = np.repeat(c[:, None], m, axis=1)
+    trial = np.arange(delta.size)
+    stats[trial, x_cur] += wanted
+    stats[trial, (x_cur + np.where(delta < 0.0, -2, 2)) % m] += spill
+    return stats.reshape(shape + (m,))

@@ -17,7 +17,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -91,20 +91,39 @@ def _positive(value: float) -> float:
     return value
 
 
-# config key -> (SweepConfig fields it sets, converter from the flag or
-# config-file string); a key's flag dest is the key with "-" -> "_"
-_CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable[[str], object]]] = {
-    "sf": (("sf_list",), _ints),
-    "waveform": (("waveforms",), lambda text: tuple(_split_list(text))),
-    "delta-s": (("delta_s_list",), _floats),
-    "snr": (("snr_start_db", "snr_stop_db", "snr_step_db"), _snr_range),
-    "trials-max": (("trials_max",), int),
-    "min-errors": (("min_errors",), int),
-    "seed": (("master_seed",), int),
-    "workers": (("workers",), int),
-    "fixed-delta": (("fixed_delta",), float),
-    "output": (("output_path",), str),
-    "format": (("format",), str),
+class _ConfigKey(NamedTuple):
+    """One sweep setting: the SweepConfig fields it sets, the converter from
+    its flag or config-file string, and its flag's help. The key is the long
+    flag's name; short is an optional one-letter alias."""
+
+    fields: tuple[str, ...]
+    convert: Callable[[str], object]
+    help: str
+    short: Optional[str] = None
+
+
+_CONFIG_KEYS: dict[str, _ConfigKey] = {
+    "sf": _ConfigKey(("sf_list",), _ints, "comma-separated spreading factors"),
+    "waveform": _ConfigKey(
+        ("waveforms",), lambda text: tuple(_split_list(text)),
+        f"comma-separated chip waveforms: {_ALL_WAVEFORMS}", "-w",
+    ),
+    "delta-s": _ConfigKey(("delta_s_list",), _floats, "comma-separated max offsets in [0,1]"),
+    "snr": _ConfigKey(
+        ("snr_start_db", "snr_stop_db", "snr_step_db"), _snr_range,
+        "SNR axis in dB as start:stop:step (inclusive stop); "
+        "give a negative start as --snr=-4:24:2",
+    ),
+    "trials-max": _ConfigKey(("trials_max",), int, "max trials per grid point"),
+    "min-errors": _ConfigKey(("min_errors",), int, "early-stop error count (0 disables)"),
+    "seed": _ConfigKey(("master_seed",), int, "master seed for all random streams"),
+    "workers": _ConfigKey(
+        ("workers",), int,
+        f"process count, at most the CPU count (env {WORKERS_ENV_VAR} overrides config file)",
+    ),
+    "fixed-delta": _ConfigKey(("fixed_delta",), float, "pin the per-trial offset, |delta| <= 0.5"),
+    "output": _ConfigKey(("output_path",), str, "output file path", "-o"),
+    "format": _ConfigKey(("format",), str, "output format: csv or json"),
 }
 
 
@@ -142,18 +161,9 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         prog="qslora sweep",
         description="Monte-Carlo SER sweep over (sf, waveform, delta-s, snr).",
     )
-    p.add_argument("--sf", help="comma-separated spreading factors")
-    p.add_argument("-w", "--waveform", help=f"comma-separated chip waveforms: {_ALL_WAVEFORMS}")
-    p.add_argument("--delta-s", dest="delta_s", help="comma-separated max offsets in [0,1]")
-    p.add_argument("--snr", help="SNR axis in dB as start:stop:step (inclusive stop)")
-    p.add_argument("--trials-max", dest="trials_max", help="max trials per grid point")
-    p.add_argument("--min-errors", dest="min_errors", help="early-stop error count (0 disables)")
-    p.add_argument("--seed", help="master seed for all random streams")
-    p.add_argument("--workers", help=f"process count, at most the CPU count "
-                                     f"(env {WORKERS_ENV_VAR} overrides config file)")
-    p.add_argument("--fixed-delta", dest="fixed_delta", help="pin the per-trial offset, |delta| <= 0.5")
-    p.add_argument("-o", "--output", help="output file path")
-    p.add_argument("--format", help="output format: csv or json")
+    for key, spec in _CONFIG_KEYS.items():
+        flags = (spec.short, f"--{key}") if spec.short else (f"--{key}",)
+        p.add_argument(*flags, dest=key.replace("-", "_"), help=spec.help)
     p.add_argument("--config", help="key=value config file ('#' comments allowed)")
     p.add_argument(
         "--record-timing",
@@ -180,12 +190,12 @@ def parse_config(argv: Sequence[str]) -> SweepConfig:
     env_vals = {"workers": os.environ.get(WORKERS_ENV_VAR)}
 
     fields: dict[str, object] = {"record_timing": ns.record_timing}
-    for key, (names, convert) in _CONFIG_KEYS.items():
+    for key, spec in _CONFIG_KEYS.items():
         sources = (getattr(ns, key.replace("-", "_")), env_vals.get(key), file_vals.get(key))
         raw = next((value for value in sources if value is not None), None)
         if raw is not None:
-            value = _convert(parser, key, convert, raw)
-            fields.update(zip(names, value if len(names) > 1 else (value,)))
+            value = _convert(parser, key, spec.convert, raw)
+            fields.update(zip(spec.fields, value if len(spec.fields) > 1 else (value,)))
     try:
         return SweepConfig(**fields)
     except ValueError as exc:
@@ -310,7 +320,8 @@ def _cmd_oracle(argv: Sequence[str]) -> int:
     p.add_argument("--sf", default=",".join(map(str, grid.sf_list)),
                    help="comma-separated spreading factors")
     p.add_argument("--snr", default=f"{grid.snr_start_db}:{grid.snr_stop_db}:{grid.snr_step_db}",
-                   help="SNR axis start:stop:step in dB")
+                   help="SNR axis start:stop:step in dB; give a negative start as "
+                        "--snr=-4:24:2")
     ns = p.parse_args(list(argv))
     sfs = _convert(p, "sf", _sf_list, ns.sf)
     snrs = _convert(p, "snr", _snr_list, ns.snr)

@@ -1,7 +1,7 @@
 """Frequency-shift chirp modulation (FSCM) primitives.
 
-A spreading factor sf in [2, 12] maps sf-bit words to one of M = 2**sf
-symbols. Symbol x is transmitted as M unit-modulus chips
+A spreading factor sf in [2, 12] gives M = 2**sf symbols of sf bits
+each. Symbol x is transmitted as M unit-modulus chips
 
     c_x[k] = (1/sqrt(M)) * exp(2j*pi * k * ((x + k) mod M) / M),  k = 0..M-1,
 
@@ -9,7 +9,7 @@ a discretely frequency-shifted chirp. The rows of the resulting M x M chip
 matrix are orthonormal, which is what makes noncoherent argmax detection
 work. despread, the one map from chips to bins, correlates chips with every
 row, stats[m] = sum_k chips[k] * conj(env(m)[k]); the Monte-Carlo draws bins
-from the closed form in correlations instead, and tests compare it to despread.
+from the closed form in channel instead, and tests compare it to despread.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "MAX_SF",
     "validate_sf",
     "symbol_cardinality",
-    "word_to_sample",
-    "sample_to_word",
     "envelope_matrix",
     "despread",
 ]
@@ -44,24 +42,6 @@ def validate_sf(sf: int) -> int:
 def symbol_cardinality(sf: int) -> int:
     """Number of symbols (and chips per symbol), M = 2**sf."""
     return 1 << validate_sf(sf)
-
-
-def word_to_sample(word: tuple[int, ...], sf: int) -> int:
-    """Map an sf-bit word (LSB first) to its symbol index."""
-    validate_sf(sf)
-    if len(word) != sf:
-        raise ValueError(f"word length {len(word)} does not match sf={sf}")
-    if any(bit not in (0, 1) for bit in word):
-        raise ValueError(f"word must contain only bits 0/1, got {word!r}")
-    return sum(bit << i for i, bit in enumerate(word))
-
-
-def sample_to_word(index: int, sf: int) -> tuple[int, ...]:
-    """Inverse of word_to_sample: symbol index to sf-bit word, LSB first."""
-    m = symbol_cardinality(sf)
-    if not 0 <= index < m:
-        raise ValueError(f"symbol index {index} out of range [0, {m})")
-    return tuple((index >> i) & 1 for i in range(sf))
 
 
 @lru_cache(maxsize=4)

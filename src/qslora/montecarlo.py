@@ -12,11 +12,13 @@ estimate because nothing but the point's coordinates enters its seed
 derivation.
 
 Stream v3: a trial's despread vector holds at most three distinct noise-free
-values (correlations.decision_coefficients): a = R + c in bin x_cur,
+values (the closed form in qslora.channel): a = R + c in bin x_cur,
 b = Rhat * phase + c in the spill bin x_cur + 2*sign(delta), and the boundary
 term c in the M - 2 others (c = 0 unless delta < 0). Despreading is unitary,
 so white chip noise is white bin noise of the same N0, and no chips are
-synthesized. A chunk of n trials draws, in this order:
+synthesized. The kernel draws its symbols and offsets in range, so it takes
+the coefficients from the closed form's unchecked core. A chunk of n trials
+draws, in this order:
 
 1. the previous symbols (n) and the current symbols (n),
 2. the offsets through channel.draw_offset (none at delta_s = 0 or under
@@ -33,7 +35,10 @@ inverting that CDF at U (order statistics), so such a trial costs O(1) and
 never builds an M-vector. U = 0 maps to its quantile 0. For delta < 0 the
 other bins carry c, and their largest energy is taken from the drawn noise;
 U is drawn but unused. A trial errs when max(|b|^2, largest other energy) >=
-|a|^2: a tie with the wanted bin counts as an error.
+|a|^2: a tie with the wanted bin counts as an error. That comparison is
+scale-invariant, so the kernel forms every mean and energy in units of
+max(N0, 1): the energies stay finite at any N0 the SNR check admits, and for
+N0 <= 1 the unit is 1 and nothing changes.
 """
 
 from __future__ import annotations
@@ -48,9 +53,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import draw_offset, validate_delta_s, validate_offset
+from .channel import _coefficients, draw_offset, validate_delta_s, validate_offset
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
-from .correlations import decision_coefficients
 from .modulation import symbol_cardinality, validate_sf
 from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
@@ -302,15 +306,18 @@ def _chunk_error_flags(
         delta = np.full(n, fixed_delta)
     else:
         delta = draw_offset(point.delta_s, rng, n)
-    wanted, spill, c = decision_coefficients(x_prev, x_cur, delta, point.waveform, point.sf)
+    wanted, spill, c = _coefficients(x_prev, x_cur, delta, point.waveform, m)
     n0 = noise_variance(point.snr_db)
+    unit = max(n0, 1.0)  # the decision's energy unit, see the module docstring
+    n0 /= unit
+    root = math.sqrt(unit)
     scale = math.sqrt(n0 / 2.0)
-    energy_a = _noisy_energy(wanted + c, *_bin_noise(rng, scale, n))
-    energy_b = _noisy_energy(spill + c, *_bin_noise(rng, scale, n))
+    energy_a = _noisy_energy((wanted + c) / root, *_bin_noise(rng, scale, n))
+    energy_b = _noisy_energy((spill + c) / root, *_bin_noise(rng, scale, n))
     energy_rest = _max_noise_energy(rng.random(n), n0, m - 2)
     neg = np.flatnonzero(delta < 0.0)
     if neg.size:
-        others = _noisy_energy(c[neg, None], *_bin_noise(rng, scale, (neg.size, m - 2)))
+        others = _noisy_energy(c[neg, None] / root, *_bin_noise(rng, scale, (neg.size, m - 2)))
         energy_rest[neg] = others.max(axis=1)
     return np.maximum(energy_b, energy_rest) >= energy_a
 

@@ -20,7 +20,7 @@ import pytest
 from qslora.channel import synthesize_chip_rows
 from qslora.cli import main
 from qslora.continuous_time import certify_discrete_model
-from qslora.correlations import analytic_decision_statistic
+from qslora.channel import analytic_decision_statistic
 from qslora.modulation import despread, envelope_matrix, symbol_cardinality
 from qslora.montecarlo import (
     GridPoint,

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -429,6 +430,24 @@ class TestMain:
             _, _, keep_c, spill_c = closed_row.split()
             assert float(keep_q) == pytest.approx(float(keep_c), abs=1e-9)
             assert float(spill_q) == pytest.approx(float(spill_c), abs=1e-9)
+
+    def test_readme_command_line_block(self, capsys):
+        # every command of the README's "Command line" block must be
+        # accepted as written: sweep lines are only parsed, the others run
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            section = fh.read().split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+        assert len(commands) == 5
+        for program, subcommand, *rest in commands:
+            assert program == "qslora"
+            if subcommand == "sweep":
+                parse_config(rest)
+            else:
+                assert main([subcommand, *rest]) == 0, (subcommand, rest)
+        assert "sf snr_db ser" in capsys.readouterr().out
 
 
 def test_cli_imports_neither_mpmath_nor_scipy():

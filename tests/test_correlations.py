@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslora.channel import synthesize_chip_rows
-from qslora.correlations import analytic_decision_statistic
+from qslora.channel import analytic_decision_statistic
 from qslora.modulation import despread, symbol_cardinality
 from qslora.waveforms import ChipWaveform, autocorr_overlapped, raised_cosine, rectangular
 

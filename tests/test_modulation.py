@@ -1,6 +1,6 @@
-"""Tests for the chirp-modulation primitives: bit mapping, spreading-factor
-validation, the chip matrix, orthonormality, despreading and the
-noncoherent argmax detection rule applied to it."""
+"""Tests for the chirp-modulation primitives: spreading-factor validation,
+the chip matrix, orthonormality, despreading and the noncoherent argmax
+detection rule applied to it."""
 
 import tracemalloc
 
@@ -10,54 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslora.channel import synthesize_chip_rows
-from qslora.correlations import analytic_decision_statistic
+from qslora.channel import analytic_decision_statistic
 from qslora.modulation import (
     MAX_SF,
     MIN_SF,
     despread,
     envelope_matrix,
-    sample_to_word,
     symbol_cardinality,
-    word_to_sample,
 )
-
-
-class TestWordMapping:
-    def test_word_to_sample_lsb_first(self):
-        assert word_to_sample((1, 0, 1), 3) == 5
-        assert word_to_sample((0, 0, 0, 0), 4) == 0
-        assert word_to_sample((1, 1, 1, 1), 4) == 15
-
-    def test_sample_to_word_lsb_first(self):
-        assert sample_to_word(5, 3) == (1, 0, 1)
-        assert sample_to_word(5, 5) == (1, 0, 1, 0, 0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            word_to_sample((1, 0), 3)
-
-    def test_non_bit_rejected(self):
-        with pytest.raises(ValueError):
-            word_to_sample((1, 2, 0), 3)
-
-    def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            sample_to_word(8, 3)
-        with pytest.raises(ValueError):
-            sample_to_word(-1, 3)
-
-    @pytest.mark.parametrize("sf", range(MIN_SF, 9))
-    def test_round_trip_exhaustive(self, sf):
-        for x in range(symbol_cardinality(sf)):
-            assert word_to_sample(sample_to_word(x, sf), sf) == x
-
-    @given(
-        sf=st.integers(min_value=MIN_SF, max_value=MAX_SF),
-        data=st.data(),
-    )
-    def test_round_trip_word_first(self, sf, data):
-        word = tuple(data.draw(st.lists(st.integers(0, 1), min_size=sf, max_size=sf)))
-        assert sample_to_word(word_to_sample(word, sf), sf) == word
 
 
 class TestSpreadingFactorValidation:

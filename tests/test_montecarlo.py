@@ -11,7 +11,7 @@ import pytest
 
 from qslora import montecarlo
 from qslora.channel import synthesize_chip_rows
-from qslora.correlations import analytic_decision_statistic
+from qslora.channel import analytic_decision_statistic
 from qslora.modulation import despread, envelope_matrix
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
@@ -349,6 +349,40 @@ class TestRunPoint:
         expected = np.argmax(np.abs(stats), axis=1) != x_cur
         assert 0 < np.count_nonzero(flags) < n
         np.testing.assert_array_equal(flags, expected)
+
+    def test_positive_offsets_decide_as_the_closed_form(self, recorded_noise):
+        # a positive-offset trial draws the noise of its a and b bins and
+        # takes the largest other energy from its uniform, so its flag must
+        # equal max(|b|^2, quantile of U) >= |a|^2, with a and b the bins of
+        # analytic_decision_statistic plus that same noise
+        point = _point(sf=5, snr_db=8.0)
+        flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta=0.3)
+        noise_a, noise_b = recorded_noise
+        rng = montecarlo._chunk_rng(point, 1, 0)
+        n, m = TRIALS_PER_CHUNK, 32
+        x_prev = rng.integers(0, m, size=n)
+        x_cur = rng.integers(0, m, size=n)
+        rng.standard_normal(4 * n)  # the noise of a and b, recorded above
+        n0 = noise_variance(8.0)
+        rest = montecarlo._max_noise_energy(rng.random(n), n0, m - 2)
+        stats = analytic_decision_statistic(x_prev, x_cur, 0.3, point.waveform, 5)
+        trial = np.arange(n)
+        a = stats[trial, x_cur] + noise_a
+        b = stats[trial, (x_cur + 2) % m] + noise_b
+        energy_a = a.real**2 + a.imag**2
+        energy_b = b.real**2 + b.imag**2
+        assert 0 < np.count_nonzero(flags) < n
+        np.testing.assert_array_equal(flags, np.maximum(energy_b, rest) >= energy_a)
+
+    @pytest.mark.parametrize("delta_s", [0.0, 1.0])
+    def test_extreme_noise_guesses_uniformly(self, delta_s):
+        # at -3080 dB N0 is near the largest float; the decision must stay
+        # finite and unbiased, so the SER is the uniform guess 15/16 at
+        # sf 4 within 4 sigma over ten chunks
+        point = _point(delta_s=delta_s, snr_db=-3080.0)
+        est = run_point(point, StoppingRule(max_trials=10 * TRIALS_PER_CHUNK, min_errors=0))
+        p = 15 / 16
+        assert abs(est.ser - p) <= 4.0 * math.sqrt(p * (1.0 - p) / est.trials)
 
     @pytest.mark.parametrize("sf", [4, 10])
     def test_max_noise_energy_law(self, sf):
