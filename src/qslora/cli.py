@@ -1,10 +1,8 @@
 """Command-line entry point, config parsing, and result serialization.
 
-Subcommands:
-    sweep    (default) run the Monte-Carlo SER sweep and write CSV/JSON
-    certify  run the continuous-time model certification and report errors
-    oracle   print the analytical synchronous SER table
-    corr     print partial-autocorrelation tables for the chip waveforms
+Each subcommand and each of its flags is declared once, in _COMMANDS; the
+parsers, `qslora --help` and the dispatch in main are built from that
+table. sweep is the default subcommand.
 
 Exit status: 0 success, 1 runtime/I-O failure, 2 usage error.
 """
@@ -17,7 +15,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -34,22 +32,14 @@ from .waveforms import (
     autocorr_overlapping_quad,
 )
 
-T = TypeVar("T")
+__all__ = ["SweepConfig", "parse_config", "write_results", "main"]
 
-__all__ = [
-    "SweepConfig",
-    "parse_config",
-    "write_results",
-    "main",
-]
-
-SUBCOMMANDS = ("sweep", "certify", "oracle", "corr")
 WORKERS_ENV_VAR = "QSLORA_WORKERS"
 _ALL_WAVEFORMS = ",".join(WAVEFORM_TOKENS)
 
 
-def _split_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _split_list(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -68,74 +58,94 @@ def _snr_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _unique(items) -> list:
-    """items without repeats, in first-occurrence order."""
-    return list(dict.fromkeys(items))
-
-
+# repeats are dropped, first occurrences kept in order
 def _sf_list(text: str) -> list[int]:
-    return _unique(validate_sf(sf) for sf in _ints(text))
+    return list(dict.fromkeys(validate_sf(sf) for sf in _ints(text)))
 
 
 def _waveform_list(text: str) -> list[ChipWaveform]:
-    return _unique(ChipWaveform(token) for token in _split_list(text))
+    return list(dict.fromkeys(ChipWaveform(token) for token in _split_list(text)))
 
 
 def _snr_list(text: str) -> list[float]:
     return snr_axis(*_snr_range(text))
 
 
-def _positive(value: float) -> float:
+def _positive(text: str) -> float:
+    value = float(text)
     if not value > 0:
         raise ValueError("must be > 0")
     return value
 
 
-class _ConfigKey(NamedTuple):
-    """One sweep setting: the SweepConfig fields it sets, the converter from
-    its flag or config-file string, and its flag's help. The key is the long
-    flag's name; short is an optional one-letter alias."""
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
 
-    fields: tuple[str, ...]
-    convert: Callable[[str], object]
+    return convert
+
+
+class _Flag(NamedTuple):
+    """One flag of a subcommand; its key in the table is the long flag's name.
+
+    convert turns the typed string into the value, on the command line and
+    for a string default alike; None makes a switch that takes no value.
+    default is the value as typed (None: unset), short an optional
+    one-letter alias, and fields the SweepConfig fields a sweep flag sets.
+    A sweep flag that takes a value and sets fields is also a config key.
+    """
+
+    convert: Optional[Callable[[str], object]]
     help: str
+    default: Optional[str] = None
     short: Optional[str] = None
+    fields: tuple[str, ...] = ()
 
 
-_CONFIG_KEYS: dict[str, _ConfigKey] = {
-    "sf": _ConfigKey(("sf_list",), _ints, "comma-separated spreading factors"),
-    "waveform": _ConfigKey(
-        ("waveforms",), lambda text: tuple(_split_list(text)),
-        f"comma-separated chip waveforms: {_ALL_WAVEFORMS}", "-w",
-    ),
-    "delta-s": _ConfigKey(("delta_s_list",), _floats, "comma-separated max offsets in [0,1]"),
-    "snr": _ConfigKey(
-        ("snr_start_db", "snr_stop_db", "snr_step_db"), _snr_range,
-        "SNR axis in dB as start:stop:step (inclusive stop); "
-        "give a negative start as --snr=-4:24:2",
-    ),
-    "trials-max": _ConfigKey(("trials_max",), int, "max trials per grid point"),
-    "min-errors": _ConfigKey(("min_errors",), int, "early-stop error count (0 disables)"),
-    "seed": _ConfigKey(("master_seed",), int, "master seed for all random streams"),
-    "workers": _ConfigKey(
-        ("workers",), int,
-        f"process count, at most the CPU count (env {WORKERS_ENV_VAR} overrides config file)",
-    ),
-    "fixed-delta": _ConfigKey(("fixed_delta",), float, "pin the per-trial offset, |delta| <= 0.5"),
-    "output": _ConfigKey(("output_path",), str, "output file path", "-o"),
-    "format": _ConfigKey(("format",), str, "output format: csv or json"),
-}
+class _Command(NamedTuple):
+    """One subcommand: its entry point, its line in `qslora --help`, its
+    parser's description and its flags, in help order."""
+
+    run: Callable[[Sequence[str]], int]
+    summary: str
+    description: str
+    flags: dict[str, _Flag]
 
 
-def _convert(parser: argparse.ArgumentParser, key: str, convert: Callable[..., T], raw: object) -> T:
-    """convert(raw), reporting a ValueError as a usage error (exit 2) naming key."""
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        parser.error(f"invalid {key} value {raw!r}: {exc}")
+def _dest(key: str) -> str:
+    return key.replace("-", "_")
+
+
+def _argument_type(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """convert as an argparse type: a ValueError becomes a usage error (exit 2)
+    that names the flag and keeps the reason."""
+
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+    return parse
+
+
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built from its flag table."""
+    command = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"qslora {name}", description=command.description)
+    for key, flag in command.flags.items():
+        names = (flag.short, f"--{key}") if flag.short else (f"--{key}",)
+        kwargs = (dict(action="store_true") if flag.convert is None
+                  else dict(type=_argument_type(flag.convert), default=flag.default))
+        parser.add_argument(*names, dest=_dest(key), help=flag.help, **kwargs)
+    return parser
 
 
 def _read_config_file(path: str, error) -> dict[str, str]:
+    keys = {key for key, flag in _COMMANDS["sweep"].flags.items() if flag.fields and flag.convert}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -150,62 +160,40 @@ def _read_config_file(path: str, error) -> dict[str, str]:
             error(f"config line {lineno} is not key=value: {raw.strip()!r}")
         key, val = line.split("=", 1)
         key = key.strip().lower().replace("_", "-")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             error(f"unknown config key: {key}")
         values[key] = val.strip()
     return values
 
 
-def _build_sweep_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="qslora sweep",
-        description="Monte-Carlo SER sweep over (sf, waveform, delta-s, snr).",
-    )
-    for key, spec in _CONFIG_KEYS.items():
-        flags = (spec.short, f"--{key}") if spec.short else (f"--{key}",)
-        p.add_argument(*flags, dest=key.replace("-", "_"), help=spec.help)
-    p.add_argument("--config", help="key=value config file ('#' comments allowed)")
-    p.add_argument(
-        "--record-timing",
-        dest="record_timing",
-        action="store_true",
-        default=False,
-        help="write wall-clock elapsed_s (off by default to keep output deterministic)",
-    )
-    return p
-
-
 def parse_config(argv: Sequence[str]) -> SweepConfig:
     """Resolve a SweepConfig from flags, environment, and config file.
 
-    Precedence: CLI flags > QSLORA_WORKERS (workers only) > the file named
-    by --config > SweepConfig's defaults: only the keys one of the first
-    three sets are passed on. Strings are only converted here; SweepConfig
-    checks the values, and either failure exits 2 with a message naming
-    the field.
+    Precedence: CLI flags > QSLORA_WORKERS (workers only; empty counts as
+    unset) > the file named by --config > SweepConfig's defaults. The
+    environment and the file become the parser's string defaults, so
+    argparse converts each value that no flag overrides, and only the keys
+    one of the first three sets are passed on. Strings are only converted
+    here; SweepConfig checks the values, and either failure exits 2 with a
+    message naming the flag or field.
     """
-    parser = _build_sweep_parser()
-    ns = parser.parse_args(list(argv))
-    file_vals = _read_config_file(ns.config, parser.error) if ns.config else {}
-    env_vals = {"workers": os.environ.get(WORKERS_ENV_VAR)}
+    parser = _parser("sweep")
+    path = parser.parse_args(argv).config
+    defaults = _read_config_file(path, parser.error) if path else {}
+    if os.environ.get(WORKERS_ENV_VAR):
+        defaults["workers"] = os.environ[WORKERS_ENV_VAR]
+    parser.set_defaults(**{_dest(key): value for key, value in defaults.items()})
+    ns = parser.parse_args(argv)
 
-    fields: dict[str, object] = {"record_timing": ns.record_timing}
-    for key, spec in _CONFIG_KEYS.items():
-        sources = (getattr(ns, key.replace("-", "_")), env_vals.get(key), file_vals.get(key))
-        raw = next((value for value in sources if value is not None), None)
-        if raw is not None:
-            value = _convert(parser, key, spec.convert, raw)
-            fields.update(zip(spec.fields, value if len(spec.fields) > 1 else (value,)))
+    fields: dict[str, object] = {}
+    for key, flag in _COMMANDS["sweep"].flags.items():
+        value = getattr(ns, _dest(key))
+        if flag.fields and value is not None:
+            fields.update(zip(flag.fields, value if len(flag.fields) > 1 else (value,)))
     try:
         return SweepConfig(**fields)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _row(est: SerEstimate) -> dict[str, object]:
@@ -230,8 +218,9 @@ def write_results(estimates: Sequence[SerEstimate], fh: TextIO, format: str = "c
     """Write estimates to an open text file as CSV (fixed 11-column schema) or a JSON array.
 
     Open fh with newline="" so line endings are written as given. Floats
-    are serialized with shortest round-trip precision, so parsing a file and
-    re-serializing it reproduces it byte for byte.
+    are serialized with shortest round-trip precision (csv and json both
+    write a float's repr), so parsing a file and re-serializing it
+    reproduces it byte for byte.
     """
     if not estimates:
         raise ValueError("no estimates to write")
@@ -239,8 +228,7 @@ def write_results(estimates: Sequence[SerEstimate], fh: TextIO, format: str = "c
     if format == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([_cell(value) for value in row.values()])
+        writer.writerows(row.values() for row in rows)
     elif format == "json":
         json.dump(rows, fh, indent=2)
         fh.write("\n")
@@ -272,36 +260,15 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
 
 
 def _cmd_certify(argv: Sequence[str]) -> int:
-    p = argparse.ArgumentParser(
-        prog="qslora certify",
-        description="Certify the chip-rate model against the continuous-time reference.",
-    )
-    p.add_argument("--sf", default="4", help="comma-separated spreading factors")
-    p.add_argument("-w", "--waveform", default=_ALL_WAVEFORMS, help="comma-separated waveforms")
-    p.add_argument("--trials", type=int, default=100, help="random realizations per combination")
-    p.add_argument("--delta-s", dest="delta_s", type=float, default=1.0, help="max offset in [0,1]")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    ns = p.parse_args(list(argv))
-    sfs = _convert(p, "sf", _sf_list, ns.sf)
-    waveforms = _convert(p, "waveform", _waveform_list, ns.waveform)
-    delta_s = _convert(p, "delta-s", validate_delta_s, ns.delta_s)
-    seed = _convert(p, "seed", np.random.SeedSequence, ns.seed).entropy
-    tolerance = _convert(p, "tolerance", _positive, ns.tolerance)
+    ns = _parser("certify").parse_args(argv)
     failures = 0
-    for sf in sfs:
-        for wf in waveforms:
+    for sf in ns.sf:
+        for wf in ns.waveform:
             # keyed by the waveform so a line does not depend on what else is listed
             key = (sf, WAVEFORM_TOKENS.index(wf.kind))
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-            # certify_discrete_model owns the trials >= 1 check; it fails
-            # on the first combination, before anything is printed
-            err = _convert(
-                p, "trials",
-                lambda trials: certify_discrete_model(sf, wf, trials, rng, delta_s=delta_s),
-                ns.trials,
-            )
-            ok = err < tolerance
+            rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=key))
+            err = certify_discrete_model(sf, wf, ns.trials, rng, delta_s=ns.delta_s)
+            ok = err < ns.tolerance
             failures += 0 if ok else 1
             print(
                 f"sf={sf} waveform={wf.kind} trials={ns.trials} "
@@ -311,44 +278,18 @@ def _cmd_certify(argv: Sequence[str]) -> int:
 
 
 def _cmd_oracle(argv: Sequence[str]) -> int:
-    p = argparse.ArgumentParser(
-        prog="qslora oracle",
-        description="Analytical synchronous SER table (noncoherent M-ary orthogonal).",
-    )
-    # the table defaults to the sweep's default grid
-    grid = SweepConfig()
-    p.add_argument("--sf", default=",".join(map(str, grid.sf_list)),
-                   help="comma-separated spreading factors")
-    p.add_argument("--snr", default=f"{grid.snr_start_db}:{grid.snr_stop_db}:{grid.snr_step_db}",
-                   help="SNR axis start:stop:step in dB; give a negative start as "
-                        "--snr=-4:24:2")
-    ns = p.parse_args(list(argv))
-    sfs = _convert(p, "sf", _sf_list, ns.sf)
-    snrs = _convert(p, "snr", _snr_list, ns.snr)
+    ns = _parser("oracle").parse_args(argv)
     print("sf snr_db ser")
-    for sf in sfs:
-        for snr in snrs:
+    for sf in ns.sf:
+        for snr in ns.snr:
             print(f"{sf} {snr:g} {analytical_ser_sync(sf, snr)!r}")
     return 0
 
 
 def _cmd_corr(argv: Sequence[str]) -> int:
-    p = argparse.ArgumentParser(
-        prog="qslora corr",
-        description="Partial autocorrelation tables R(delta), Rhat(delta).",
-    )
-    p.add_argument("-w", "--waveform", default=_ALL_WAVEFORMS, help="comma-separated waveforms")
-    p.add_argument("--steps", type=int, default=21, help="number of offsets on [0, 1]")
-    p.add_argument(
-        "--quad", action="store_true",
-        help="print quadrature reference values instead of closed forms",
-    )
-    ns = p.parse_args(list(argv))
-    waveforms = _convert(p, "waveform", _waveform_list, ns.waveform)
-    if ns.steps < 2:
-        p.error("steps must be >= 2")
+    ns = _parser("corr").parse_args(argv)
     print("waveform delta overlapping overlapped")
-    for wf in waveforms:
+    for wf in ns.waveform:
         for i in range(ns.steps):
             d = i / (ns.steps - 1)
             if ns.quad:
@@ -361,36 +302,87 @@ def _cmd_corr(argv: Sequence[str]) -> int:
     return 0
 
 
-_DISPATCH = {
-    "sweep": _cmd_sweep,
-    "certify": _cmd_certify,
-    "oracle": _cmd_oracle,
-    "corr": _cmd_corr,
+_NEGATIVE_SNR = "give a negative start as --snr=-4:24:2"
+
+_COMMANDS: dict[str, _Command] = {
+    "sweep": _Command(
+        _cmd_sweep,
+        "Monte-Carlo SER sweep (default when no subcommand is given)",
+        "Monte-Carlo SER sweep over (sf, waveform, delta-s, snr).",
+        {  # no defaults: a flag that nothing sets keeps its SweepConfig default
+            "sf": _Flag(_ints, "comma-separated spreading factors", fields=("sf_list",)),
+            "waveform": _Flag(_split_list, f"comma-separated chip waveforms: {_ALL_WAVEFORMS}",
+                              short="-w", fields=("waveforms",)),
+            "delta-s": _Flag(_floats, "comma-separated max offsets in [0,1]",
+                             fields=("delta_s_list",)),
+            "snr": _Flag(_snr_range, "SNR axis in dB as start:stop:step (inclusive stop); "
+                         + _NEGATIVE_SNR, fields=("snr_start_db", "snr_stop_db", "snr_step_db")),
+            "trials-max": _Flag(int, "max trials per grid point", fields=("trials_max",)),
+            "min-errors": _Flag(int, "early-stop error count (0 disables)",
+                                fields=("min_errors",)),
+            "seed": _Flag(int, "master seed for all random streams", fields=("master_seed",)),
+            "workers": _Flag(int, f"process count, at most the CPU count (env {WORKERS_ENV_VAR} "
+                             "overrides config file)", fields=("workers",)),
+            "fixed-delta": _Flag(float, "pin the per-trial offset, |delta| <= 0.5",
+                                 fields=("fixed_delta",)),
+            "output": _Flag(str, "output file path", short="-o", fields=("output_path",)),
+            "format": _Flag(str, "output format: csv or json", fields=("format",)),
+            "config": _Flag(str, "key=value config file ('#' comments allowed)"),
+            "record-timing": _Flag(None, "write wall-clock elapsed_s (off by default to keep "
+                                   "output deterministic)", fields=("record_timing",)),
+        },
+    ),
+    "certify": _Command(
+        _cmd_certify,
+        "continuous-time model certification report",
+        "Certify the chip-rate model against the continuous-time reference.",
+        {
+            "sf": _Flag(_sf_list, "comma-separated spreading factors", "4"),
+            "waveform": _Flag(_waveform_list, "comma-separated waveforms", _ALL_WAVEFORMS, "-w"),
+            "trials": _Flag(_int_at_least(1), "random realizations per combination", "100"),
+            "delta-s": _Flag(lambda text: validate_delta_s(float(text)), "max offset in [0,1]",
+                             "1.0"),
+            "seed": _Flag(lambda text: np.random.SeedSequence(int(text)).entropy,
+                          "master seed for the certification streams", "1"),
+            "tolerance": _Flag(_positive, "pass when max_abs_error is below this", "1e-6"),
+        },
+    ),
+    "oracle": _Command(
+        _cmd_oracle,
+        "analytical synchronous SER table",
+        "Analytical synchronous SER table (noncoherent M-ary orthogonal).",
+        {  # the table defaults to the sweep's default grid
+            "sf": _Flag(_sf_list, "comma-separated spreading factors",
+                        ",".join(map(str, SweepConfig.sf_list))),
+            "snr": _Flag(_snr_list, "SNR axis start:stop:step in dB; " + _NEGATIVE_SNR,
+                         f"{SweepConfig.snr_start_db}:{SweepConfig.snr_stop_db}:"
+                         f"{SweepConfig.snr_step_db}"),
+        },
+    ),
+    "corr": _Command(
+        _cmd_corr,
+        "chip-waveform partial autocorrelation tables",
+        "Partial autocorrelation tables R(delta), Rhat(delta).",
+        {
+            "waveform": _Flag(_waveform_list, "comma-separated waveforms", _ALL_WAVEFORMS, "-w"),
+            "steps": _Flag(_int_at_least(2), "number of offsets on [0, 1]", "21"),
+            "quad": _Flag(None, "print quadrature reference values instead of closed forms"),
+        },
+    ),
 }
-
-_TOP_HELP = """usage: qslora [subcommand] [options]
-
-subcommands:
-  sweep    Monte-Carlo SER sweep (default when no subcommand is given)
-  certify  continuous-time model certification report
-  oracle   analytical synchronous SER table
-  corr     chip-waveform partial autocorrelation tables
-
-Run 'qslora <subcommand> --help' for per-command options.
-"""
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    if args and args[0] in SUBCOMMANDS:
-        command, rest = args[0], args[1:]
-    elif args and args[0] in ("-h", "--help"):
-        print(_TOP_HELP, end="")
+    if args and args[0] in ("-h", "--help"):
+        print("usage: qslora [subcommand] [options]\n\nsubcommands:")
+        for name, command in _COMMANDS.items():
+            print(f"  {name:<8} {command.summary}")
+        print("\nRun 'qslora <subcommand> --help' for per-command options.")
         return 0
-    else:
-        command, rest = "sweep", args
+    command, rest = (args[0], args[1:]) if args and args[0] in _COMMANDS else ("sweep", args)
     try:
-        return _DISPATCH[command](rest)
+        return _COMMANDS[command].run(rest)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

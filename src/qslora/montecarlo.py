@@ -104,6 +104,8 @@ class GridPoint:
 
     def __post_init__(self) -> None:
         validate_sf(self.sf)
+        if not isinstance(self.waveform, ChipWaveform):
+            raise ValueError(f"waveform must be a ChipWaveform, got {self.waveform!r}")
         noise_variance(self.snr_db)
         # canonical floats: 1, 1.0 and np.float64(1.0), or -0.0 and 0.0, share a stream
         object.__setattr__(self, "delta_s", validate_delta_s(self.delta_s) + 0.0)
@@ -121,10 +123,13 @@ class StoppingRule:
     min_errors: int = 100
 
     def __post_init__(self) -> None:
-        if self.max_trials < 1:
-            raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
-        if self.min_errors < 0:
-            raise ValueError(f"min_errors must be >= 0, got {self.min_errors}")
+        for name, low in (("max_trials", 1), ("min_errors", 0)):
+            value = getattr(self, name)
+            # as validate_sf: numpy integers count, bools and floats do not
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

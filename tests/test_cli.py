@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -157,6 +158,31 @@ class TestParseConfig:
         monkeypatch.setenv("QSLORA_WORKERS", "6")
         config = parse_config(["--workers", "4"])
         assert config.workers == 4
+
+    def test_empty_env_counts_as_unset(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("QSLORA_WORKERS", "")
+        assert parse_config([]).workers == 1
+        assert parse_config(_config_file(tmp_path, "workers = 2\n")).workers == 2
+
+    @pytest.mark.parametrize(
+        "text,env,needle",
+        [
+            ("sf = three\n", None, "sf"),
+            ("snr = 8:12\n", None, "snr"),
+            ("", "two", "workers"),
+            ("sf = 13\n", None, "sf"),
+        ],
+    )
+    def test_invalid_file_or_env_value_exits_2_naming_the_key(
+        self, text, env, needle, monkeypatch, tmp_path, capsys
+    ):
+        if env is not None:
+            monkeypatch.setenv("QSLORA_WORKERS", env)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(_config_file(tmp_path, text))
+        assert exc.value.code == 2
+        # the last line is the message; the usage line above it lists every flag
+        assert needle in capsys.readouterr().err.splitlines()[-1]
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -373,6 +399,16 @@ class TestMain:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_certify_failure_is_not_a_usage_error(self, monkeypatch):
+        # only a bad flag value exits 2; an error raised while certifying
+        # must not be reported as one
+        def broken(*args, **kwargs):
+            raise ValueError("broken model")
+
+        monkeypatch.setattr("qslora.cli.certify_discrete_model", broken)
+        with pytest.raises(ValueError, match="broken model"):
+            main(["certify", "--sf", "4", "--waveform", "rect", "--trials", "5"])
+
     def test_certify_line_independent_of_other_waveforms(self, capsys):
         # each waveform's stream is keyed by the waveform itself, so the rc
         # line is the same whether rc is listed alone or after rect
@@ -448,6 +484,20 @@ class TestMain:
             else:
                 assert main([subcommand, *rest]) == 0, (subcommand, rest)
         assert "sf snr_db ser" in capsys.readouterr().out
+
+    def test_readme_sweep_options_match_the_parser(self, capsys):
+        # the README's options table is a hand-kept copy of the sweep flags
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            section = fh.read().split("### Sweep options", 1)[1].split("\n#", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        documented = {flag for row in rows for flag in re.findall(r"--[a-z-]+", row.split("|")[1])}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        parsed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert len(rows) == len(documented)
+        assert documented == parsed - {"--help"}
 
 
 def test_cli_imports_neither_mpmath_nor_scipy():

@@ -85,7 +85,7 @@ def _exact_ser_sync(sf: int, snr_db: float) -> float:
 
 
 class TestAnalyticalSerSync:
-    @pytest.mark.parametrize("sf", range(4, 10))
+    @pytest.mark.parametrize("sf", range(2, 10))
     def test_matches_exact_sum(self, sf):
         for snr_db in np.arange(-4.0, 24.1, 2.0):
             exact = _exact_ser_sync(sf, float(snr_db))
@@ -251,6 +251,30 @@ class TestRunPoint:
     def test_estimate_rejects_impossible_counts(self, trials, errors):
         with pytest.raises(ValueError):
             SerEstimate(point=_point(), trials=trials, errors=errors, seed=1)
+
+    def test_point_rejects_a_waveform_token(self):
+        # the kernel reads waveform.kind, so a token would fail only later,
+        # inside a worker process when workers > 1
+        with pytest.raises(ValueError, match="waveform"):
+            GridPoint(sf=4, waveform="rc", delta_s=0.4, snr_db=8.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_trials=1e4),
+            dict(max_trials=4096.0),
+            dict(max_trials=True),
+            dict(min_errors=2.5),
+            dict(min_errors=False),
+        ],
+    )
+    def test_stopping_rule_rejects_non_integer_counts(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StoppingRule(**kwargs)
+
+    def test_stopping_rule_accepts_numpy_integers(self):
+        rule = StoppingRule(max_trials=np.int64(TRIALS_PER_CHUNK), min_errors=np.int32(0))
+        assert run_point(_point(), rule).trials == TRIALS_PER_CHUNK
 
     def test_interval_consistent_with_counts(self):
         est = run_point(_point(), NO_EARLY_STOP, master_seed=1)
@@ -590,6 +614,13 @@ class TestSweep:
     def test_empty_axis_rejected_by_name(self, message, kwargs):
         with pytest.raises(ValueError, match=message):
             sweep_points(_config(**kwargs))
+
+    @pytest.mark.parametrize(
+        "key,kwargs", [("trials-max", dict(trials_max=5000.0)), ("min-errors", dict(min_errors=2.5))]
+    )
+    def test_non_integer_counts_rejected_by_name(self, key, kwargs):
+        with pytest.raises(ValueError, match=f"^{key}: .* must be an integer"):
+            SweepConfig(**kwargs)
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError, match="delta-s"):
