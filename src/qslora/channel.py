@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modulation import envelope_matrix, symbol_cardinality
+from .modulation import envelope_matrix, symbol_cardinality, validate_int
 from .waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
@@ -137,15 +137,6 @@ def _coefficients(x_prev, x_cur, delta, waveform: ChipWaveform, m: int):
     return autocorr_overlapping(waveform, delta), r_spill * roots[(s * x_cur + 1) % m], c
 
 
-def _validate_indices(x, m: int, name: str) -> np.ndarray:
-    """Symbol indices as an int array; each must be an integer in [0, M)."""
-    x = np.asarray(x)
-    bad = x[~((x >= 0) & (x < m) & (x % 1 == 0))]
-    if bad.size:
-        raise ValueError(f"{name}={bad[0]} is not an integer in [0, {m})")
-    return x.astype(np.int64)
-
-
 def analytic_decision_statistic(
     x_prev,
     x_cur,
@@ -160,11 +151,12 @@ def analytic_decision_statistic(
     vector and arrays of n trials an (n, M) batch. x_prev only enters for
     delta < 0, through the boundary term c that is added to every candidate
     (see the module docstring). Raises ValueError for a symbol that is not
-    an integer in [0, M) or an offset magnitude above 0.5.
+    an integer in [0, M) by modulation.validate_int (a bool or float is not)
+    or an offset magnitude above 0.5.
     """
     m = symbol_cardinality(sf)
-    x_prev = _validate_indices(x_prev, m, "x_prev")
-    x_cur = _validate_indices(x_cur, m, "x_cur")
+    x_prev = validate_int(np.asarray(x_prev), "x_prev", 0, m - 1)
+    x_cur = validate_int(np.asarray(x_cur), "x_cur", 0, m - 1)
     delta = validate_offset(delta)
     shape = np.broadcast_shapes(x_prev.shape, x_cur.shape, np.shape(delta))
     x_prev, x_cur, delta = (np.broadcast_to(a, shape).ravel() for a in (x_prev, x_cur, delta))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import validate_delta_s
 from .continuous_time import certify_discrete_model
-from .modulation import validate_sf
+from .modulation import validate_int, validate_sf
 from .montecarlo import SerEstimate, SweepConfig, analytical_ser_sync, run_sweep, snr_axis
 from .waveforms import (
     WAVEFORM_TOKENS,
@@ -78,14 +78,8 @@ def _positive(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}")
-        return value
-
-    return convert
+def _int(name: str, low: int) -> Callable[[str], int]:
+    return lambda text: validate_int(int(text), name, low)
 
 
 class _Flag(NamedTuple):
@@ -339,11 +333,10 @@ _COMMANDS: dict[str, _Command] = {
         {
             "sf": _Flag(_sf_list, "comma-separated spreading factors", "4"),
             "waveform": _Flag(_waveform_list, "comma-separated waveforms", _ALL_WAVEFORMS, "-w"),
-            "trials": _Flag(_int_at_least(1), "random realizations per combination", "100"),
+            "trials": _Flag(_int("trials", 1), "random realizations per combination", "100"),
             "delta-s": _Flag(lambda text: validate_delta_s(float(text)), "max offset in [0,1]",
                              "1.0"),
-            "seed": _Flag(lambda text: np.random.SeedSequence(int(text)).entropy,
-                          "master seed for the certification streams", "1"),
+            "seed": _Flag(_int("seed", 0), "master seed for the certification streams", "1"),
             "tolerance": _Flag(_positive, "pass when max_abs_error is below this", "1e-6"),
         },
     ),
@@ -365,7 +358,7 @@ _COMMANDS: dict[str, _Command] = {
         "Partial autocorrelation tables R(delta), Rhat(delta).",
         {
             "waveform": _Flag(_waveform_list, "comma-separated waveforms", _ALL_WAVEFORMS, "-w"),
-            "steps": _Flag(_int_at_least(2), "number of offsets on [0, 1]", "21"),
+            "steps": _Flag(_int("steps", 2), "number of offsets on [0, 1]", "21"),
             "quad": _Flag(None, "print quadrature reference values instead of closed forms"),
         },
     ),

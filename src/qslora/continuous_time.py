@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import draw_offset, synthesize_chip_rows, validate_offset
-from .modulation import envelope_matrix, symbol_cardinality
+from .modulation import envelope_matrix, symbol_cardinality, validate_int, validate_sf
 from .quadrature import integrate
 from .waveforms import ChipWaveform, sample_waveform
 
@@ -39,12 +39,22 @@ class ContinuousSignal:
     """A baseband signal spanning len(symbols) * M chips from t = 0.
 
     The generating metadata allows exact evaluation at arbitrary instants
-    via value_at.
+    via value_at. Construction checks sf and every symbol by the integer
+    rule (modulation.validate_int): at least one symbol, each an integer in
+    [0, M), never a bool or a float; both are stored as ints.
     """
 
     symbols: tuple[int, ...]
     sf: int
     waveform: ChipWaveform
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sf", validate_sf(self.sf))
+        if len(self.symbols) == 0:
+            raise ValueError("need at least one symbol")
+        m = 1 << self.sf
+        symbols = tuple(validate_int(s, "symbol", 0, m - 1) for s in self.symbols)
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -52,7 +62,7 @@ class ContinuousSignal:
 
     def value_at(self, t: np.ndarray | float) -> np.ndarray:
         """Exact s(t), zero outside the synthesized span."""
-        m = symbol_cardinality(self.sf)
+        m = 1 << self.sf  # checked at construction
         t = np.asarray(t, dtype=float)
         rel = t.ravel()
         chip = np.floor(rel).astype(np.int64)
@@ -74,14 +84,8 @@ def synthesize(
     waveform: ChipWaveform,
     sf: int,
 ) -> ContinuousSignal:
-    """Build the continuous-time signal for a symbol sequence."""
-    m = symbol_cardinality(sf)
-    symbols = tuple(int(s) for s in symbols)
-    if len(symbols) == 0:
-        raise ValueError("need at least one symbol")
-    if any(not 0 <= s < m for s in symbols):
-        raise ValueError(f"symbol indices must be in [0, {m})")
-    return ContinuousSignal(symbols=symbols, sf=int(sf), waveform=waveform)
+    """Build the continuous-time signal for a symbol sequence (checked by ContinuousSignal)."""
+    return ContinuousSignal(symbols=tuple(symbols), sf=sf, waveform=waveform)
 
 
 def matched_filter_chip(
@@ -96,15 +100,12 @@ def matched_filter_chip(
     support of the shifted filter, [n*T + k + delta, n*T + k + 1 + delta].
     Every window must lie inside the synthesized span. A scalar k returns a
     complex; an array of chip indices returns an array of their outputs,
-    all integrated in one batched quadrature call.
+    all integrated in one batched quadrature call. n and k must be integers
+    by modulation.validate_int.
     """
-    m = symbol_cardinality(sig.sf)
-    if not 0 <= n < len(sig.symbols):
-        raise ValueError(f"symbol index {n} out of range [0, {len(sig.symbols)})")
-    chips = np.asarray(k)
-    bad = chips[~((chips >= 0) & (chips < m))]
-    if bad.size:
-        raise ValueError(f"chip index {bad[0]} out of range [0, {m})")
+    m = 1 << sig.sf  # checked by ContinuousSignal
+    validate_int(n, "symbol index", 0, len(sig.symbols) - 1)
+    chips = validate_int(np.asarray(k), "chip index", 0, m - 1)
     validate_offset(delta)
     a = np.ravel(n * m + chips + delta)
     b = a + 1.0
@@ -151,8 +152,7 @@ def certify_discrete_model(
     one, so this check (acceptance criterion 3) is also the independent
     evidence that the next symbol is invisible to the receiver.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    validate_int(trials, "trials", 1)
     m = symbol_cardinality(sf)
     worst = 0.0
     for _ in range(trials):

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "MIN_SF",
     "MAX_SF",
+    "validate_int",
     "validate_sf",
     "symbol_cardinality",
     "envelope_matrix",
@@ -31,12 +32,32 @@ MIN_SF = 2
 MAX_SF = 12
 
 
+def validate_int(value, name: str, low: int, high: int | None = None):
+    """The one integer rule: check value, return it as an int or int64 array.
+
+    A scalar must be an int or a numpy integer, never a bool; an ndarray
+    must have an integer dtype (pass array-likes through np.asarray first,
+    so a bool or float scalar fails as a bool or float array). Every value
+    must lie in [low, high], or be >= low when high is None. Raises
+    ValueError naming the value otherwise.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu":  # signed or unsigned integer dtype
+            raise ValueError(f"{name} must be an integer, got dtype {value.dtype}")
+        lo, hi = (value.min(), value.max()) if value.size else (low, low)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        lo = hi = value
+    else:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo < low or (high is not None and hi > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {span}, got {lo if lo < low else hi}")
+    return value.astype(np.int64, copy=False) if isinstance(value, np.ndarray) else int(value)
+
+
 def validate_sf(sf: int) -> int:
-    if not isinstance(sf, (int, np.integer)) or isinstance(sf, bool):
-        raise ValueError(f"spreading factor must be an integer, got {sf!r}")
-    if not MIN_SF <= sf <= MAX_SF:
-        raise ValueError(f"spreading factor must be in [{MIN_SF}, {MAX_SF}], got {sf}")
-    return int(sf)
+    """Check a spreading factor by the integer rule: an integer in [MIN_SF, MAX_SF]."""
+    return validate_int(sf, "spreading factor", MIN_SF, MAX_SF)
 
 
 def symbol_cardinality(sf: int) -> int:

@@ -44,6 +44,7 @@ N0 <= 1 the unit is 1 and nothing changes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import time
@@ -55,7 +56,7 @@ import numpy as np
 
 from .channel import _coefficients, draw_offset, validate_delta_s, validate_offset
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
-from .modulation import symbol_cardinality, validate_sf
+from .modulation import symbol_cardinality, validate_int, validate_sf
 from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "run_point",
     "snr_axis",
     "SweepConfig",
-    "sweep_points",
     "run_sweep",
 ]
 
@@ -123,13 +123,8 @@ class StoppingRule:
     min_errors: int = 100
 
     def __post_init__(self) -> None:
-        for name, low in (("max_trials", 1), ("min_errors", 0)):
-            value = getattr(self, name)
-            # as validate_sf: numpy integers count, bools and floats do not
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+        validate_int(self.max_trials, "max_trials", 1)
+        validate_int(self.min_errors, "min_errors", 0)
 
 
 @dataclass(frozen=True)
@@ -164,10 +159,8 @@ class SerEstimate:
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= errors <= trials:
-        raise ValueError(f"need 0 <= errors <= trials, got {errors}/{trials}")
+    validate_int(trials, "trials", 1)
+    validate_int(errors, "errors", 0, trials)
     p = errors / trials
     z = _Z95
     z2 = z * z
@@ -346,9 +339,11 @@ def run_point(
     evaluated on cumulative counts, so the estimate does not depend on how
     many workers computed the chunks. At most one worker per CPU is used.
     fixed_delta, when given, replaces the offset draw for every trial; its
-    magnitude must be <= 0.5.
+    magnitude must be <= 0.5. master_seed >= 0 and workers >= 1 must be
+    integers by modulation.validate_int.
     """
-    workers = _pool_size(workers)
+    validate_int(master_seed, "master_seed", 0)
+    workers = _pool_size(validate_int(workers, "workers", 1))
     if fixed_delta is not None:
         fixed_delta = validate_offset(fixed_delta)
     t_start = time.perf_counter()
@@ -373,7 +368,7 @@ def run_point(
     else:
         own = executor is None
         pool = executor if executor is not None else ProcessPoolExecutor(max_workers=workers)
-        inflight = max(2 * max(workers, 1), 2)
+        inflight = 2 * workers
         pending = {}
         try:
             next_submit = 0
@@ -420,11 +415,19 @@ class SweepConfig:
     """Fully resolved sweep parameters (defaults span the full grid).
 
     Construction checks every field once, through the type that owns the
-    value (validate_sf, ChipWaveform, validate_delta_s, snr_axis and
-    noise_variance, StoppingRule, SeedSequence, validate_offset); a bad
-    field raises ValueError whose message starts with the field's config
-    key (sf, waveform, delta-s, snr, ...). These defaults are the only ones; the CLI passes only the
-    fields a flag, the environment or a config file set.
+    value: validate_sf, ChipWaveform, validate_delta_s, snr_axis and
+    noise_variance, StoppingRule, modulation.validate_int (master_seed >= 0,
+    workers >= 1), validate_offset and os.fspath; record_timing is read as a
+    truth value. A bad value or a wrong type raises ValueError whose message
+    starts with the field's config key (sf, waveform, delta-s, snr,
+    trials-max, min-errors, seed, workers, fixed-delta, output, format).
+
+    What the checks build is kept, out of __init__ and equality: points, the
+    grid ordered by (sf, waveform token, delta_s, snr_db) with one point per
+    distinct coordinate, so output layout is independent of how the axes
+    were listed; stop, the StoppingRule; and fixed_delta, as the float
+    validate_offset returns. These defaults are the only ones; the CLI
+    passes only the fields a flag, the environment or a config file set.
     """
 
     sf_list: tuple[int, ...] = (4, 5, 6, 7)
@@ -441,72 +444,62 @@ class SweepConfig:
     output_path: str = "ser_results.csv"
     format: str = "csv"
     record_timing: bool = False
+    points: tuple[GridPoint, ...] = field(init=False, compare=False, repr=False)
+    stop: StoppingRule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for key, values in (
-            ("sf", self.sf_list),
-            ("waveform", self.waveforms),
-            ("delta-s", self.delta_s_list),
-        ):
-            if not values:
-                raise ValueError(f"{key} list is empty")
+        def snrs() -> list[float]:
+            axis = snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
+            for snr in axis:
+                noise_variance(snr)
+            return axis
+
         checks = (
             ("sf", lambda: [validate_sf(sf) for sf in self.sf_list]),
             ("waveform", lambda: [ChipWaveform(tok) for tok in self.waveforms]),
             ("delta-s", lambda: [validate_delta_s(ds) for ds in self.delta_s_list]),
-            ("snr", lambda: [
-                noise_variance(snr)
-                for snr in snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
-            ]),
+            ("snr", snrs),
             ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
-            ("min-errors", lambda: StoppingRule(min_errors=self.min_errors)),
-            ("seed", lambda: np.random.SeedSequence(self.master_seed)),
-            ("fixed-delta", lambda: self.fixed_delta is None or validate_offset(self.fixed_delta)),
+            ("min-errors", lambda: StoppingRule(self.trials_max, self.min_errors)),
+            ("seed", lambda: validate_int(self.master_seed, "master_seed", 0)),
+            ("workers", lambda: validate_int(self.workers, "workers", 1)),
+            ("fixed-delta", lambda: None if self.fixed_delta is None
+             else validate_offset(self.fixed_delta)),
+            ("output", lambda: os.fspath(self.output_path)),
         )
+        built = {}
         for key, check in checks:
             try:
-                check()
-            except ValueError as exc:
+                built[key] = check()
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        if self.workers < 1:
-            raise ValueError(f"workers: must be >= 1, got {self.workers}")
+            if key in ("sf", "waveform", "delta-s") and not built[key]:
+                raise ValueError(f"{key} list is empty")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format: expected csv or json, got {self.format!r}")
-
-
-def sweep_points(config: SweepConfig) -> list[GridPoint]:
-    """Expand a sweep config into an ordered list of grid points.
-
-    Ordering is (sf, waveform token, delta_s, snr_db) so output layout is
-    independent of how the axes were listed; equal coordinates give one point.
-    """
-    waveforms = [ChipWaveform(tok) for tok in config.waveforms]
-    snrs = snr_axis(config.snr_start_db, config.snr_stop_db, config.snr_step_db)
-    points = {
-        GridPoint(sf=int(sf), waveform=wf, delta_s=ds, snr_db=snr)
-        for sf in config.sf_list
-        for wf in waveforms
-        for ds in config.delta_s_list
-        for snr in snrs
-    }
-    return sorted(points, key=lambda p: (p.sf, p.waveform.kind, p.delta_s, p.snr_db))
+        grid = itertools.product(*(built[key] for key in ("sf", "waveform", "delta-s", "snr")))
+        points = sorted(
+            {GridPoint(*coords) for coords in grid},
+            key=lambda p: (p.sf, p.waveform.kind, p.delta_s, p.snr_db),
+        )
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "stop", built["min-errors"])
+        object.__setattr__(self, "fixed_delta", built["fixed-delta"])
 
 
 def run_sweep(
     config: SweepConfig,
     progress: Optional[Callable[[int, int, SerEstimate], None]] = None,
 ) -> list[SerEstimate]:
-    """Run every grid point of a sweep config; see sweep_points for ordering."""
-    points = sweep_points(config)
-    stop = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
+    """Run every grid point of a sweep config, in the order of config.points."""
     workers = _pool_size(config.workers)
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     results: list[SerEstimate] = []
     try:
-        for i, point in enumerate(points):
+        for i, point in enumerate(config.points):
             est = run_point(
                 point,
-                stop,
+                config.stop,
                 config.master_seed,
                 workers=workers,
                 fixed_delta=config.fixed_delta,
@@ -514,7 +507,7 @@ def run_sweep(
             )
             results.append(est)
             if progress is not None:
-                progress(i + 1, len(points), est)
+                progress(i + 1, len(config.points), est)
     finally:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)

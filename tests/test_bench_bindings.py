@@ -49,5 +49,14 @@ def test_run_point_takes_pool_arguments():
     assert {"workers", "executor"} <= set(params)
 
 
+def test_parse_config_gives_the_sweep_axes():
+    # bench/make_tables.py parses each workload's sweep and oracle argv and
+    # reads these four fields to list the (sf, snr) points of its tables
+    config = cli.parse_config(["--sf", "4,5", "--snr", "4:16:12"])
+    assert isinstance(config, montecarlo.SweepConfig)
+    assert config.sf_list == (4, 5)
+    assert (config.snr_start_db, config.snr_stop_db, config.snr_step_db) == (4.0, 16.0, 12.0)
+
+
 def test_envelope_matrix_is_cached():
     assert hasattr(modulation.envelope_matrix, "cache_info")

@@ -500,13 +500,20 @@ class TestMain:
         assert documented == parsed - {"--help"}
 
 
-def test_cli_imports_neither_mpmath_nor_scipy():
-    # both cost start-up time and memory on every subcommand; mpmath is a
-    # test-only dependency now that the oracle is a float64 integral
+def test_cli_runs_on_numpy_alone():
+    # the README and pyproject.toml name numpy as the only runtime
+    # dependency; scipy, mpmath and hypothesis are test-only references, so
+    # neither the import nor an oracle or certify run may load them
     src = os.path.dirname(os.path.dirname(os.path.abspath(qslora.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, qslora.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+    code = (
+        "import contextlib, io, sys, qslora.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert qslora.cli.main(['oracle', '--sf', '4', '--snr', '10:10:1']) == 0\n"
+        "    assert qslora.cli.main(['certify', '--sf', '4', '--trials', '2']) == 0\n"
+        "print(sorted({'hypothesis', 'mpmath', 'scipy'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

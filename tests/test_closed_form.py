@@ -35,6 +35,8 @@ class TestAnalyticDecisionStatistic:
             analytic_decision_statistic(2.7, 9.9, 0.25, rect, 4)
         with pytest.raises(ValueError, match="x_cur"):
             analytic_decision_statistic(np.array([1, 2]), np.array([3, 16]), 0.25, rect, 4)
+        with pytest.raises(ValueError, match="x_cur must be an integer"):
+            analytic_decision_statistic(0, True, 0.0, rect, 4)
 
     @pytest.mark.parametrize("sf", range(2, 11))
     def test_equivalence_with_simulated_path(self, sf, rng):

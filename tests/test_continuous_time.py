@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from qslora.channel import synthesize_chip_rows
-from qslora.continuous_time import certify_discrete_model, matched_filter_chip, synthesize
+from qslora.continuous_time import (
+    ContinuousSignal,
+    certify_discrete_model,
+    matched_filter_chip,
+    synthesize,
+)
 from qslora.modulation import envelope_matrix
 from qslora.quadrature import integrate
 from qslora.waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
@@ -24,6 +29,12 @@ class TestSynthesize:
     def test_symbol_index_validated(self, rect):
         with pytest.raises(ValueError):
             synthesize((16,), rect, 4)
+        # a float symbol is not truncated to an index, and the signal type
+        # itself rejects a symbol out of range, not only synthesize
+        with pytest.raises(ValueError, match="symbol must be an integer"):
+            synthesize((4.7, 1), rect, 4)
+        with pytest.raises(ValueError, match="symbol must be in"):
+            ContinuousSignal((99,), 4, rect)
 
     def test_rect_mid_chip_samples_equal_envelope(self, rect):
         sig = synthesize((9,), rect, 4)
@@ -103,6 +114,11 @@ class TestMatchedFilterChip:
             matched_filter_chip(sig, 3, 0, 0.0)
         with pytest.raises(ValueError):
             matched_filter_chip(sig, 1, 16, 0.0)
+        # a fractional chip or symbol index names a window that is not a chip
+        with pytest.raises(ValueError, match="chip index must be an integer"):
+            matched_filter_chip(sig, 1, 2.5, 0.0)
+        with pytest.raises(ValueError, match="symbol index must be an integer"):
+            matched_filter_chip(sig, 1.5, 2, 0.0)
         # the window would lie inside the span; the offset bound rejects it
         with pytest.raises(ValueError, match="chip offset magnitude"):
             matched_filter_chip(sig, 1, 3, 0.75)
@@ -152,6 +168,8 @@ class TestCertifyDiscreteModel:
     def test_requires_positive_trials(self, rect):
         with pytest.raises(ValueError):
             certify_discrete_model(4, rect, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            certify_discrete_model(4, rect, True, np.random.default_rng(0))
 
     def test_higher_sf_spot_check(self, rc):
         rng = np.random.default_rng(33)

@@ -24,7 +24,6 @@ from qslora.montecarlo import (
     run_point,
     run_sweep,
     snr_axis,
-    sweep_points,
     wilson_interval,
 )
 from qslora.waveforms import ChipWaveform
@@ -271,6 +270,19 @@ class TestRunPoint:
     def test_stopping_rule_rejects_non_integer_counts(self, kwargs):
         with pytest.raises(ValueError, match="must be an integer"):
             StoppingRule(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("workers", dict(workers=1.5)),
+            ("workers", dict(workers=True)),
+            ("master_seed", dict(master_seed=1.5)),
+            ("master_seed", dict(master_seed=True)),
+        ],
+    )
+    def test_run_point_rejects_non_integer_arguments(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_point(_point(), NO_EARLY_STOP, **kwargs)
 
     def test_stopping_rule_accepts_numpy_integers(self):
         rule = StoppingRule(max_trials=np.int64(TRIALS_PER_CHUNK), min_errors=np.int32(0))
@@ -596,7 +608,7 @@ class TestSweep:
             snr_start_db=0.0,
             snr_stop_db=2.0,
         )
-        points = sweep_points(config)
+        points = config.points
         assert len(points) == 16
         keys = [(p.sf, p.waveform.kind, p.delta_s, p.snr_db) for p in points]
         assert keys == sorted(keys)
@@ -613,32 +625,61 @@ class TestSweep:
     )
     def test_empty_axis_rejected_by_name(self, message, kwargs):
         with pytest.raises(ValueError, match=message):
-            sweep_points(_config(**kwargs))
+            _config(**kwargs)
 
     @pytest.mark.parametrize(
-        "key,kwargs", [("trials-max", dict(trials_max=5000.0)), ("min-errors", dict(min_errors=2.5))]
+        "key,kwargs",
+        [
+            ("trials-max", dict(trials_max=5000.0)),
+            ("min-errors", dict(min_errors=2.5)),
+            ("workers", dict(workers=1.5)),
+            ("workers", dict(workers=True)),
+            ("seed", dict(master_seed=1.5)),
+            ("seed", dict(master_seed=True)),
+        ],
     )
     def test_non_integer_counts_rejected_by_name(self, key, kwargs):
         with pytest.raises(ValueError, match=f"^{key}: .* must be an integer"):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "key,kwargs",
+        [
+            ("sf", dict(sf_list=4)),
+            ("delta-s", dict(delta_s_list=("0.5",))),
+            ("snr", dict(snr_start_db="1")),
+            ("output", dict(output_path=5)),
+        ],
+    )
+    def test_wrong_types_rejected_by_name(self, key, kwargs):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            SweepConfig(**kwargs)
+
+    def test_config_keeps_what_its_checks_build(self):
+        config = _config(fixed_delta="0.1", sf_list=(np.int64(5), 4, 5), snr_stop_db=10.0)
+        assert config.fixed_delta == 0.1 and isinstance(config.fixed_delta, float)
+        assert config.stop == StoppingRule(max_trials=TRIALS_PER_CHUNK, min_errors=0)
+        coords = [(p.sf, p.snr_db) for p in config.points]
+        assert coords == [(4, 8.0), (4, 10.0), (5, 8.0), (5, 10.0)]
+        # derived fields are not arguments and do not enter equality
+        assert config == _config(fixed_delta=0.1, sf_list=(np.int64(5), 4, 5), snr_stop_db=10.0)
+        assert "points" not in repr(config)
+
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError, match="delta-s"):
-            sweep_points(_config(delta_s_list=(1.5,)))
+            _config(delta_s_list=(1.5,))
         with pytest.raises(ValueError):
-            sweep_points(_config(waveforms=("sinc",)))
+            _config(waveforms=("sinc",))
 
     def test_point_estimate_depends_on_coordinates_not_grid(self):
-        small = sweep_points(_config())
-        large = sweep_points(
-            _config(
-                sf_list=(4, 5),
-                waveforms=("rect", "rc"),
-                delta_s_list=(0.0, 0.4),
-                snr_start_db=6.0,
-                snr_stop_db=8.0,
-            )
-        )
+        small = _config().points
+        large = _config(
+            sf_list=(4, 5),
+            waveforms=("rect", "rc"),
+            delta_s_list=(0.0, 0.4),
+            snr_start_db=6.0,
+            snr_stop_db=8.0,
+        ).points
         target = [
             p
             for p in large
@@ -653,7 +694,7 @@ class TestSweep:
             waveforms=("rect", "rc"), snr_start_db=4.0, snr_stop_db=8.0, workers=2
         )
         swept = run_sweep(config)
-        points = sweep_points(config)
+        points = list(config.points)
         rule = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
         assert [e.point for e in swept] == points
         assert swept == [run_point(p, rule, config.master_seed) for p in points]
@@ -679,9 +720,9 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         config = _config(workers=10**6)
         rule = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
-        serial = run_point(sweep_points(config)[0], rule, config.master_seed)
+        serial = run_point(config.points[0], rule, config.master_seed)
         assert run_sweep(config) == [serial]
-        assert run_point(sweep_points(config)[0], rule, config.master_seed, workers=10**6) == serial
+        assert run_point(config.points[0], rule, config.master_seed, workers=10**6) == serial
         assert sizes == [3, 3]
 
     def test_progress_callback_sees_every_point(self):
