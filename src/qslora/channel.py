@@ -155,8 +155,8 @@ def analytic_decision_statistic(
     or an offset magnitude above 0.5.
     """
     m = symbol_cardinality(sf)
-    x_prev = validate_int(np.asarray(x_prev), "x_prev", 0, m - 1)
-    x_cur = validate_int(np.asarray(x_cur), "x_cur", 0, m - 1)
+    x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1))
+    x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1))
     delta = validate_offset(delta)
     shape = np.broadcast_shapes(x_prev.shape, x_cur.shape, np.shape(delta))
     x_prev, x_cur, delta = (np.broadcast_to(a, shape).ravel() for a in (x_prev, x_cur, delta))

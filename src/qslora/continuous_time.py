@@ -105,7 +105,7 @@ def matched_filter_chip(
     """
     m = 1 << sig.sf  # checked by ContinuousSignal
     validate_int(n, "symbol index", 0, len(sig.symbols) - 1)
-    chips = validate_int(np.asarray(k), "chip index", 0, m - 1)
+    chips = np.asarray(validate_int(k, "chip index", 0, m - 1))
     validate_offset(delta)
     a = np.ravel(n * m + chips + delta)
     b = a + 1.0

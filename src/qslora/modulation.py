@@ -36,11 +36,16 @@ def validate_int(value, name: str, low: int, high: int | None = None):
     """The one integer rule: check value, return it as an int or int64 array.
 
     A scalar must be an int or a numpy integer, never a bool; an ndarray
-    must have an integer dtype (pass array-likes through np.asarray first,
-    so a bool or float scalar fails as a bool or float array). Every value
-    must lie in [low, high], or be >= low when high is None. Raises
-    ValueError naming the value otherwise.
+    must have an integer dtype. A list or tuple is read as np.asarray reads
+    it, but a bool element fails as a bare bool does, although np.asarray
+    would turn [True, 2] into integers. Every value must lie in [low, high],
+    or be >= low when high is None. Raises ValueError naming the value
+    otherwise.
     """
+    if isinstance(value, (list, tuple)):
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = np.asarray(value)
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iu":  # signed or unsigned integer dtype
             raise ValueError(f"{name} must be an integer, got dtype {value.dtype}")

@@ -11,7 +11,7 @@ worker count. Adding or removing other grid points cannot change a point's
 estimate because nothing but the point's coordinates enters its seed
 derivation.
 
-Stream v3: a trial's despread vector holds at most three distinct noise-free
+Stream v4: a trial's despread vector holds at most three distinct noise-free
 values (the closed form in qslora.channel): a = R + c in bin x_cur,
 b = Rhat * phase + c in the spill bin x_cur + 2*sign(delta), and the boundary
 term c in the M - 2 others (c = 0 unless delta < 0). Despreading is unitary,
@@ -25,20 +25,20 @@ draws, in this order:
    fixed_delta),
 3. the noise of a and of b: real then imaginary parts, n each, scaled by
    sqrt(N0/2),
-4. one uniform U on [0, 1) per trial (n),
-5. for the k trials with delta < 0, in trial order, the real and then the
-   imaginary parts of the noise of their M - 2 other bins, (k, M - 2) each.
+4. one uniform U on [0, 1) per trial (n).
 
-For delta >= 0 the other bins hold noise only, and the largest of their
-M - 2 energies has the CDF (1 - exp(-x/N0))**(M - 2); it is drawn exactly by
-inverting that CDF at U (order statistics), so such a trial costs O(1) and
-never builds an M-vector. U = 0 maps to its quantile 0. For delta < 0 the
-other bins carry c, and their largest energy is taken from the drawn noise;
-U is drawn but unused. A trial errs when max(|b|^2, largest other energy) >=
-|a|^2: a tie with the wanted bin counts as an error. That comparison is
-scale-invariant, so the kernel forms every mean and energy in units of
-max(N0, 1): the energies stay finite at any N0 the SNR check admits, and for
-N0 <= 1 the unit is 1 and nothing changes.
+The M - 2 other bins are i.i.d.: each energy over N0 has the Rice CDF
+F(x; mu) with mu = |c|^2/N0 (_rice_log_cdf; for delta >= 0, mu = 0 and
+F = 1 - exp(-x)), so their largest has the CDF F**(M - 2). Drawn by
+inversion at U (order statistics), it reaches the wanted energy
+x = |a|^2/N0 exactly when log U >= (M - 2) log F(x; mu): one forward CDF
+evaluation, so every trial costs O(1) at any spreading factor and never
+builds an M-vector. Trials far from the other bins' mean are decided by
+Chernoff bounds without the series (_others_reach). A trial errs when
+|b|^2 >= |a|^2 or when the other bins reach |a|^2: a tie with the wanted bin
+counts as an error. The comparison is scale-invariant, so the kernel forms
+every mean and energy in units of max(N0, 1): the energies stay finite at any
+N0 the SNR check admits, and for N0 <= 1 the unit is 1 and nothing changes.
 """
 
 from __future__ import annotations
@@ -202,6 +202,132 @@ def _log_i0e(z: np.ndarray) -> np.ndarray:
     return out
 
 
+_LOG_HALF = math.log(0.5)
+_LOG_2_54 = 54.0 * math.log(2.0)  # -log of 2**-54, half the spacing of uniforms
+# Poisson pmfs: a running product lam/k while lam <= _PRODUCT_REACH (at most
+# 182 factors, and exp(-lam) stays normal); above, the log-pmf, with log k!
+# exact below _STIRLING_FROM and Stirling's series from there on, whose next
+# term is below 2**-53
+_PRODUCT_REACH = 64.0
+_STIRLING_FROM = 16
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_STIRLING_FROM)])
+_STIRLING_SERIES = np.array([1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0])
+# the deviance k log(k/lam) + lam - k as a series in v = (k - lam)/(k + lam)
+# for |v| < _DEVIANCE_NEAR (Loader, "Fast and accurate computation of
+# binomial probabilities", 2000): 2k sum_{i>=1} v^(2i+1)/(2i+1), to 2**-53
+_DEVIANCE_NEAR = 0.1
+_DEVIANCE_SERIES = 1.0 / np.arange(3.0, 23.0, 2.0)
+
+
+def _log_poisson(k, lam: np.ndarray) -> np.ndarray:
+    """log Pois(k; lam) for integers k >= 0 and lam >= 0 (broadcast).
+
+    k log(lam) - lam - log k! cancels large terms once k and lam are large,
+    so from k = _STIRLING_FROM on it is Loader's saddle-point form
+    -stirlerr(k) - log(2 pi k)/2 - bd0(k, lam), with the deviance bd0 summed
+    as a series near k = lam: the result is then exact to a few ulps of its
+    own size.
+    """
+    k = np.asarray(k, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0: log 0 and 0 * log 0
+        head = np.where(k == 0.0, -lam, k * np.log(lam) - lam)
+        head -= _LOG_FACTORIAL[np.minimum(k, _STIRLING_FROM - 1).astype(int)]
+        big = np.maximum(k, _STIRLING_FROM)
+        stirling = np.polynomial.polynomial.polyval(1.0 / (big * big), _STIRLING_SERIES) / big
+        v = (k - lam) / (k + lam)
+        series = (k - lam) * v + 2.0 * k * v**3 * np.polynomial.polynomial.polyval(
+            v * v, _DEVIANCE_SERIES
+        )
+        deviance = np.where(np.abs(v) < _DEVIANCE_NEAR, series, k * np.log(k / lam) + lam - k)
+        tail = -(stirling + 0.5 * np.log(2.0 * math.pi * big)) - deviance
+    return np.where(k < _STIRLING_FROM, head, tail)
+
+
+def _scaled_poisson(lam: np.ndarray):
+    """Yield a log scale s, then Pois(k; lam) * exp(-s) for k = 0, 1, 2, ...
+
+    Up to _PRODUCT_REACH s is 0 and each pmf is the last one times lam/k.
+    Above it every pmf is exp(_log_poisson - s), with s the log-pmf at the
+    mode floor(lam), so that none overflows and the peak never underflows.
+    """
+    if lam.max() <= _PRODUCT_REACH:
+        yield 0.0
+        pmf = np.exp(-lam)
+        for k in itertools.count(1):
+            yield pmf
+            pmf *= lam
+            pmf /= k
+    scale = _log_poisson(np.floor(lam), lam)
+    yield scale
+    for k in itertools.count():
+        yield np.exp(_log_poisson(k, lam) - scale)
+
+
+def _central_log_cdf(x: np.ndarray) -> np.ndarray:
+    """log(1 - exp(-x)), the Rice log-CDF at mu = 0, for x >= 0.
+
+    log1p(-exp(-x)) where exp(-x) < 1/2 and log(-expm1(-x)) below, so that
+    neither cancels; x = 0 gives -inf.
+    """
+    out = np.exp(-x)
+    np.negative(out, out=out)
+    with np.errstate(divide="ignore"):
+        np.log1p(out, out=out)
+        low = np.flatnonzero(x <= -_LOG_HALF)
+        out[low] = np.log(-np.expm1(-x[low]))
+    return out
+
+
+def _rice_log_cdf(x: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log F and log(1 - F) of the Rice law of a bin energy over N0.
+
+    F(x; mu) = P(|sqrt(mu) + Z|^2 <= x) for Z complex normal with E|Z|^2 = 1:
+    2x is noncentral chi-square with 2 degrees of freedom and noncentrality
+    2 mu, and 1 - F is Marcum's Q_1(sqrt(2 mu), sqrt(2 x)). At mu = 0 it is
+    the exponential law (_central_log_cdf). Otherwise, with J ~ Pois(mu) and
+    K ~ Pois(x) independent, the Poisson mixture of Gamma tails gives
+
+        Q = 1 - F = P(K <= J) = sum_j Pois(j; mu) P(K <= j)
+                F = P(K > J)  = sum_k Pois(k; x) P(J < k),
+
+    two sums of positive terms, taken in one pass over k up to
+    g + 12 sqrt(g + 1) + 21 with g = max(mu, sqrt(mu x)), past where their
+    terms peak. log F is log1p(-Q) where Q < 1/2 and the second sum
+    otherwise, so neither tail cancels. x and mu are float arrays of one
+    shape, x, mu >= 0. A sum below the smallest float is log 0 = -inf, as F
+    or 1 - F then is in floating point.
+    """
+    log_cdf = np.empty(x.shape)
+    log_sf = np.empty(x.shape)
+    central = mu == 0.0
+    log_cdf[central] = _central_log_cdf(x[central])
+    log_sf[central] = -x[central]
+    reach = np.maximum(x, mu) <= _PRODUCT_REACH  # rows that a large lam must not slow
+    for rows in (np.flatnonzero(~central & reach), np.flatnonzero(~central & ~reach)):
+        if not rows.size:
+            continue
+        xr, mr = x[rows], mu[rows]
+        g = np.maximum(mr, np.sqrt(mr * xr))
+        terms = int(np.ceil(np.max(g + 12.0 * np.sqrt(g + 1.0) + 21.0)))
+        pois_j, pois_k = _scaled_poisson(mr), _scaled_poisson(xr)
+        scale = next(pois_j) + next(pois_k)
+        cdf_j, cdf_k, upper, lower, term = np.zeros((5, rows.size))
+        for p, q in itertools.islice(zip(pois_j, pois_k), terms):
+            lower += np.multiply(q, cdf_j, out=term)  # Pois(k; x) P(J < k)
+            cdf_j += p
+            cdf_k += q
+            upper += np.multiply(p, cdf_k, out=term)  # Pois(j; mu) P(K <= j)
+        with np.errstate(divide="ignore"):  # a sum that underflows is log 0
+            log_upper = np.log(upper) + scale
+            log_lower = np.log(lower) + scale
+        tail = log_upper < _LOG_HALF
+        upper_cdf = np.log1p(-np.exp(np.minimum(log_upper, _LOG_HALF)))
+        lower_sf = np.log1p(-np.exp(np.minimum(log_lower, _LOG_HALF)))
+        log_cdf[rows] = np.where(tail, upper_cdf, log_lower)
+        log_sf[rows] = np.where(tail, log_upper, lower_sf)
+    return log_cdf, log_sf
+
+
 def analytical_ser_sync(sf: int, snr_db: float) -> float:
     """Exact SER of noncoherent M-ary orthogonal signaling (synchronous case).
 
@@ -278,14 +404,37 @@ def _noisy_energy(mean: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.nd
     return real
 
 
-def _max_noise_energy(u: np.ndarray, n0: float, count: int) -> np.ndarray:
-    """Largest of count i.i.d. noise-only bin energies, by inversion at u.
+def _others_reach(
+    energy_a: np.ndarray, c: np.ndarray, n0: float, log_u: np.ndarray, count: int
+) -> np.ndarray:
+    """Whether the largest of count other bins' energies reaches energy_a, at log U.
 
-    Each energy is exponential with mean n0, so the largest has the CDF
-    (1 - exp(-x/n0))**count; u in [0, 1) maps to its quantile, and u = 0 to 0.
+    Each other bin holds c plus noise of variance n0, so its energy over n0
+    is Rice with mu = |c|**2 / n0, and the largest of count of them has the
+    CDF F(x; mu)**count at x = energy_a / n0. Drawn by inversion at U, it
+    reaches x exactly when log U >= count * log F(x; mu). Where c = 0,
+    F = 1 - exp(-x) in closed form. Other trials far from the mean are
+    decided without the series, by the Chernoff bounds F <= exp(-d**2)
+    below it and 1 - F <= exp(-d**2) above it, with d = sqrt(x) - sqrt(mu):
+    a U below 1 - 2**-53 cannot reach count * log F > -2**-54, and every
+    U >= 2**-53 reaches count * log F < -54 log 2. U = 0 (log U = -inf)
+    reaches no x > 0. At n0 = 0 (noise-free) x and d are infinite, and the
+    trial compares |a| with |c|.
     """
-    with np.errstate(divide="ignore"):  # log(0) = -inf is the u = 0 endpoint
-        return -n0 * np.log(-np.expm1(np.log(u) / count))
+    with np.errstate(divide="ignore", invalid="ignore"):  # n0 = 0
+        x = energy_a / n0
+        reach = log_u >= count * _central_log_cdf(x)
+        rice = np.flatnonzero(c != 0.0)
+        if not rice.size:
+            return reach
+        energy_c = c.real[rice] ** 2 + c.imag[rice] ** 2
+        d = (np.sqrt(energy_a[rice]) - np.sqrt(energy_c)) / math.sqrt(n0)
+    below = d < -math.sqrt(_LOG_2_54 / count)
+    reach[rice] = below & (log_u[rice] > -math.inf)
+    near = ~below & (d <= math.sqrt(math.log(2.0 * count) + _LOG_2_54))
+    log_cdf = _rice_log_cdf(x[rice[near]], energy_c[near] / n0)[0]
+    reach[rice[near]] = log_u[rice[near]] >= count * log_cdf
+    return reach
 
 
 def _chunk_error_flags(
@@ -294,7 +443,7 @@ def _chunk_error_flags(
     chunk_index: int,
     fixed_delta: Optional[float] = None,
 ) -> np.ndarray:
-    """Detection-error flags for one full chunk of trials (stream v3, vectorized)."""
+    """Detection-error flags for one full chunk of trials (stream v4, vectorized)."""
     rng = _chunk_rng(point, master_seed, chunk_index)
     m = symbol_cardinality(point.sf)
     n = TRIALS_PER_CHUNK
@@ -312,17 +461,26 @@ def _chunk_error_flags(
     scale = math.sqrt(n0 / 2.0)
     energy_a = _noisy_energy((wanted + c) / root, *_bin_noise(rng, scale, n))
     energy_b = _noisy_energy((spill + c) / root, *_bin_noise(rng, scale, n))
-    energy_rest = _max_noise_energy(rng.random(n), n0, m - 2)
-    neg = np.flatnonzero(delta < 0.0)
-    if neg.size:
-        others = _noisy_energy(c[neg, None] / root, *_bin_noise(rng, scale, (neg.size, m - 2)))
-        energy_rest[neg] = others.max(axis=1)
-    return np.maximum(energy_b, energy_rest) >= energy_a
+    with np.errstate(divide="ignore"):  # U = 0
+        log_u = np.log(rng.random(n))
+    return (energy_b >= energy_a) | _others_reach(energy_a, c / root, n0, log_u, m - 2)
 
 
 def _pool_size(workers: int) -> int:
     """Worker processes for a pool: past the CPU count they only add idle forks."""
     return min(workers, os.cpu_count() or 1)
+
+
+def _fixed_offset(fixed_delta) -> Optional[float]:
+    """None, or one offset as a float by channel.validate_offset (|delta| <= 0.5).
+
+    An array or a list is not one offset, even with one element.
+    """
+    if fixed_delta is None:
+        return None
+    if np.ndim(fixed_delta):
+        raise ValueError(f"fixed_delta must be one offset, got {fixed_delta!r}")
+    return validate_offset(fixed_delta)
 
 
 def run_point(
@@ -338,14 +496,13 @@ def run_point(
     Chunks are consumed strictly in index order and the stopping rule is
     evaluated on cumulative counts, so the estimate does not depend on how
     many workers computed the chunks. At most one worker per CPU is used.
-    fixed_delta, when given, replaces the offset draw for every trial; its
-    magnitude must be <= 0.5. master_seed >= 0 and workers >= 1 must be
-    integers by modulation.validate_int.
+    fixed_delta, when given, replaces the offset draw for every trial; it
+    must be one offset of magnitude <= 0.5 (_fixed_offset). master_seed >= 0
+    and workers >= 1 must be integers by modulation.validate_int.
     """
     validate_int(master_seed, "master_seed", 0)
     workers = _pool_size(validate_int(workers, "workers", 1))
-    if fixed_delta is not None:
-        fixed_delta = validate_offset(fixed_delta)
+    fixed_delta = _fixed_offset(fixed_delta)
     t_start = time.perf_counter()
     n_chunks = -(-stop.max_trials // TRIALS_PER_CHUNK)
     trials = 0
@@ -417,16 +574,17 @@ class SweepConfig:
     Construction checks every field once, through the type that owns the
     value: validate_sf, ChipWaveform, validate_delta_s, snr_axis and
     noise_variance, StoppingRule, modulation.validate_int (master_seed >= 0,
-    workers >= 1), validate_offset and os.fspath; record_timing is read as a
-    truth value. A bad value or a wrong type raises ValueError whose message
-    starts with the field's config key (sf, waveform, delta-s, snr,
-    trials-max, min-errors, seed, workers, fixed-delta, output, format).
+    workers >= 1), run_point's one-offset rule for fixed_delta and
+    os.fspath; record_timing is read as a truth value. A bad value or a
+    wrong type raises ValueError whose message starts with the field's
+    config key (sf, waveform, delta-s, snr, trials-max, min-errors, seed,
+    workers, fixed-delta, output, format).
 
     What the checks build is kept, out of __init__ and equality: points, the
     grid ordered by (sf, waveform token, delta_s, snr_db) with one point per
     distinct coordinate, so output layout is independent of how the axes
     were listed; stop, the StoppingRule; and fixed_delta, as the float
-    validate_offset returns. These defaults are the only ones; the CLI
+    that rule returns. These defaults are the only ones; the CLI
     passes only the fields a flag, the environment or a config file set.
     """
 
@@ -463,8 +621,7 @@ class SweepConfig:
             ("min-errors", lambda: StoppingRule(self.trials_max, self.min_errors)),
             ("seed", lambda: validate_int(self.master_seed, "master_seed", 0)),
             ("workers", lambda: validate_int(self.workers, "workers", 1)),
-            ("fixed-delta", lambda: None if self.fixed_delta is None
-             else validate_offset(self.fixed_delta)),
+            ("fixed-delta", lambda: _fixed_offset(self.fixed_delta)),
             ("output", lambda: os.fspath(self.output_path)),
         )
         built = {}

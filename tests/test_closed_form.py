@@ -38,6 +38,14 @@ class TestAnalyticDecisionStatistic:
         with pytest.raises(ValueError, match="x_cur must be an integer"):
             analytic_decision_statistic(0, True, 0.0, rect, 4)
 
+    def test_bool_inside_a_list_rejected(self, rect):
+        # np.asarray reads [True, 2] as integers; the integer rule must not
+        with pytest.raises(ValueError, match="x_prev must be an integer"):
+            analytic_decision_statistic([True, 2], 3, 0.0, rect, 4)
+        with pytest.raises(ValueError, match="x_cur must be an integer"):
+            analytic_decision_statistic(1, (2, np.True_), 0.0, rect, 4)
+        assert analytic_decision_statistic([1, 2], (3, 4), 0.0, rect, 4).shape == (2, 16)
+
     @pytest.mark.parametrize("sf", range(2, 11))
     def test_equivalence_with_simulated_path(self, sf, rng):
         # the closed form must reproduce the noise-free despread output in
