@@ -21,12 +21,12 @@ from .montecarlo import (
     GridPoint,
     SerEstimate,
     StoppingRule,
-    analytical_ser_sync,
     run_point,
     run_sweep,
     wilson_interval,
 )
 from .quadrature import QuadratureError, integrate
+from .rice import analytical_ser_sync
 from .waveforms import (
     ChipWaveform,
     autocorr_overlapped,

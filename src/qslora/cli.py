@@ -22,7 +22,8 @@ import numpy as np
 from .channel import validate_delta_s
 from .continuous_time import certify_discrete_model
 from .modulation import validate_int, validate_sf
-from .montecarlo import SerEstimate, SweepConfig, analytical_ser_sync, run_sweep, snr_axis
+from .montecarlo import SerEstimate, SweepConfig, run_sweep, snr_axis
+from .rice import analytical_ser_sync
 from .waveforms import (
     WAVEFORM_TOKENS,
     ChipWaveform,
@@ -58,13 +59,20 @@ def _snr_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-# repeats are dropped, first occurrences kept in order
+def _unique(items) -> list:
+    """The items with repeats dropped, first occurrences kept in order; none is an error."""
+    out = list(dict.fromkeys(items))
+    if not out:
+        raise ValueError("list is empty")
+    return out
+
+
 def _sf_list(text: str) -> list[int]:
-    return list(dict.fromkeys(validate_sf(sf) for sf in _ints(text)))
+    return _unique(validate_sf(sf) for sf in _ints(text))
 
 
 def _waveform_list(text: str) -> list[ChipWaveform]:
-    return list(dict.fromkeys(ChipWaveform(token) for token in _split_list(text)))
+    return _unique(ChipWaveform(token) for token in _split_list(text))
 
 
 def _snr_list(text: str) -> list[float]:
@@ -143,7 +151,7 @@ def _read_config_file(path: str, error) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         error(f"cannot read config file: {exc}")
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -15,7 +15,8 @@ import pytest
 import qslora
 
 from qslora.cli import SweepConfig, main, parse_config, write_results
-from qslora.montecarlo import GridPoint, SerEstimate, analytical_ser_sync, wilson_interval
+from qslora.montecarlo import GridPoint, SerEstimate, wilson_interval
+from qslora.rice import analytical_ser_sync
 from qslora.waveforms import ChipWaveform
 
 EXPECTED_HEADER = "sf,waveform,delta_s,snr_db,trials,errors,ser,ci_low,ci_high,seed,elapsed_s"
@@ -207,6 +208,14 @@ class TestParseConfig:
             parse_config(["--config", str(tmp_path / "absent.conf")])
         assert exc.value.code == 2
 
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"sf = 4\n\xff\xfe = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--config", str(path)])
+        assert exc.value.code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
 
 def _estimate(sf=4, waveform="rect", delta_s=0.4, snr_db=8.0, trials=4096, errors=123,
               seed=1, elapsed=0.0):
@@ -374,6 +383,10 @@ class TestMain:
             (["certify", "--tolerance", "nan"], "tolerance"),
             (["certify", "--tolerance", "0"], "tolerance"),
             (["certify", "--tolerance", "-1"], "tolerance"),
+            (["certify", "--sf", ","], "sf"),
+            (["certify", "-w", ","], "waveform"),
+            (["oracle", "--sf", ","], "sf"),
+            (["corr", "-w", ","], "waveform"),
         ],
     )
     def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):

@@ -1,5 +1,6 @@
-"""Tests for the Monte-Carlo harness: confidence intervals, the analytical
-synchronous reference, trial-level reproducibility, and the sweep driver."""
+"""Tests for the Monte-Carlo harness: confidence intervals, the Rice law and
+the analytical synchronous reference of qslora.rice, trial-level
+reproducibility, and the sweep driver."""
 
 import math
 import os
@@ -10,7 +11,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from qslora import montecarlo
+from qslora import montecarlo, rice
 from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
 from qslora.modulation import despread, envelope_matrix
@@ -20,13 +21,13 @@ from qslora.montecarlo import (
     SerEstimate,
     StoppingRule,
     SweepConfig,
-    analytical_ser_sync,
     noise_variance,
     run_point,
     run_sweep,
     snr_axis,
     wilson_interval,
 )
+from qslora.rice import analytical_ser_sync
 from qslora.waveforms import ChipWaveform
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -102,7 +103,7 @@ class TestAnalyticalSerSync:
         from scipy.special import i0e
 
         z = np.concatenate((np.logspace(-6, 4, 400), [24.999, 25.0, 25.001, 699.0, 701.0]))
-        np.testing.assert_allclose(np.exp(montecarlo._log_i0e(z)), i0e(z), rtol=5e-15, atol=0)
+        np.testing.assert_allclose(np.exp(rice._log_i0e(z)), i0e(z), rtol=5e-15, atol=0)
 
     @pytest.mark.parametrize("snr_db", [60.0, 400.0, 5000.0, 1e300])
     def test_beyond_the_smallest_subnormal_is_zero(self, snr_db):
@@ -129,13 +130,13 @@ class TestAnalyticalSerSync:
     def test_work_bounded_in_snr(self, monkeypatch):
         # every integrand node passes through _log_i0e once
         nodes = []
-        log_i0e = montecarlo._log_i0e
+        log_i0e = rice._log_i0e
 
         def counted(z):
             nodes.append(z.size)
             return log_i0e(z)
 
-        monkeypatch.setattr(montecarlo, "_log_i0e", counted)
+        monkeypatch.setattr(rice, "_log_i0e", counted)
         for snr_db in (-4.0, 10.0, 24.0, 31.5, 31.7, 32.0, 60.0, 400.0, 5000.0):
             analytical_ser_sync(12, snr_db)
         # nodes are built up to the cutoff near 31.7 dB only: about 1.6k at
@@ -220,7 +221,7 @@ class TestRiceLaw:
         # by 1.8e-6 at -329, by mpmath), so each side is compared where
         # scipy's value is above -20
         x = np.append(np.geomspace(1e-8, (math.sqrt(mu) + 30.0) ** 2, 300), mu)
-        log_cdf, log_sf = montecarlo._rice_log_cdf(x, np.full_like(x, mu))
+        log_cdf, log_sf = rice._rice_log_cdf(x, np.full_like(x, mu))
         law = scipy_stats.ncx2(2, 2.0 * mu) if mu else scipy_stats.chi2(2)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy's log of an underflowed tail
@@ -241,7 +242,7 @@ class TestRiceLaw:
     def test_far_tails_against_mpmath(self, x, mu, terms, lower):
         # where scipy's tails fail, the Poisson mixture in mpmath, summed
         # over the terms around sqrt(mu x) where the far tail's mass lies
-        got = montecarlo._rice_log_cdf(np.array([x]), np.array([mu]))[0 if lower else 1][0]
+        got = rice._rice_log_cdf(np.array([x]), np.array([mu]))[0 if lower else 1][0]
         ref = _rice_log_tail(x, mu, terms, lower)
         assert ref < -300.0
         assert got == pytest.approx(ref, rel=2e-15, abs=0)
@@ -250,7 +251,7 @@ class TestRiceLaw:
         # mu = 0: 1 - F = exp(-x), and log F is log1p(-exp(-x)) wherever
         # exp(-x) < 1/2; below, where that would cancel, log(-expm1(-x))
         x = np.append(np.geomspace(1e-8, 800.0, 400), [0.0, math.log(2.0)])
-        log_cdf, log_sf = montecarlo._rice_log_cdf(x, np.zeros_like(x))
+        log_cdf, log_sf = rice._rice_log_cdf(x, np.zeros_like(x))
         np.testing.assert_array_equal(log_sf, -x)
         high = x > math.log(2.0)
         np.testing.assert_array_equal(log_cdf[high], np.log1p(-np.exp(-x[high])))
@@ -261,11 +262,11 @@ class TestRiceLaw:
     def test_zero_energy_and_monotone(self):
         # F(0; mu) = 0 for every mu, without a warning; F rises and 1 - F
         # falls with x
-        log_cdf, log_sf = montecarlo._rice_log_cdf(np.zeros(3), np.array([0.0, 2.0, 300.0]))
+        log_cdf, log_sf = rice._rice_log_cdf(np.zeros(3), np.array([0.0, 2.0, 300.0]))
         assert np.all(log_cdf == -math.inf) and np.all(log_sf == 0.0)
         x = np.geomspace(1e-3, 200.0, 300)
         for mu in (1e-3, 2.0, 80.0):
-            log_cdf, log_sf = montecarlo._rice_log_cdf(x, np.full_like(x, mu))
+            log_cdf, log_sf = rice._rice_log_cdf(x, np.full_like(x, mu))
             assert np.all(np.diff(log_cdf) >= 0.0) and np.all(np.diff(log_sf) <= 0.0)
 
 
@@ -467,7 +468,7 @@ class TestRunPoint:
         n0 = noise_variance(point.snr_db)
         x = (a.real**2 + a.imag**2) / n0
         mu = (c.real**2 + c.imag**2) / n0
-        log_cdf = montecarlo._rice_log_cdf(x, mu)[0]
+        log_cdf = rice._rice_log_cdf(x, mu)[0]
         return (b.real**2 + b.imag**2 >= a.real**2 + a.imag**2) | (log_u >= (m - 2) * log_cdf)
 
     @pytest.mark.parametrize("snr_db,errs", [(8.0, True), (24.0, False)])
@@ -516,7 +517,7 @@ class TestRunPoint:
             log_u = np.log(u)
         n0 = 0.25
         reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
-        log_cdf = montecarlo._rice_log_cdf(x, mu)[0]
+        log_cdf = rice._rice_log_cdf(x, mu)[0]
         assert np.all(np.isfinite(log_cdf))
         np.testing.assert_array_equal(reach, log_u >= count * log_cdf)
         # both shortcuts are taken, and so is the series
