@@ -323,7 +323,7 @@ _COMMANDS: dict[str, _Command] = {
             "min-errors": _Flag(int, "early-stop error count (0 disables)",
                                 fields=("min_errors",)),
             "seed": _Flag(int, "master seed for all random streams", fields=("master_seed",)),
-            "workers": _Flag(int, f"process count, at most the CPU count (env {WORKERS_ENV_VAR} "
+            "workers": _Flag(int, f"process count, at most the usable CPUs (env {WORKERS_ENV_VAR} "
                              "overrides config file)", fields=("workers",)),
             "fixed-delta": _Flag(float, "pin the per-trial offset, |delta| <= 0.5",
                                  fields=("fixed_delta",)),

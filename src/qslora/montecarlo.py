@@ -48,9 +48,11 @@ import itertools
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -133,8 +135,11 @@ class StoppingRule:
 class SerEstimate:
     """SER (ser) and Wilson 95% interval (ci_low, ci_high) derived from counts.
 
-    elapsed is wall-clock seconds and is excluded from equality so that
-    estimates from different runs or worker counts compare equal.
+    elapsed is wall-clock seconds from the submission of the point's first
+    chunk to its decision; at workers > 1 the sweep runs points side by
+    side, so the elapsed of neighbouring points overlap. It is excluded
+    from equality so that estimates from different runs or worker counts
+    compare equal.
     """
 
     point: GridPoint
@@ -276,8 +281,13 @@ def _chunk_error_flags(
 
 
 def _pool_size(workers: int) -> int:
-    """Worker processes for a pool: past the CPU count they only add idle forks."""
-    return min(workers, os.cpu_count() or 1)
+    """Worker processes for a pool: past the CPUs this process may run on they
+    only contend with the scheduler."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
 
 
 def _fixed_offset(fixed_delta) -> Optional[float]:
@@ -292,6 +302,127 @@ def _fixed_offset(fixed_delta) -> Optional[float]:
     return validate_offset(fixed_delta)
 
 
+class _PointRun:
+    """One point's chunks, handed out and counted in index order.
+
+    The stopping rule sees the cumulative counts after each chunk, so the
+    estimate does not depend on when or where a chunk was computed.
+    """
+
+    def __init__(self, point: GridPoint, stop: StoppingRule, master_seed: int) -> None:
+        self.point = point
+        self.stop = stop
+        self.master_seed = master_seed
+        self.submitted = 0
+        self.added = 0
+        self.trials = 0
+        self.errors = 0
+        self.start = 0.0
+        self.estimate: Optional[SerEstimate] = None
+
+    def take(self) -> int:
+        """Index of the next chunk to compute; the first one starts the clock."""
+        if not self.submitted:
+            self.start = time.perf_counter()
+        self.submitted += 1
+        return self.submitted - 1
+
+    def more(self) -> bool:
+        """Whether a chunk below max_trials is still to be handed out."""
+        return self.submitted * TRIALS_PER_CHUNK < self.stop.max_trials
+
+    def add(self, flags: np.ndarray) -> bool:
+        """Count the next chunk's flags; True once the stopping rule ends the point."""
+        take = min(TRIALS_PER_CHUNK, self.stop.max_trials - self.trials)
+        self.errors += int(np.count_nonzero(flags[:take]))
+        self.trials += take
+        self.added += 1
+        min_errors = self.stop.min_errors
+        if self.trials >= self.stop.max_trials or (min_errors and self.errors >= min_errors):
+            elapsed = time.perf_counter() - self.start
+            self.estimate = SerEstimate(
+                self.point, self.trials, self.errors, self.master_seed, elapsed
+            )
+        return self.estimate is not None
+
+
+def _estimates(
+    points: Sequence[GridPoint],
+    stop: StoppingRule,
+    master_seed: int,
+    workers: int,
+    fixed_delta: Optional[float],
+    executor: Optional[ProcessPoolExecutor],
+) -> Iterator[SerEstimate]:
+    """Yield one SerEstimate per point, in the order of points.
+
+    With one worker and no executor, each chunk is computed here when it is
+    needed. Otherwise at most 2 * workers chunk futures are in flight across
+    the whole grid, and a free slot takes, in this order:
+
+    1. the next chunk of an unfinished point with nothing in flight, which
+       is certain to be consumed;
+    2. chunk 0 of the next unstarted point, which is always consumed;
+    3. only when neither exists, a speculative next chunk of the earliest
+       unfinished point, so that one long point still keeps every worker
+       busy.
+
+    Futures are read with a blocking result() in submission order, so each
+    point's chunks are counted in index order while points may interleave.
+    Once a point stops, its other futures are cancel()ed and never read.
+    The pool is used through submit, result and cancel only; a pool built
+    here (through the module name ProcessPoolExecutor) is shut down when the
+    generator ends or is closed. An estimate's elapsed runs from the
+    submission of its point's first chunk to its decision.
+    """
+    workers = _pool_size(workers)
+    runs = [_PointRun(point, stop, master_seed) for point in points]
+    if workers <= 1 and executor is None:
+        for run in runs:
+            while run.estimate is None:
+                run.add(_chunk_error_flags(run.point, master_seed, run.take(), fixed_delta))
+            yield run.estimate
+        return
+
+    pool = executor if executor is not None else ProcessPoolExecutor(max_workers=workers)
+    flight: deque = deque()  # (run, future), in submission order
+    unfinished: list[_PointRun] = []  # started and not stopped, in grid order
+    started = 0
+    yielded = 0
+    try:
+        while yielded < len(runs):
+            while len(flight) < 2 * workers:
+                run = next((r for r in unfinished if r.submitted == r.added), None)
+                if run is None and started < len(runs):
+                    run = runs[started]
+                    unfinished.append(run)
+                    started += 1
+                if run is None:
+                    run = next((r for r in unfinished if r.more()), None)
+                if run is None:
+                    break
+                future = pool.submit(
+                    _chunk_error_flags, run.point, master_seed, run.take(), fixed_delta
+                )
+                flight.append((run, future))
+            if runs[yielded].estimate is not None:
+                yield runs[yielded].estimate
+                yielded += 1
+                continue
+            run, future = flight.popleft()
+            if run.add(future.result()):
+                unfinished.remove(run)
+                for other, pending in flight:
+                    if other is run:
+                        pending.cancel()
+                flight = deque(item for item in flight if item[0] is not run)
+    finally:
+        for _, future in flight:
+            future.cancel()
+        if executor is None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_point(
     point: GridPoint,
     stop: StoppingRule = StoppingRule(),
@@ -302,63 +433,24 @@ def run_point(
 ) -> SerEstimate:
     """Estimate the SER at one grid point under the stopping rule.
 
+    This is the sweep's chunk scheduler (_estimates) on a one-point grid.
     Chunks are consumed strictly in index order and the stopping rule is
     evaluated on cumulative counts, so the estimate does not depend on how
-    many workers computed the chunks. At most one worker per CPU is used.
-    fixed_delta, when given, replaces the offset draw for every trial; it
-    must be one offset of magnitude <= 0.5 (_fixed_offset). master_seed >= 0
-    and workers >= 1 must be integers by modulation.validate_int.
+    many workers computed the chunks. At most one worker per CPU this
+    process may run on is used; executor, when given, is used in place of
+    a pool of its own and is left open. fixed_delta, when given, replaces
+    the offset draw for every trial; it must be one offset of magnitude
+    <= 0.5 (_fixed_offset). master_seed >= 0 and workers >= 1 must be
+    integers by modulation.validate_int. elapsed runs from the first
+    submitted chunk to the decision.
     """
     validate_int(master_seed, "master_seed", 0)
-    workers = _pool_size(validate_int(workers, "workers", 1))
-    fixed_delta = _fixed_offset(fixed_delta)
-    t_start = time.perf_counter()
-    n_chunks = -(-stop.max_trials // TRIALS_PER_CHUNK)
-    trials = 0
-    errors = 0
-
-    def consume(flags: np.ndarray) -> bool:
-        nonlocal trials, errors
-        take = min(TRIALS_PER_CHUNK, stop.max_trials - trials)
-        errors += int(np.count_nonzero(flags[:take]))
-        trials += take
-        done = trials >= stop.max_trials
-        if stop.min_errors and errors >= stop.min_errors:
-            done = True
-        return done
-
-    if workers <= 1 and executor is None:
-        for index in range(n_chunks):
-            if consume(_chunk_error_flags(point, master_seed, index, fixed_delta)):
-                break
-    else:
-        own = executor is None
-        pool = executor if executor is not None else ProcessPoolExecutor(max_workers=workers)
-        inflight = 2 * workers
-        pending = {}
-        try:
-            next_submit = 0
-            for index in range(n_chunks):
-                while next_submit < n_chunks and next_submit - index < inflight:
-                    pending[next_submit] = pool.submit(
-                        _chunk_error_flags, point, master_seed, next_submit, fixed_delta
-                    )
-                    next_submit += 1
-                if consume(pending.pop(index).result()):
-                    break
-        finally:
-            for fut in pending.values():
-                fut.cancel()
-            if own:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-    return SerEstimate(
-        point=point,
-        trials=trials,
-        errors=errors,
-        seed=master_seed,
-        elapsed=time.perf_counter() - t_start,
+    validate_int(workers, "workers", 1)
+    scheduler = _estimates(
+        [point], stop, master_seed, workers, _fixed_offset(fixed_delta), executor
     )
+    with closing(scheduler) as estimates:
+        return next(estimates)
 
 
 def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
@@ -457,24 +549,22 @@ def run_sweep(
     config: SweepConfig,
     progress: Optional[Callable[[int, int, SerEstimate], None]] = None,
 ) -> list[SerEstimate]:
-    """Run every grid point of a sweep config, in the order of config.points."""
-    workers = _pool_size(config.workers)
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    """Run every grid point of a sweep config, in the order of config.points.
+
+    One chunk scheduler (_estimates) serves the whole grid, so at
+    workers > 1 the chunks of later points run while an earlier point is
+    still open, and each estimate's elapsed, from its point's first
+    submitted chunk to its decision, may overlap its neighbours'. progress,
+    when given, is called with (index from 1, point count, estimate) in
+    grid order as each estimate is yielded.
+    """
     results: list[SerEstimate] = []
-    try:
-        for i, point in enumerate(config.points):
-            est = run_point(
-                point,
-                config.stop,
-                config.master_seed,
-                workers=workers,
-                fixed_delta=config.fixed_delta,
-                executor=executor,
-            )
+    scheduler = _estimates(
+        config.points, config.stop, config.master_seed, config.workers, config.fixed_delta, None
+    )
+    with closing(scheduler) as estimates:
+        for est in estimates:
             results.append(est)
             if progress is not None:
-                progress(i + 1, len(config.points), est)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
+                progress(len(results), len(config.points), est)
     return results

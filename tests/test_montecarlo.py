@@ -2,7 +2,9 @@
 the analytical synchronous reference of qslora.rice, trial-level
 reproducibility, and the sweep driver."""
 
+import copy
 import math
+import multiprocessing
 import os
 import tracemalloc
 import warnings
@@ -713,6 +715,89 @@ def _config(**overrides):
     return SweepConfig(**base)
 
 
+def _mixed_config(**overrides):
+    # 12 points whose neighbours stop after different chunk counts (1 to 4),
+    # and where a stopped point still has a chunk in flight at workers=2;
+    # 13192 trials is not a multiple of the chunk size, so a point that runs
+    # to the cap ends on a truncated chunk
+    base = dict(
+        waveforms=("rect", "rc"),
+        delta_s_list=(0.0, 1.0),
+        snr_start_db=4.0,
+        snr_stop_db=16.0,
+        snr_step_db=6.0,
+        trials_max=3 * TRIALS_PER_CHUNK + 904,
+        min_errors=300,
+    )
+    base.update(overrides)
+    return _config(**base)
+
+
+def _chunks(estimate):
+    return -(-estimate.trials // TRIALS_PER_CHUNK)
+
+
+class _ResultCancelPool:
+    """A pool whose futures have only result() and cancel(), as the
+    benchmark's counting executor wraps them.
+
+    A chunk runs in this process when its result is read. The pool records
+    the chunk indices read per point, in order, and the most futures that
+    were ever in flight (submitted, and neither read nor cancelled).
+    """
+
+    def __init__(self, max_workers=None):
+        self.read = {}
+        self.in_flight = 0
+        self.peak = 0
+
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        return _ResultCancelFuture(self, fn, args)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _ResultCancelFuture:
+    def __init__(self, pool, fn, args):
+        self._pool = pool
+        self._fn = fn
+        self._args = args
+        self._open = True
+
+    def _settle(self):
+        assert self._open, "a chunk future was read after it was read or cancelled"
+        self._open = False
+        self._pool.in_flight -= 1
+
+    def result(self, timeout=None):
+        self._settle()
+        point, _, chunk = self._args[:3]
+        self._pool.read.setdefault(point, []).append(chunk)
+        return self._fn(*self._args)
+
+    def cancel(self):
+        if self._open:
+            self._settle()
+        return True
+
+
+@pytest.fixture
+def result_cancel_pools(monkeypatch):
+    """Sweep pools become _ResultCancelPool, on two CPUs whatever the host has."""
+    pools = []
+
+    def make(max_workers):
+        pools.append(_ResultCancelPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pools
+
+
 class TestSweep:
     def test_noise_variance(self):
         assert noise_variance(8.0) == 10.0 ** (-8.0 / 10.0)
@@ -839,8 +924,10 @@ class TestSweep:
         assert swept == [run_point(p, rule, config.master_seed) for p in points]
 
     def test_pools_are_capped_at_cpu_count(self, monkeypatch):
-        # more workers than CPUs would only fork idle interpreters; the fake
-        # pool records its size and runs every task inline
+        # more workers than the CPUs this process may run on would only
+        # contend with the scheduler; the fake pool records its size and runs
+        # every task inline. The affinity mask counts where the platform has
+        # one, and os.cpu_count where it does not.
         sizes = []
 
         class InlinePool:
@@ -856,10 +943,19 @@ class TestSweep:
                 pass
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         config = _config(workers=10**6)
         rule = StoppingRule(max_trials=config.trials_max, min_errors=config.min_errors)
         serial = run_point(config.points[0], rule, config.master_seed)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert run_sweep(config) == [serial]
+        assert run_point(config.points[0], rule, config.master_seed, workers=10**6) == serial
+        assert sizes == [3, 3]
+
+        sizes.clear()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert run_sweep(config) == [serial]
         assert run_point(config.points[0], rule, config.master_seed, workers=10**6) == serial
         assert sizes == [3, 3]
@@ -870,3 +966,69 @@ class TestSweep:
         run_sweep(config, progress=lambda i, n, est: seen.append((i, n, est.point)))
         assert [i for i, _, _ in seen] == [1, 2]
         assert all(n == 2 for _, n, _ in seen)
+
+    def test_pool_contract_of_the_benchmark(self, result_cancel_pools):
+        # bench/tracing.CountingExecutor hands out futures with only result()
+        # and cancel(), and counts one result() per consumed chunk
+        config = _mixed_config(workers=2)
+        estimates = run_sweep(config)
+        (pool,) = result_cancel_pools
+        assert estimates == run_sweep(_mixed_config(workers=1))
+        trials = [e.trials for e in estimates]
+        assert min(trials) < config.trials_max == max(trials)
+        assert config.trials_max % TRIALS_PER_CHUNK
+        # every consumed chunk is read once, in index order, and nothing is
+        # read after its point has stopped
+        assert sum(len(read) for read in pool.read.values()) == sum(map(_chunks, estimates))
+        assert pool.read == {e.point: list(range(_chunks(e))) for e in estimates}
+        assert pool.in_flight == 0
+        # one point on its own still keeps more than one chunk in flight, and
+        # the chunk it did not need is cancelled, not read
+        single = _ResultCancelPool()
+        stopped = estimates[1]
+        assert _chunks(stopped) == 3 and stopped.trials < config.trials_max
+        est = run_point(stopped.point, config.stop, 1, workers=2, executor=single)
+        assert est == stopped
+        assert single.read == {stopped.point: [0, 1, 2]}
+        assert single.peak > 1 and single.in_flight == 0
+
+    @pytest.mark.parametrize("fixed_delta", [None, -0.1])
+    def test_sweep_worker_count_invariance(self, fixed_delta):
+        serial = run_sweep(_mixed_config(fixed_delta=fixed_delta))
+        chunks = [_chunks(e) for e in serial]
+        assert any(a != b for a, b in zip(chunks, chunks[1:]))
+        assert run_sweep(_mixed_config(fixed_delta=fixed_delta, workers=2)) == serial
+
+    def test_progress_in_grid_order_while_later_points_finish(self, result_cancel_pools):
+        # the first point runs 3 chunks and its neighbour 1, so the neighbour
+        # finishes first and is reported second
+        config = _mixed_config(snr_start_db=10.0, snr_stop_db=10.0, workers=2)
+        seen = []
+
+        def progress(i, n, est):
+            read = result_cancel_pools[0].read
+            seen.append((i, n, est, {point: len(chunks) for point, chunks in read.items()}))
+
+        estimates = run_sweep(config, progress=progress)
+        assert [e.point for e in estimates] == list(config.points)
+        assert [(i, n, est) for i, n, est, _ in seen] == [
+            (i, len(estimates), est) for i, est in enumerate(estimates, 1)
+        ]
+        first_read = seen[0][3]
+        assert any(first_read.get(e.point) == _chunks(e) for e in estimates[1:])
+
+    def test_failures_leave_no_process_behind(self):
+        config = _mixed_config(workers=2)
+        bad = copy.copy(config.points[2])
+        object.__setattr__(bad, "sf", 13)  # passes to a worker, whose kernel rejects it
+        object.__setattr__(config, "points", (*config.points[:2], bad, *config.points[3:]))
+        with pytest.raises(ValueError, match="spreading factor"):
+            run_sweep(config)
+        assert multiprocessing.active_children() == []
+
+        def interrupt(i, n, est):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_mixed_config(workers=2), progress=interrupt)
+        assert multiprocessing.active_children() == []
