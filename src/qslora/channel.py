@@ -47,10 +47,12 @@ there, for no more bins than the decision needs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .modulation import envelope_matrix, symbol_cardinality, validate_int
-from .waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
+from .waveforms import ChipWaveform, _autocorr_pair
 
 __all__ = [
     "validate_delta_s",
@@ -109,8 +111,7 @@ def synthesize_chip_rows(
     """
     m = symbol_cardinality(sf)
     env = envelope_matrix(sf)
-    keep = np.asarray(autocorr_overlapping(waveform, delta), dtype=float)
-    spill = np.asarray(autocorr_overlapped(waveform, delta), dtype=float)
+    keep, spill = _autocorr_pair(waveform, np.abs(np.asarray(delta, dtype=float)))
     rows = keep[:, None] * env[x_cur]
     pos = delta > 0
     if np.any(pos):
@@ -123,18 +124,29 @@ def synthesize_chip_rows(
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def _roots(m: int) -> np.ndarray:
+    """The M-th roots of unity, roots[p] = w**p, computed once per M (read-only)."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    roots.flags.writeable = False
+    return roots
+
+
 def _coefficients(x_prev, x_cur, delta, waveform: ChipWaveform, m: int):
     """(R, Rhat * w**(s*x_cur + 1), c) of flat trial arrays; s = sign(delta).
 
     Bin x_cur holds R + c, bin x_cur + 2s holds the second value plus c, and
-    every other bin holds c (0 unless delta < 0). Unchecked: symbols must be
-    integer arrays in [0, m) and offsets a float array in [-0.5, 0.5].
+    every other bin holds c, which is formed on the delta < 0 trials only
+    and is 0 elsewhere. Unchecked: symbols must be integer arrays in [0, m)
+    and offsets a float array in [-0.5, 0.5].
     """
-    roots = np.exp(2j * np.pi * np.arange(m) / m)  # roots[p] = w**p
-    s = np.where(delta < 0.0, -1, 1)
-    r_spill = autocorr_overlapped(waveform, delta)
-    c = np.where(s < 0, r_spill / m * (roots[(1 - x_prev) % m] - roots[(1 - x_cur) % m]), 0.0)
-    return autocorr_overlapping(waveform, delta), r_spill * roots[(s * x_cur + 1) % m], c
+    roots, wrap = _roots(m), m - 1  # m is a power of two: p & wrap is p mod m
+    wanted, r_spill = _autocorr_pair(waveform, np.abs(delta))
+    back = delta < 0.0
+    neg = np.flatnonzero(back)
+    c = np.zeros(delta.shape, dtype=complex)
+    c[neg] = r_spill[neg] / m * (roots[(1 - x_prev[neg]) & wrap] - roots[(1 - x_cur[neg]) & wrap])
+    return wanted, r_spill * roots[np.where(back, 1 - x_cur, x_cur + 1) & wrap], c
 
 
 def analytic_decision_statistic(

@@ -11,10 +11,12 @@ worker count. Adding or removing other grid points cannot change a point's
 estimate because nothing but the point's coordinates enters its seed
 derivation.
 
-Stream v4: a trial's despread vector holds at most three distinct noise-free
-values (the closed form in qslora.channel): a = R + c in bin x_cur,
-b = Rhat * phase + c in the spill bin x_cur + 2*sign(delta), and the boundary
-term c in the M - 2 others (c = 0 unless delta < 0). Despreading is unitary,
+The random stream's version is STREAM_VERSION (4): a change to the trial
+outcomes that a seed gives comes with a new version. Stream v4: a trial's
+despread vector holds at most three distinct noise-free values (the closed
+form in qslora.channel): a = R + c in bin x_cur, b = Rhat * phase + c in the
+spill bin x_cur + 2*sign(delta), and the boundary term c in the M - 2
+others (c = 0 unless delta < 0). Despreading is unitary,
 so white chip noise is white bin noise of the same N0, and no chips are
 synthesized. The kernel draws its symbols and offsets in range, so it takes
 the coefficients from the closed form's unchecked core. A chunk of n trials
@@ -24,7 +26,8 @@ draws, in this order:
 2. the offsets through channel.draw_offset (none at delta_s = 0 or under
    fixed_delta),
 3. the noise of a and of b: real then imaginary parts, n each, scaled by
-   sqrt(N0/2),
+   sqrt(N0/2), as one (4, n) draw, which gives the same numbers as four
+   draws of n,
 4. one uniform U on [0, 1) per trial (n).
 
 The M - 2 other bins are i.i.d.: each energy over N0 has the Rice CDF
@@ -33,8 +36,10 @@ mu = 0 and F = 1 - exp(-x)), so their largest has the CDF F**(M - 2).
 Drawn by inversion at U (order statistics), it reaches the wanted energy
 x = |a|^2/N0 exactly when log U >= (M - 2) log F(x; mu): one forward CDF
 evaluation, so every trial costs O(1) at any spreading factor and never
-builds an M-vector. Trials far from the other bins' mean are decided by
-Chernoff bounds without the series (_others_reach). A trial errs when
+builds an M-vector. The Chernoff bounds of F decide, without the series,
+the trials far from the other bins' mean and then every trial whose own
+log U lies clear of its bound (_others_reach); the series decides the rest,
+so the shortcuts change the work and never an outcome. A trial errs when
 |b|^2 >= |a|^2 or when the other bins reach |a|^2: a tie with the wanted bin
 counts as an error. The comparison is scale-invariant, so the kernel forms
 every mean and energy in units of max(N0, 1): the energies stay finite at any
@@ -43,6 +48,7 @@ N0 the SNR check admits, and for N0 <= 1 the unit is 1 and nothing changes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -64,6 +70,7 @@ from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py impo
 from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
 __all__ = [
+    "STREAM_VERSION",
     "TRIALS_PER_CHUNK",
     "GridPoint",
     "StoppingRule",
@@ -76,9 +83,14 @@ __all__ = [
     "run_sweep",
 ]
 
+STREAM_VERSION = 4  # the random stream of the module docstring
 TRIALS_PER_CHUNK = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _LOG_2_54 = 54.0 * math.log(2.0)  # -log of 2**-54, half the spacing of uniforms
+# _others_reach's band edges: the rounding of d, relative to sqrt(x) + sqrt(mu),
+# is below 8 ulps, and the series' log F is within about 1e-13 of its own size
+_D_ROUNDING = 2.0**-50
+_BAND_MARGIN = 1e-9
 
 
 def noise_variance(snr_db: float) -> float:
@@ -182,8 +194,12 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+@functools.lru_cache(maxsize=1024)
 def _point_spawn_key(point: GridPoint) -> tuple[int, int, int, int]:
-    """Four uint32 words hashed from the point's canonical coordinates."""
+    """Four uint32 words hashed from the point's canonical coordinates.
+
+    Cached, so that each process hashes a point once rather than once per chunk.
+    """
     text = (
         f"sf={point.sf};wf={point.waveform.kind};"
         f"ds={point.delta_s!r};snr={point.snr_db!r}"
@@ -199,13 +215,14 @@ def _chunk_rng(point: GridPoint, master_seed: int, chunk_index: int) -> np.rando
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _bin_noise(rng: np.random.Generator, scale: float, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Real and then imaginary parts of complex bin noise, scale * N(0, 1) each."""
-    real = rng.standard_normal(shape)
-    real *= scale
-    imag = rng.standard_normal(shape)
-    imag *= scale
-    return real, imag
+def _bin_noise(rng: np.random.Generator, scale: float, n: int) -> np.ndarray:
+    """The real and imaginary noise of bins a and b, rows in that order, scale * N(0, 1).
+
+    One (4, n) draw gives the same numbers as four draws of n.
+    """
+    noise = rng.standard_normal((4, n))
+    noise *= scale
+    return noise
 
 
 def _noisy_energy(mean: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
@@ -227,27 +244,49 @@ def _others_reach(
     is Rice with mu = |c|**2 / n0, and the largest of count of them has the
     CDF F(x; mu)**count at x = energy_a / n0. Drawn by inversion at U, it
     reaches x exactly when log U >= count * log F(x; mu). Where c = 0,
-    F = 1 - exp(-x) in closed form. Other trials far from the mean are
-    decided without the series, by the Chernoff bounds F <= exp(-d**2)
-    below it and 1 - F <= exp(-d**2) above it, with d = sqrt(x) - sqrt(mu):
-    a U below 1 - 2**-53 cannot reach count * log F > -2**-54, and every
-    U >= 2**-53 reaches count * log F < -54 log 2. U = 0 (log U = -inf)
-    reaches no x > 0. At n0 = 0 (noise-free) x and d are infinite, and the
-    trial compares |a| with |c|.
+    F = 1 - exp(-x) in closed form.
+
+    Elsewhere the series (_rice_log_cdf) decides only the trials that the
+    Chernoff bounds leave open. With d = sqrt(x) - sqrt(mu), 1 - F <=
+    exp(-d**2) above the mean and F <= exp(-d**2) below it, so
+    count * log F >= count * log(1 - exp(-d**2)) for d > 0 and
+    count * log F <= -count * d**2 for d < 0. First, for any U: a U below
+    1 - 2**-53 cannot reach count * log F > -2**-54, and every U >= 2**-53
+    reaches count * log F < -54 log 2; U = 0 (log U = -inf) reaches no
+    x > 0. Then each remaining trial tests its own log U against the bound
+    on its side, with d widened by _D_ROUNDING * (sqrt(x) + sqrt(mu)), more
+    than its rounding, and the bound by a relative _BAND_MARGIN, far more
+    than the series' error. Only a log U inside the band between the bound
+    and the exact value goes to the series. At n0 = 0 (noise-free) x and d
+    are infinite, and the trial compares |a| with |c|.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # n0 = 0
         x = energy_a / n0
-        reach = log_u >= count * _central_log_cdf(x)
-        rice = np.flatnonzero(c != 0.0)
-        if not rice.size:
-            return reach
+        other = c != 0.0
+        if not other.any():
+            return log_u >= count * _central_log_cdf(x)
+        reach = np.empty(x.shape, dtype=bool)
+        central = np.flatnonzero(~other)
+        reach[central] = log_u[central] >= count * _central_log_cdf(x[central])
+        rice = np.flatnonzero(other)
         energy_c = c.real[rice] ** 2 + c.imag[rice] ** 2
         d = (np.sqrt(energy_a[rice]) - np.sqrt(energy_c)) / math.sqrt(n0)
     below = d < -math.sqrt(_LOG_2_54 / count)
     reach[rice] = below & (log_u[rice] > -math.inf)
     near = ~below & (d <= math.sqrt(math.log(2.0 * count) + _LOG_2_54))
-    log_cdf = _rice_log_cdf(x[rice[near]], energy_c[near] / n0)[0]
-    reach[rice[near]] = log_u[rice[near]] >= count * log_cdf
+    rows = rice[near]
+    x, mu, d, log_u = x[rows], energy_c[near] / n0, d[near], log_u[rows]
+    slack = _D_ROUNDING * (np.sqrt(x) + np.sqrt(mu))
+    low, high = d - slack, d + slack
+    with np.errstate(divide="ignore"):  # low = 0
+        log_floor = count * _central_log_cdf(low * low)
+    clear = (low > 0.0) & (log_u < (1.0 + _BAND_MARGIN) * log_floor)
+    sure = (high < 0.0) & (log_u >= (1.0 - _BAND_MARGIN) * -count * high * high)
+    reach[rows] = sure
+    band = np.flatnonzero(~(clear | sure))
+    if band.size:
+        log_cdf = _rice_log_cdf(x[band], mu[band])[0]
+        reach[rows[band]] = log_u[band] >= count * log_cdf
     return reach
 
 
@@ -272,12 +311,24 @@ def _chunk_error_flags(
     unit = max(n0, 1.0)  # the decision's energy unit, see the module docstring
     n0 /= unit
     root = math.sqrt(unit)
-    scale = math.sqrt(n0 / 2.0)
-    energy_a = _noisy_energy((wanted + c) / root, *_bin_noise(rng, scale, n))
-    energy_b = _noisy_energy((spill + c) / root, *_bin_noise(rng, scale, n))
+    noise = _bin_noise(rng, math.sqrt(n0 / 2.0), n)
+    energy_a = _noisy_energy((wanted + c) / root, noise[0], noise[1])
+    energy_b = _noisy_energy((spill + c) / root, noise[2], noise[3])
     with np.errstate(divide="ignore"):  # U = 0
         log_u = np.log(rng.random(n))
     return (energy_b >= energy_a) | _others_reach(energy_a, c / root, n0, log_u, m - 2)
+
+
+def _chunk_errors(
+    point: GridPoint,
+    master_seed: int,
+    chunk_index: int,
+    trials: int,
+    fixed_delta: Optional[float],
+) -> int:
+    """Errors among the first trials of one chunk: the count a worker returns."""
+    flags = _chunk_error_flags(point, master_seed, chunk_index, fixed_delta)
+    return int(np.count_nonzero(flags[:trials]))
 
 
 def _pool_size(workers: int) -> int:
@@ -320,23 +371,26 @@ class _PointRun:
         self.start = 0.0
         self.estimate: Optional[SerEstimate] = None
 
-    def take(self) -> int:
-        """Index of the next chunk to compute; the first one starts the clock."""
+    def take(self) -> tuple[int, int]:
+        """(index, trials taken) of the next chunk to compute; the first one
+        starts the clock. A chunk's trials are the full chunk, or what is
+        left of max_trials in the last one."""
         if not self.submitted:
             self.start = time.perf_counter()
         self.submitted += 1
-        return self.submitted - 1
+        index = self.submitted - 1
+        return index, min(TRIALS_PER_CHUNK, self.stop.max_trials - index * TRIALS_PER_CHUNK)
 
     def more(self) -> bool:
         """Whether a chunk below max_trials is still to be handed out."""
         return self.submitted * TRIALS_PER_CHUNK < self.stop.max_trials
 
-    def add(self, flags: np.ndarray) -> bool:
-        """Count the next chunk's flags; True once the stopping rule ends the point."""
-        take = min(TRIALS_PER_CHUNK, self.stop.max_trials - self.trials)
-        self.errors += int(np.count_nonzero(flags[:take]))
-        self.trials += take
+    def add(self, errors: int) -> bool:
+        """Count the next chunk's errors, among the trials take() gave it; True
+        once the stopping rule ends the point."""
         self.added += 1
+        self.errors += errors
+        self.trials = min(self.added * TRIALS_PER_CHUNK, self.stop.max_trials)
         min_errors = self.stop.min_errors
         if self.trials >= self.stop.max_trials or (min_errors and self.errors >= min_errors):
             elapsed = time.perf_counter() - self.start
@@ -367,8 +421,10 @@ def _estimates(
        unfinished point, so that one long point still keeps every worker
        busy.
 
-    Futures are read with a blocking result() in submission order, so each
-    point's chunks are counted in index order while points may interleave.
+    A chunk comes back as the error count of the trials its point takes of
+    it (_chunk_errors), fixed when it is submitted. Futures are read with a
+    blocking result() in submission order, so each point's chunks are
+    counted in index order while points may interleave.
     Once a point stops, its other futures are cancel()ed and never read.
     The pool is used through submit, result and cancel only; a pool built
     here (through the module name ProcessPoolExecutor) is shut down when the
@@ -380,7 +436,7 @@ def _estimates(
     if workers <= 1 and executor is None:
         for run in runs:
             while run.estimate is None:
-                run.add(_chunk_error_flags(run.point, master_seed, run.take(), fixed_delta))
+                run.add(_chunk_errors(run.point, master_seed, *run.take(), fixed_delta))
             yield run.estimate
         return
 
@@ -402,7 +458,7 @@ def _estimates(
                 if run is None:
                     break
                 future = pool.submit(
-                    _chunk_error_flags, run.point, master_seed, run.take(), fixed_delta
+                    _chunk_errors, run.point, master_seed, *run.take(), fixed_delta
                 )
                 flight.append((run, future))
             if runs[yielded].estimate is not None:

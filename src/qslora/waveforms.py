@@ -87,6 +87,19 @@ def _check_offsets(delta: np.ndarray) -> np.ndarray:
     return np.minimum(d, 1.0)
 
 
+def _autocorr_pair(w: ChipWaveform, d: np.ndarray):
+    """(R, Rhat) at d = |delta| from one cos/sin pair.
+
+    Unchecked: d must be floats in [0, 1], as _check_offsets returns them.
+    """
+    if w.kind == "rect":
+        return 1.0 - d, d
+    angle = 2.0 * np.pi * d
+    half = 1.0 + 0.5 * np.cos(angle)
+    slope = (3.0 / (4.0 * np.pi)) * np.sin(angle)
+    return (2.0 / 3.0) * ((1.0 - d) * half + slope), (2.0 / 3.0) * (d * half - slope)
+
+
 def autocorr_overlapping(w: ChipWaveform, delta: np.ndarray | float):
     """R(delta): correlation with the chip the filter window mostly covers.
 
@@ -94,13 +107,7 @@ def autocorr_overlapping(w: ChipWaveform, delta: np.ndarray | float):
         rect: 1 - d
         rc:   (2/3) * ((1-d) * (1 + cos(2*pi*d)/2) + (3/(4*pi)) * sin(2*pi*d))
     """
-    d = _check_offsets(delta)
-    if w.kind == "rect":
-        out = 1.0 - d
-    else:
-        c = np.cos(2.0 * np.pi * d)
-        s = np.sin(2.0 * np.pi * d)
-        out = (2.0 / 3.0) * ((1.0 - d) * (1.0 + 0.5 * c) + (3.0 / (4.0 * np.pi)) * s)
+    out = _autocorr_pair(w, _check_offsets(delta))[0]
     return out if out.ndim else float(out)
 
 
@@ -111,14 +118,8 @@ def autocorr_overlapped(w: ChipWaveform, delta: np.ndarray | float):
         rect: d
         rc:   (2/3) * (d * (1 + cos(2*pi*d)/2) - (3/(4*pi)) * sin(2*pi*d))
     """
-    d = _check_offsets(delta)
-    if w.kind == "rect":
-        out = d.copy() if d.ndim else d
-    else:
-        c = np.cos(2.0 * np.pi * d)
-        s = np.sin(2.0 * np.pi * d)
-        out = (2.0 / 3.0) * (d * (1.0 + 0.5 * c) - (3.0 / (4.0 * np.pi)) * s)
-    return out if np.ndim(out) else float(out)
+    out = _autocorr_pair(w, _check_offsets(delta))[1]
+    return out if out.ndim else float(out)
 
 
 def autocorr_overlapping_quad(w: ChipWaveform, delta: float) -> float:

@@ -283,14 +283,15 @@ NO_EARLY_STOP = StoppingRule(max_trials=TRIALS_PER_CHUNK, min_errors=0)
 
 @pytest.fixture
 def recorded_noise(monkeypatch):
-    """The kernel's bin noise as drawn, one complex array per draw."""
+    """The kernel's bin noise as drawn: per chunk, one (4, n) draw, kept as
+    the complex noise of bin a and then of bin b."""
     kept = []
     draw = montecarlo._bin_noise
 
     def recording(*args):
-        real, imag = draw(*args)
-        kept.append(real + 1j * imag)
-        return real, imag
+        noise = draw(*args)
+        kept.extend((noise[0] + 1j * noise[1], noise[2] + 1j * noise[3]))
+        return noise
 
     monkeypatch.setattr(montecarlo, "_bin_noise", recording)
     return kept
@@ -449,29 +450,41 @@ class TestRunPoint:
         assert np.all(np.abs(per_bin_real - 0.5) < 5.0 * 2**-9.5)
 
     @staticmethod
-    def _replayed_flags(point, fixed_delta, noise_a, noise_b):
-        """The flags of chunk 0 by the stream v4 rule, with every trial's
-        largest other energy decided by the Rice CDF at the trial's uniform:
-        |b|^2 >= |a|^2 or log U >= (M - 2) log F(|a|^2/N0; |c|^2/N0), with
-        a, b and c the bins of analytic_decision_statistic plus the noise
-        the kernel drew, and U replayed from the chunk's stream."""
+    def _replay(point, fixed_delta, noise_a, noise_b):
+        """Chunk 0's trials by the stream v4 rule, with every trial's largest
+        other energy decided by the Rice CDF at the trial's uniform: the flags
+        |b|^2 >= |a|^2 or log U >= (M - 2) log F(x; mu), with a, b and c the
+        bins of analytic_decision_statistic plus the noise the kernel drew,
+        x = |a|^2/N0, mu = |c|^2/N0, and the offsets (unless fixed_delta is
+        given) and U replayed from the chunk's stream. Returns the flags and
+        (x, mu, log U)."""
         rng = montecarlo._chunk_rng(point, 1, 0)
         n, m = TRIALS_PER_CHUNK, 2**point.sf
         x_prev = rng.integers(0, m, size=n)
         x_cur = rng.integers(0, m, size=n)
-        rng.standard_normal(4 * n)  # the noise of a and b, recorded by the kernel
-        log_u = np.log(rng.random(n))
-        stats = analytic_decision_statistic(x_prev, x_cur, fixed_delta, point.waveform, point.sf)
+        if fixed_delta is None:
+            delta = rng.uniform(-0.5 * point.delta_s, 0.5 * point.delta_s, size=n)
+        else:
+            delta = np.full(n, fixed_delta)
+        rng.standard_normal((4, n))  # the noise of a and b, recorded by the kernel
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(n))
+        # the kernel's noise is in its energy unit max(N0, 1), and so are a, b and c
+        n0 = noise_variance(point.snr_db)
+        unit = max(n0, 1.0)
+        n0 /= unit
+        stats = analytic_decision_statistic(x_prev, x_cur, delta, point.waveform, point.sf)
+        stats /= math.sqrt(unit)
         trial = np.arange(n)
-        spill = (x_cur + (2 if fixed_delta > 0 else -2)) % m
+        spill = (x_cur + np.where(delta < 0.0, -2, 2)) % m
         a = stats[trial, x_cur] + noise_a
         b = stats[trial, spill] + noise_b
         c = stats[trial, (x_cur + 1) % m]
-        n0 = noise_variance(point.snr_db)
         x = (a.real**2 + a.imag**2) / n0
         mu = (c.real**2 + c.imag**2) / n0
         log_cdf = rice._rice_log_cdf(x, mu)[0]
-        return (b.real**2 + b.imag**2 >= a.real**2 + a.imag**2) | (log_u >= (m - 2) * log_cdf)
+        flags = (b.real**2 + b.imag**2 >= a.real**2 + a.imag**2) | (log_u >= (m - 2) * log_cdf)
+        return flags, (x, mu, log_u)
 
     @pytest.mark.parametrize("snr_db,errs", [(8.0, True), (24.0, False)])
     def test_negative_offsets_decide_by_the_rice_cdf(self, recorded_noise, snr_db, errs):
@@ -480,7 +493,7 @@ class TestRunPoint:
         # at 24 dB most trials skip the series by the Chernoff bounds
         point = _point(sf=5, snr_db=snr_db)
         flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta=-0.3)
-        expected = self._replayed_flags(point, -0.3, *recorded_noise)
+        expected = self._replay(point, -0.3, *recorded_noise)[0]
         np.testing.assert_array_equal(flags, expected)
         assert bool(np.any(flags)) == errs
 
@@ -489,9 +502,42 @@ class TestRunPoint:
         # the same rule takes F(x) = 1 - exp(-x) in closed form
         point = _point(sf=5, snr_db=8.0)
         flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta=0.3)
-        expected = self._replayed_flags(point, 0.3, *recorded_noise)
+        expected = self._replay(point, 0.3, *recorded_noise)[0]
         assert 0 < np.count_nonzero(flags) < TRIALS_PER_CHUNK
         np.testing.assert_array_equal(flags, expected)
+
+    def test_random_offsets_decide_by_the_rice_cdf(self, recorded_noise, monkeypatch):
+        # offsets of both signs at sf 4, 7 and 10 from -4 to 60 dB: every
+        # flag is the full series' at the trial's own U, and between them the
+        # chunks take the U-independent shortcut above the mean, the per-U
+        # band and the series (mu up to about 4e3 at sf 4 and 60 dB). The one
+        # below the mean needs |a| to fall below |c| by sqrt(54 log 2 / (M - 2))
+        # in noise units, while |c| <= 2 Rhat / M < R; no chunk here reaches it,
+        # and test_chernoff_shortcuts_decide_as_the_series covers it
+        series_rows = []
+        rice_log_cdf = montecarlo._rice_log_cdf
+
+        def counted(x, mu):
+            series_rows.append(x.size)
+            return rice_log_cdf(x, mu)
+
+        monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
+        taken = dict(above=0, near=0)
+        for sf in (4, 7, 10):
+            count = 2**sf - 2
+            for snr_db in (-4.0, 4.0, 16.0, 60.0):
+                point = _point(sf=sf, waveform=ChipWaveform("rc"), delta_s=1.0, snr_db=snr_db)
+                recorded_noise.clear()
+                flags = montecarlo._chunk_error_flags(point, 1, 0)
+                expected, (x, mu, _) = self._replay(point, None, *recorded_noise)
+                np.testing.assert_array_equal(flags, expected, err_msg=f"sf {sf}, {snr_db} dB")
+                d = (np.sqrt(x) - np.sqrt(mu))[mu > 0.0]
+                assert not np.any(d < -math.sqrt(54.0 * math.log(2.0) / count))
+                above = d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0))
+                taken["above"] += int(np.count_nonzero(above))
+                taken["near"] += int(np.count_nonzero(~above))
+        assert taken["above"] > 0 and taken["near"] > 0, taken
+        assert 0 < sum(series_rows) < taken["near"], (sum(series_rows), taken)
 
     @pytest.mark.parametrize("delta_s", [0.0, 1.0])
     def test_extreme_noise_guesses_uniformly(self, delta_s):
@@ -504,28 +550,64 @@ class TestRunPoint:
         assert abs(est.ser - p) <= 4.0 * math.sqrt(p * (1.0 - p) / est.trials)
 
     @pytest.mark.parametrize("count", [14, 4094])
-    def test_chernoff_shortcuts_decide_as_the_series(self, count):
-        # trials far from the other bins' mean skip the series; they must
-        # decide as log U >= count * log F does, at the uniform's extremes too
+    def test_chernoff_shortcuts_decide_as_the_series(self, count, monkeypatch):
+        # trials far from the other bins' mean, and trials whose log U lies
+        # clear of their Chernoff bound, skip the series; they must decide as
+        # log U >= count * log F does: at the uniform's extremes, just inside
+        # and just outside each edge of the band between the bound (with its
+        # margin) and the exact value, and at d within 1e-6 of 0
         rng = np.random.default_rng(count)
         mu = np.repeat([0.0, 1e-4, 0.5, 30.0, 300.0], 400)
         d = rng.uniform(-np.minimum(np.sqrt(mu), 25.0), 12.0)
+        small = np.flatnonzero(mu > 0.0)[::9]
+        d[small] = rng.uniform(-1e-6, 1e-6, small.size)
+        d[small[::4]] = 0.0
         x = (np.sqrt(mu) + d) ** 2
-        u = rng.random(mu.size)
-        u[::7] = 0.0
-        u[1::7] = 1.0 - 2.0**-53
-        u[2::7] = 2.0**-53
-        with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-        n0 = 0.25
-        reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
         log_cdf = rice._rice_log_cdf(x, mu)[0]
         assert np.all(np.isfinite(log_cdf))
-        np.testing.assert_array_equal(reach, log_u >= count * log_cdf)
-        # both shortcuts are taken, and so is the series
-        assert np.any(d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0)))
-        assert np.any(d < -math.sqrt(54.0 * math.log(2.0) / count))
-        assert np.any((mu > 0.0) & (np.abs(d) < 1.0))
+        exact = count * log_cdf
+        # count * log(1 - exp(-d**2)) above the mean and -count * d**2 below it
+        bound = np.where(d > 0.0, count * rice._central_log_cdf(d * d), -count * d * d)
+        log_u = np.log(rng.random(mu.size))
+        edges = [
+            (-math.inf, np.log(1.0 - 2.0**-53), np.log(2.0**-53)),
+            (bound * (1.0 + 2e-9), bound * (1.0 + 5e-10), bound * (1.0 - 5e-10)),
+            (bound * (1.0 - 2e-9), exact * (1.0 + 1e-12), exact, exact * (1.0 - 1e-12)),
+        ]
+        edges = np.stack([np.broadcast_to(e, mu.shape) for group in edges for e in group])
+        pick = rng.integers(-edges.shape[0], edges.shape[0], mu.size)  # below 0: random U
+        log_u = np.where(pick >= 0, edges[np.maximum(pick, 0), np.arange(mu.size)], log_u)
+        # a uniform is 0 or lies in [2**-53, 1 - 2**-53]
+        kept = log_u.copy()
+        inner = log_u > -math.inf
+        log_u[inner] = np.clip(log_u[inner], -53.0 * math.log(2.0), -(2.0**-53))
+        series_x = []
+        rice_log_cdf = montecarlo._rice_log_cdf
+
+        def seen(x, mu):
+            series_x.append(x)
+            return rice_log_cdf(x, mu)
+
+        monkeypatch.setattr(montecarlo, "_rice_log_cdf", seen)
+        n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
+        reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
+        np.testing.assert_array_equal(reach, log_u >= exact)
+        # both U-independent shortcuts are taken, and so are the band and the series
+        rice_rows = mu > 0.0
+        far_above = d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0))
+        far_below = d < -math.sqrt(54.0 * math.log(2.0) / count)
+        near = rice_rows & ~far_above & ~far_below
+        assert np.any(rice_rows & far_above) and np.any(rice_rows & far_below)
+        series = np.isin(x, np.concatenate(series_x)) & rice_rows
+        assert np.any(series) and np.any(near & ~series)
+        # 2e-9 outside the bound the trial skips the series; inside the
+        # margin, between the bound and the exact value, or at the exact
+        # value, it reaches it
+        edge = near & (log_u == kept) & (np.abs(d) > 1e-3)
+        outside = edge & np.where(d > 0.0, pick == 3, pick == 6)
+        inside = edge & (np.isin(pick, (4, 5, 7, 8, 9)) | ((d < 0.0) & (pick == 3)))
+        assert np.any(outside) and not np.any(series[outside])
+        assert np.any(inside) and np.all(series[inside])
 
     @pytest.mark.parametrize(
         "waveform,delta_s,fixed_delta", [("rect", 0.0, -0.3), ("rc", 1.0, None)]
@@ -589,7 +671,7 @@ class TestRunPoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sizes == [0]
+        assert sum(sizes) == 0  # no row reaches the series
         assert peak < TRIALS_PER_CHUNK * 2**8
 
     def test_chunk_builds_no_chip_matrix(self):
@@ -600,11 +682,12 @@ class TestRunPoint:
         assert envelope_matrix.cache_info().currsize == 0
 
 
-# (trials, errors) of run_point at master seed 3 under random stream v4 (see
-# the montecarlo docstring). A change here changes every published
-# estimate, so it may only come with a new stream version recorded in
-# CHANGES.md. v4 changed only the pins with negative offsets; sync-truncated,
-# fixed-pos-half and fixed-pos-at-ds0 keep their v3 values.
+# (trials, errors) of run_point at master seed 3 under random stream v4,
+# montecarlo.STREAM_VERSION (see the montecarlo docstring). A change here
+# changes every published estimate, so it may only come with a new
+# STREAM_VERSION recorded in CHANGES.md. v4 changed only the pins with
+# negative offsets; sync-truncated, fixed-pos-half and fixed-pos-at-ds0 keep
+# their v3 values.
 STREAM_PINS = [
     # synchronous, truncated last chunk (5000 = 4096 + 904)
     (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 730)),
@@ -637,6 +720,7 @@ STREAM_PINS = [
     ],
 )
 def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
+    assert montecarlo.STREAM_VERSION == 4
     point = GridPoint(**{**coords, "waveform": ChipWaveform(coords["waveform"])})
     est = run_point(
         point,
