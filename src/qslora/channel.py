@@ -52,7 +52,7 @@ import functools
 import numpy as np
 
 from .modulation import envelope_matrix, symbol_cardinality, validate_int
-from .waveforms import ChipWaveform, _autocorr_pair
+from .waveforms import ChipWaveform, _autocorr_pair, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
     "validate_delta_s",
@@ -111,7 +111,8 @@ def synthesize_chip_rows(
     """
     m = symbol_cardinality(sf)
     env = envelope_matrix(sf)
-    keep, spill = _autocorr_pair(waveform, np.abs(np.asarray(delta, dtype=float)))
+    keep = np.asarray(autocorr_overlapping(waveform, delta), dtype=float)
+    spill = np.asarray(autocorr_overlapped(waveform, delta), dtype=float)
     rows = keep[:, None] * env[x_cur]
     pos = delta > 0
     if np.any(pos):

@@ -37,7 +37,7 @@ Drawn by inversion at U (order statistics), it reaches the wanted energy
 x = |a|^2/N0 exactly when log U >= (M - 2) log F(x; mu): one forward CDF
 evaluation, so every trial costs O(1) at any spreading factor and never
 builds an M-vector. The Chernoff bounds of F decide, without the series,
-the trials far from the other bins' mean and then every trial whose own
+the trials far above the other bins' mean and then every trial whose own
 log U lies clear of its bound (_others_reach); the series decides the rest,
 so the shortcuts change the work and never an outcome. A trial errs when
 |b|^2 >= |a|^2 or when the other bins reach |a|^2: a tie with the wanted bin
@@ -87,9 +87,8 @@ STREAM_VERSION = 4  # the random stream of the module docstring
 TRIALS_PER_CHUNK = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _LOG_2_54 = 54.0 * math.log(2.0)  # -log of 2**-54, half the spacing of uniforms
-# _others_reach's band edges: the rounding of d, relative to sqrt(x) + sqrt(mu),
-# is below 8 ulps, and the series' log F is within about 1e-13 of its own size
-_D_ROUNDING = 2.0**-50
+# _others_reach's band edge, relative to the Chernoff bound: the series' log F
+# is within about 1e-13 of its own size
 _BAND_MARGIN = 1e-9
 
 
@@ -251,14 +250,14 @@ def _others_reach(
     exp(-d**2) above the mean and F <= exp(-d**2) below it, so
     count * log F >= count * log(1 - exp(-d**2)) for d > 0 and
     count * log F <= -count * d**2 for d < 0. First, for any U: a U below
-    1 - 2**-53 cannot reach count * log F > -2**-54, and every U >= 2**-53
-    reaches count * log F < -54 log 2; U = 0 (log U = -inf) reaches no
-    x > 0. Then each remaining trial tests its own log U against the bound
-    on its side, with d widened by _D_ROUNDING * (sqrt(x) + sqrt(mu)), more
-    than its rounding, and the bound by a relative _BAND_MARGIN, far more
-    than the series' error. Only a log U inside the band between the bound
-    and the exact value goes to the series. At n0 = 0 (noise-free) x and d
-    are infinite, and the trial compares |a| with |c|.
+    1 - 2**-53 cannot reach count * log F > -2**-54, which settles the
+    trials far above the mean. Then each remaining trial tests its own
+    log U against the bound on its side, widened by a relative
+    _BAND_MARGIN, far more than the series' error; where |d| is small
+    enough for d's rounding to exceed the margin, the bound lies far from
+    the exact value. Only a log U inside the band between the bound and the
+    exact value goes to the series. At n0 = 0 (noise-free) x and d are
+    infinite, and the trial compares |a| with |c|.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # n0 = 0
         x = energy_a / n0
@@ -271,17 +270,14 @@ def _others_reach(
         rice = np.flatnonzero(other)
         energy_c = c.real[rice] ** 2 + c.imag[rice] ** 2
         d = (np.sqrt(energy_a[rice]) - np.sqrt(energy_c)) / math.sqrt(n0)
-    below = d < -math.sqrt(_LOG_2_54 / count)
-    reach[rice] = below & (log_u[rice] > -math.inf)
-    near = ~below & (d <= math.sqrt(math.log(2.0 * count) + _LOG_2_54))
-    rows = rice[near]
-    x, mu, d, log_u = x[rows], energy_c[near] / n0, d[near], log_u[rows]
-    slack = _D_ROUNDING * (np.sqrt(x) + np.sqrt(mu))
-    low, high = d - slack, d + slack
-    with np.errstate(divide="ignore"):  # low = 0
-        log_floor = count * _central_log_cdf(low * low)
-    clear = (low > 0.0) & (log_u < (1.0 + _BAND_MARGIN) * log_floor)
-    sure = (high < 0.0) & (log_u >= (1.0 - _BAND_MARGIN) * -count * high * high)
+        reach[rice] = False
+        near = d <= math.sqrt(math.log(2.0 * count) + _LOG_2_54)
+        rows = rice[near]
+        x, mu, d, log_u = x[rows], energy_c[near] / n0, d[near], log_u[rows]
+    with np.errstate(divide="ignore"):  # d = 0
+        log_floor = count * _central_log_cdf(d * d)
+    clear = (d > 0.0) & (log_u < (1.0 + _BAND_MARGIN) * log_floor)
+    sure = (d < 0.0) & (log_u >= (1.0 - _BAND_MARGIN) * -count * d * d)
     reach[rows] = sure
     band = np.flatnonzero(~(clear | sure))
     if band.size:

@@ -165,3 +165,10 @@ class TestSynthesizeChips:
         for i in range(5):
             single = _chips(xp[i], xc[i], deltas[i], rc)
             np.testing.assert_array_equal(batch[i], single)
+
+    @pytest.mark.parametrize("delta", [1.5, -1.5])
+    def test_offset_beyond_one_chip_is_rejected(self, rc, delta):
+        # the public entry checks offsets through the autocorrelations; the
+        # kernel's unchecked pair must not make a wrong offset pass quietly
+        with pytest.raises(ValueError, match="chip offset"):
+            synthesize_chip_rows(np.array([1]), np.array([2]), np.array([delta]), rc, 4)

@@ -510,10 +510,11 @@ class TestRunPoint:
         # offsets of both signs at sf 4, 7 and 10 from -4 to 60 dB: every
         # flag is the full series' at the trial's own U, and between them the
         # chunks take the U-independent shortcut above the mean, the per-U
-        # band and the series (mu up to about 4e3 at sf 4 and 60 dB). The one
-        # below the mean needs |a| to fall below |c| by sqrt(54 log 2 / (M - 2))
-        # in noise units, while |c| <= 2 Rhat / M < R; no chunk here reaches it,
-        # and test_chernoff_shortcuts_decide_as_the_series covers it
+        # band and the series (mu up to about 4e3 at sf 4 and 60 dB). Far
+        # below the mean, |a| would have to fall below |c| by
+        # sqrt(54 log 2 / (M - 2)) in noise units, while |c| <= 2 Rhat / M < R;
+        # no chunk here gets there, and test_chernoff_shortcuts_decide_as_the_series
+        # covers it
         series_rows = []
         rice_log_cdf = montecarlo._rice_log_cdf
 
@@ -592,14 +593,19 @@ class TestRunPoint:
         n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
         reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
         np.testing.assert_array_equal(reach, log_u >= exact)
-        # both U-independent shortcuts are taken, and so are the band and the series
+        # the U-independent shortcut above the mean is taken, and so are the
+        # band and the series; far below the mean, where -count * d**2 <
+        # -54 log 2, every U > 0 lies clear of the bound and only U = 0 reaches
+        # the series
         rice_rows = mu > 0.0
         far_above = d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0))
-        far_below = d < -math.sqrt(54.0 * math.log(2.0) / count)
-        near = rice_rows & ~far_above & ~far_below
-        assert np.any(rice_rows & far_above) and np.any(rice_rows & far_below)
+        far_below = rice_rows & (d < -math.sqrt(54.0 * math.log(2.0) / count))
+        near = rice_rows & ~far_above
+        assert np.any(rice_rows & far_above)
         series = np.isin(x, np.concatenate(series_x)) & rice_rows
         assert np.any(series) and np.any(near & ~series)
+        assert np.any(far_below & (log_u == -math.inf)) and np.any(far_below & ~series)
+        assert np.array_equal(series[far_below], log_u[far_below] == -math.inf)
         # 2e-9 outside the bound the trial skips the series; inside the
         # margin, between the bound and the exact value, or at the exact
         # value, it reaches it
