@@ -36,10 +36,10 @@ mu = 0 and F = 1 - exp(-x)), so their largest has the CDF F**(M - 2).
 Drawn by inversion at U (order statistics), it reaches the wanted energy
 x = |a|^2/N0 exactly when log U >= (M - 2) log F(x; mu): one forward CDF
 evaluation, so every trial costs O(1) at any spreading factor and never
-builds an M-vector. The Chernoff bounds of F decide, without the series,
-the trials far above the other bins' mean and then every trial whose own
-log U lies clear of its bound (_others_reach); the series decides the rest,
-so the shortcuts change the work and never an outcome. A trial errs when
+builds an M-vector. One test of each trial's own log U against the Chernoff
+bound of F decides, without the series, every trial whose log U lies clear
+of its bound (_others_reach); the series decides the rest, so the test
+changes the work and never an outcome. A trial errs when
 |b|^2 >= |a|^2 or when the other bins reach |a|^2: a tie with the wanted bin
 counts as an error. The comparison is scale-invariant, so the kernel forms
 every mean and energy in units of max(N0, 1): the energies stay finite at any
@@ -86,7 +86,6 @@ __all__ = [
 STREAM_VERSION = 4  # the random stream of the module docstring
 TRIALS_PER_CHUNK = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_LOG_2_54 = 54.0 * math.log(2.0)  # -log of 2**-54, half the spacing of uniforms
 # _others_reach's band edge, relative to the Chernoff bound: the series' log F
 # is within about 1e-13 of its own size
 _BAND_MARGIN = 1e-9
@@ -242,47 +241,30 @@ def _others_reach(
     Each other bin holds c plus noise of variance n0, so its energy over n0
     is Rice with mu = |c|**2 / n0, and the largest of count of them has the
     CDF F(x; mu)**count at x = energy_a / n0. Drawn by inversion at U, it
-    reaches x exactly when log U >= count * log F(x; mu). Where c = 0,
-    F = 1 - exp(-x) in closed form.
+    reaches x exactly when log U >= count * log F(x; mu).
 
-    Elsewhere the series (_rice_log_cdf) decides only the trials that the
-    Chernoff bounds leave open. With d = sqrt(x) - sqrt(mu), 1 - F <=
-    exp(-d**2) above the mean and F <= exp(-d**2) below it, so
-    count * log F >= count * log(1 - exp(-d**2)) for d > 0 and
-    count * log F <= -count * d**2 for d < 0. First, for any U: a U below
-    1 - 2**-53 cannot reach count * log F > -2**-54, which settles the
-    trials far above the mean. Then each remaining trial tests its own
-    log U against the bound on its side, widened by a relative
-    _BAND_MARGIN, far more than the series' error; where |d| is small
-    enough for d's rounding to exceed the margin, the bound lies far from
-    the exact value. Only a log U inside the band between the bound and the
-    exact value goes to the series. At n0 = 0 (noise-free) x and d are
-    infinite, and the trial compares |a| with |c|.
+    The Chernoff bounds of F settle most trials without the series. With
+    d = sqrt(x) - sqrt(mu), 1 - F <= exp(-d**2) above the mean and
+    F <= exp(-d**2) below it, so count * log F >= count * log(1 - exp(-d**2))
+    for d > 0 and count * log F <= -count * d**2 for d <= 0. Each trial tests
+    its own log U against the bound on its side, widened by a relative
+    _BAND_MARGIN, far more than the series' error; where |d| is small enough
+    for d's rounding to exceed the margin, the bound lies far from the exact
+    value. Only a log U inside the band between the bound and the exact value
+    goes to the series (_rice_log_cdf, the closed form at mu = 0). At n0 = 0
+    (noise-free) every other bin holds exactly c, and a tie with |a| reaches.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):  # n0 = 0
-        x = energy_a / n0
-        other = c != 0.0
-        if not other.any():
-            return log_u >= count * _central_log_cdf(x)
-        reach = np.empty(x.shape, dtype=bool)
-        central = np.flatnonzero(~other)
-        reach[central] = log_u[central] >= count * _central_log_cdf(x[central])
-        rice = np.flatnonzero(other)
-        energy_c = c.real[rice] ** 2 + c.imag[rice] ** 2
-        d = (np.sqrt(energy_a[rice]) - np.sqrt(energy_c)) / math.sqrt(n0)
-        reach[rice] = False
-        near = d <= math.sqrt(math.log(2.0 * count) + _LOG_2_54)
-        rows = rice[near]
-        x, mu, d, log_u = x[rows], energy_c[near] / n0, d[near], log_u[rows]
-    with np.errstate(divide="ignore"):  # d = 0
-        log_floor = count * _central_log_cdf(d * d)
-    clear = (d > 0.0) & (log_u < (1.0 + _BAND_MARGIN) * log_floor)
-    sure = (d < 0.0) & (log_u >= (1.0 - _BAND_MARGIN) * -count * d * d)
-    reach[rows] = sure
-    band = np.flatnonzero(~(clear | sure))
+    energy_c = c.real**2 + c.imag**2
+    if n0 == 0.0:
+        return energy_c >= energy_a
+    d = (np.sqrt(energy_a) - np.sqrt(energy_c)) / math.sqrt(n0)
+    above = d > 0.0
+    clear = above & (log_u < (1.0 + _BAND_MARGIN) * (count * _central_log_cdf(d * d)))
+    reach = ~above & (log_u >= (1.0 - _BAND_MARGIN) * -count * d * d)
+    band = np.flatnonzero(~(clear | reach))
     if band.size:
-        log_cdf = _rice_log_cdf(x[band], mu[band])[0]
-        reach[rows[band]] = log_u[band] >= count * log_cdf
+        log_cdf = _rice_log_cdf(energy_a[band] / n0, energy_c[band] / n0)[0]
+        reach[band] = log_u[band] >= count * log_cdf
     return reach
 
 

@@ -3,6 +3,7 @@ the analytical synchronous reference of qslora.rice, trial-level
 reproducibility, and the sweep driver."""
 
 import copy
+import hashlib
 import math
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ import pytest
 from qslora import montecarlo, rice
 from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
+from qslora.cli import main
 from qslora.modulation import despread, envelope_matrix
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
@@ -509,17 +511,18 @@ class TestRunPoint:
     def test_random_offsets_decide_by_the_rice_cdf(self, recorded_noise, monkeypatch):
         # offsets of both signs at sf 4, 7 and 10 from -4 to 60 dB: every
         # flag is the full series' at the trial's own U, and between them the
-        # chunks take the U-independent shortcut above the mean, the per-U
-        # band and the series (mu up to about 4e3 at sf 4 and 60 dB). Far
-        # below the mean, |a| would have to fall below |c| by
-        # sqrt(54 log 2 / (M - 2)) in noise units, while |c| <= 2 Rhat / M < R;
-        # no chunk here gets there, and test_chernoff_shortcuts_decide_as_the_series
-        # covers it
+        # chunks hold trials far above the mean, which the per-U test settles
+        # at any U, and trials near it, of which only the band reaches the
+        # series (mu up to about 4e3 at sf 4 and 60 dB). Far below the mean,
+        # |a| would have to fall below |c| by sqrt(54 log 2 / (M - 2)) in
+        # noise units, while |c| <= 2 Rhat / M < R; no chunk here gets there,
+        # and test_chernoff_shortcuts_decide_as_the_series covers it. The spy
+        # counts the mu > 0 rows only: mu = 0 rows take the closed form.
         series_rows = []
         rice_log_cdf = montecarlo._rice_log_cdf
 
         def counted(x, mu):
-            series_rows.append(x.size)
+            series_rows.append(int(np.count_nonzero(mu > 0.0)))
             return rice_log_cdf(x, mu)
 
         monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
@@ -552,11 +555,11 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("count", [14, 4094])
     def test_chernoff_shortcuts_decide_as_the_series(self, count, monkeypatch):
-        # trials far from the other bins' mean, and trials whose log U lies
-        # clear of their Chernoff bound, skip the series; they must decide as
-        # log U >= count * log F does: at the uniform's extremes, just inside
-        # and just outside each edge of the band between the bound (with its
-        # margin) and the exact value, and at d within 1e-6 of 0
+        # trials whose log U lies clear of their Chernoff bound skip the
+        # series; they must decide as log U >= count * log F does: at the
+        # uniform's extremes, just inside and just outside each edge of the
+        # band between the bound (with its margin) and the exact value, and
+        # at d within 1e-6 of 0
         rng = np.random.default_rng(count)
         mu = np.repeat([0.0, 1e-4, 0.5, 30.0, 300.0], 400)
         d = rng.uniform(-np.minimum(np.sqrt(mu), 25.0), 12.0)
@@ -593,16 +596,17 @@ class TestRunPoint:
         n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
         reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
         np.testing.assert_array_equal(reach, log_u >= exact)
-        # the U-independent shortcut above the mean is taken, and so are the
-        # band and the series; far below the mean, where -count * d**2 <
-        # -54 log 2, every U > 0 lies clear of the bound and only U = 0 reaches
-        # the series
+        # far above the mean, where count * exp(-d**2) < 2**-54, the bound
+        # lies above every log U < 0, so no row there reaches the series, not
+        # even at the largest U; the band and the series are taken; far below
+        # the mean, where -count * d**2 < -54 log 2, every U > 0 lies clear of
+        # the bound and only U = 0 reaches the series
         rice_rows = mu > 0.0
-        far_above = d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0))
+        far_above = rice_rows & (d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0)))
         far_below = rice_rows & (d < -math.sqrt(54.0 * math.log(2.0) / count))
         near = rice_rows & ~far_above
-        assert np.any(rice_rows & far_above)
         series = np.isin(x, np.concatenate(series_x)) & rice_rows
+        assert np.any(far_above & (log_u == log_u.max())) and not np.any(series[far_above])
         assert np.any(series) and np.any(near & ~series)
         assert np.any(far_below & (log_u == -math.inf)) and np.any(far_below & ~series)
         assert np.array_equal(series[far_below], log_u[far_below] == -math.inf)
@@ -614,6 +618,42 @@ class TestRunPoint:
         inside = edge & (np.isin(pick, (4, 5, 7, 8, 9)) | ((d < 0.0) & (pick == 3)))
         assert np.any(outside) and not np.any(series[outside])
         assert np.any(inside) and np.all(series[inside])
+
+    @pytest.mark.parametrize("waveform", ["rect", "rc"])
+    @pytest.mark.parametrize("sf", [2, 3, 4, 5])
+    def test_noise_free_chunk_is_the_argmax(self, sf, waveform):
+        # at 3300 dB N0 rounds to 0, so every flag is the noise-free argmax
+        # over analytic_decision_statistic's energies, a tie with the wanted
+        # bin counting as an error
+        n, m = TRIALS_PER_CHUNK, 2**sf
+        trial = np.arange(n)
+        for delta_s, fixed_delta in ((1.0, None), (0.0, -0.5), (0.0, -0.3), (0.0, 0.3)):
+            wf = ChipWaveform(waveform)
+            point = _point(sf=sf, waveform=wf, delta_s=delta_s, snr_db=3300.0)
+            assert noise_variance(point.snr_db) == 0.0
+            rng = montecarlo._chunk_rng(point, 1, 0)
+            x_prev = rng.integers(0, m, size=n)
+            x_cur = rng.integers(0, m, size=n)
+            if fixed_delta is None:
+                delta = rng.uniform(-0.5 * delta_s, 0.5 * delta_s, size=n)
+            else:
+                delta = np.full(n, fixed_delta)
+            stats = analytic_decision_statistic(x_prev, x_cur, delta, wf, sf)
+            energy = stats.real**2 + stats.imag**2
+            wanted = energy[trial, x_cur].copy()
+            energy[trial, x_cur] = -1.0
+            expected = energy.max(axis=1) >= wanted
+            flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta)
+            np.testing.assert_array_equal(flags, expected, err_msg=f"delta {fixed_delta}")
+
+    def test_noise_free_tie_reaches(self):
+        # at N0 = 0 every other bin holds exactly c: |c| = |a| reaches at
+        # any U (sf 2, rect, delta = -0.5 has such a symbol pair), a smaller
+        # |c| never does
+        energy_a = np.full(3, 0.25)
+        c = np.array([0.5, 0.5j, 0.5 - 2.0**-50])
+        reach = montecarlo._others_reach(energy_a, c, 0.0, np.log([0.5, 1e-300, 0.5]), 2)
+        np.testing.assert_array_equal(reach, [True, True, False])
 
     @pytest.mark.parametrize(
         "waveform,delta_s,fixed_delta", [("rect", 0.0, -0.3), ("rc", 1.0, None)]
@@ -735,6 +775,23 @@ def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
         fixed_delta=fixed_delta,
     )
     assert (est.trials, est.errors) == expected
+
+
+# sha256 of the sweep output for the benchmark's grid-w2 argv at one worker
+# (bench/workloads.py), under the same stream version as STREAM_PINS: 96
+# points with offsets of both signs, early stops and truncated last chunks.
+GRID_SWEEP_ARGV = (
+    "--sf 4,5,6,7 --waveform rect,rc --delta-s 0,0.2,0.4,0.6,0.8,1 --snr 4:16:12 "
+    "--trials-max 5000 --min-errors 100 --seed 1 --workers 1"
+)
+GRID_SWEEP_SHA256 = "047c9784c51c013109765b0f53a6b6b91bf2cf114fc5aa88d272ffe42740377a"
+
+
+def test_stream_pin_of_a_grid_sweep(tmp_path):
+    assert montecarlo.STREAM_VERSION == 4
+    path = tmp_path / "grid.csv"
+    assert main(["sweep", *GRID_SWEEP_ARGV.split(), "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_SWEEP_SHA256
 
 
 def _chip_rate_errors(sf, token, delta_s, snr_db, trials, rng):
