@@ -121,7 +121,8 @@ def _central_log_cdf(x: np.ndarray) -> np.ndarray:
     log1p(-exp(-x)) where exp(-x) < 1/2 and log(-expm1(-x)) below, so that
     neither cancels; x = 0 gives -inf.
     """
-    out = np.exp(-x)
+    out = np.negative(x)
+    np.exp(out, out=out)
     np.negative(out, out=out)
     with np.errstate(divide="ignore"):
         np.log1p(out, out=out)

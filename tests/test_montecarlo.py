@@ -555,11 +555,11 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("count", [14, 4094])
     def test_chernoff_shortcuts_decide_as_the_series(self, count, monkeypatch):
-        # trials whose log U lies clear of their Chernoff bound skip the
-        # series; they must decide as log U >= count * log F does: at the
-        # uniform's extremes, just inside and just outside each edge of the
-        # band between the bound (with its margin) and the exact value, and
-        # at d within 1e-6 of 0
+        # trials whose log U lies outside the bracket of count * log F skip
+        # the series; they must decide as log U >= count * log F does: at the
+        # uniform's extremes, just inside and just outside each bound of the
+        # bracket (with its margin), at the exact value, and at d within
+        # 1e-6 of 0
         rng = np.random.default_rng(count)
         mu = np.repeat([0.0, 1e-4, 0.5, 30.0, 300.0], 400)
         d = rng.uniform(-np.minimum(np.sqrt(mu), 25.0), 12.0)
@@ -570,13 +570,21 @@ class TestRunPoint:
         log_cdf = rice._rice_log_cdf(x, mu)[0]
         assert np.all(np.isfinite(log_cdf))
         exact = count * log_cdf
-        # count * log(1 - exp(-d**2)) above the mean and -count * d**2 below it
-        bound = np.where(d > 0.0, count * rice._central_log_cdf(d * d), -count * d * d)
+        # the bracket: the Poisson mixture's j = 0 term and its largest
+        # Gamma CDF, each tightened by the Chernoff bound on its side of
+        # the mean, log(1 - exp(-d**2)) above it and -d**2 below it
+        log_f0 = count * rice._central_log_cdf(x)
+        chernoff = np.where(d > 0.0, count * rice._central_log_cdf(d * d), -count * d * d)
+        lower = np.where(d > 0.0, np.maximum(log_f0 - count * mu, chernoff), log_f0 - count * mu)
+        upper = np.where(d > 0.0, log_f0, np.minimum(log_f0, chernoff))
+        assert np.all(lower <= exact) and np.all(exact <= upper)
         log_u = np.log(rng.random(mu.size))
         edges = [
             (-math.inf, np.log(1.0 - 2.0**-53), np.log(2.0**-53)),
-            (bound * (1.0 + 2e-9), bound * (1.0 + 5e-10), bound * (1.0 - 5e-10)),
-            (bound * (1.0 - 2e-9), exact * (1.0 + 1e-12), exact, exact * (1.0 - 1e-12)),
+            (lower * (1.0 + 2e-9), upper * (1.0 - 2e-9)),
+            (lower * (1.0 + 5e-10), lower * (1.0 - 5e-10)),
+            (upper * (1.0 + 5e-10), upper * (1.0 - 5e-10)),
+            (exact * (1.0 + 1e-12), exact, exact * (1.0 - 1e-12)),
         ]
         edges = np.stack([np.broadcast_to(e, mu.shape) for group in edges for e in group])
         pick = rng.integers(-edges.shape[0], edges.shape[0], mu.size)  # below 0: random U
@@ -596,11 +604,12 @@ class TestRunPoint:
         n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
         reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
         np.testing.assert_array_equal(reach, log_u >= exact)
-        # far above the mean, where count * exp(-d**2) < 2**-54, the bound
-        # lies above every log U < 0, so no row there reaches the series, not
-        # even at the largest U; the band and the series are taken; far below
-        # the mean, where -count * d**2 < -54 log 2, every U > 0 lies clear of
-        # the bound and only U = 0 reaches the series
+        # far above the mean, where count * exp(-d**2) < 2**-54, the lower
+        # bound lies above every log U < 0, so no row there reaches the
+        # series, not even at the largest U; far below the mean, where
+        # -count * d**2 < -54 log 2, the upper bound lies below every U > 0
+        # and U = 0 lies below the lower bound, so no row there reaches it
+        # either; the series is taken, and not by every row near the mean
         rice_rows = mu > 0.0
         far_above = rice_rows & (d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0)))
         far_below = rice_rows & (d < -math.sqrt(54.0 * math.log(2.0) / count))
@@ -608,16 +617,35 @@ class TestRunPoint:
         series = np.isin(x, np.concatenate(series_x)) & rice_rows
         assert np.any(far_above & (log_u == log_u.max())) and not np.any(series[far_above])
         assert np.any(series) and np.any(near & ~series)
-        assert np.any(far_below & (log_u == -math.inf)) and np.any(far_below & ~series)
-        assert np.array_equal(series[far_below], log_u[far_below] == -math.inf)
-        # 2e-9 outside the bound the trial skips the series; inside the
-        # margin, between the bound and the exact value, or at the exact
-        # value, it reaches it
+        assert np.any(far_below & (log_u == -math.inf)) and not np.any(series[far_below])
+        # 2e-9 outside a bound the trial skips the series; inside the
+        # margin of either bound, or at the exact value, it reaches it
         edge = near & (log_u == kept) & (np.abs(d) > 1e-3)
-        outside = edge & np.where(d > 0.0, pick == 3, pick == 6)
-        inside = edge & (np.isin(pick, (4, 5, 7, 8, 9)) | ((d < 0.0) & (pick == 3)))
+        outside = edge & np.isin(pick, (3, 4))
+        inside = edge & (pick >= 5)
         assert np.any(outside) and not np.any(series[outside])
         assert np.any(inside) and np.all(series[inside])
+
+    @staticmethod
+    def _noise_free_argmax(point, fixed_delta):
+        """Chunk 0's flags by the noise-free argmax over the energies of
+        analytic_decision_statistic, a tie with the wanted bin counting as
+        an error; the symbols and offsets (unless fixed_delta is given) are
+        replayed from the chunk's stream."""
+        n, m = TRIALS_PER_CHUNK, 2**point.sf
+        trial = np.arange(n)
+        rng = montecarlo._chunk_rng(point, 1, 0)
+        x_prev = rng.integers(0, m, size=n)
+        x_cur = rng.integers(0, m, size=n)
+        if fixed_delta is None:
+            delta = rng.uniform(-0.5 * point.delta_s, 0.5 * point.delta_s, size=n)
+        else:
+            delta = np.full(n, fixed_delta)
+        stats = analytic_decision_statistic(x_prev, x_cur, delta, point.waveform, point.sf)
+        energy = stats.real**2 + stats.imag**2
+        wanted = energy[trial, x_cur].copy()
+        energy[trial, x_cur] = -1.0
+        return energy.max(axis=1) >= wanted
 
     @pytest.mark.parametrize("waveform", ["rect", "rc"])
     @pytest.mark.parametrize("sf", [2, 3, 4, 5])
@@ -625,25 +653,28 @@ class TestRunPoint:
         # at 3300 dB N0 rounds to 0, so every flag is the noise-free argmax
         # over analytic_decision_statistic's energies, a tie with the wanted
         # bin counting as an error
-        n, m = TRIALS_PER_CHUNK, 2**sf
-        trial = np.arange(n)
         for delta_s, fixed_delta in ((1.0, None), (0.0, -0.5), (0.0, -0.3), (0.0, 0.3)):
-            wf = ChipWaveform(waveform)
-            point = _point(sf=sf, waveform=wf, delta_s=delta_s, snr_db=3300.0)
+            point = _point(sf=sf, waveform=ChipWaveform(waveform), delta_s=delta_s, snr_db=3300.0)
             assert noise_variance(point.snr_db) == 0.0
-            rng = montecarlo._chunk_rng(point, 1, 0)
-            x_prev = rng.integers(0, m, size=n)
-            x_cur = rng.integers(0, m, size=n)
-            if fixed_delta is None:
-                delta = rng.uniform(-0.5 * delta_s, 0.5 * delta_s, size=n)
-            else:
-                delta = np.full(n, fixed_delta)
-            stats = analytic_decision_statistic(x_prev, x_cur, delta, wf, sf)
-            energy = stats.real**2 + stats.imag**2
-            wanted = energy[trial, x_cur].copy()
-            energy[trial, x_cur] = -1.0
-            expected = energy.max(axis=1) >= wanted
+            expected = self._noise_free_argmax(point, fixed_delta)
             flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta)
+            np.testing.assert_array_equal(flags, expected, err_msg=f"delta {fixed_delta}")
+
+    @pytest.mark.parametrize("snr_db", [3090.0, 3150.0, 3230.0])
+    @pytest.mark.parametrize("waveform", ["rect", "rc"])
+    @pytest.mark.parametrize("sf", [3, 4, 5])
+    def test_subnormal_noise_is_the_argmax(self, sf, waveform, snr_db):
+        # N0 is subnormal, so x = |a|^2/N0, mu = |c|^2/N0 and d**2 overflow
+        # to inf, which the bracket takes without a warning; the noise lies
+        # below the last bit of every energy, so each flag is the noise-free
+        # argmax (no trial here ties |a| with another bin)
+        assert 0.0 < noise_variance(snr_db) < np.finfo(float).tiny
+        for delta_s, fixed_delta in ((1.0, None), (0.0, -0.3), (0.0, 0.3)):
+            point = _point(sf=sf, waveform=ChipWaveform(waveform), delta_s=delta_s, snr_db=snr_db)
+            expected = self._noise_free_argmax(point, fixed_delta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta)
             np.testing.assert_array_equal(flags, expected, err_msg=f"delta {fixed_delta}")
 
     def test_noise_free_tie_reaches(self):
@@ -697,6 +728,30 @@ class TestRunPoint:
             finally:
                 tracemalloc.stop()
             assert peak < TRIALS_PER_CHUNK * 2**10, delta_s
+
+    def test_bracket_leaves_the_series_few_trials(self, recorded_noise, monkeypatch):
+        # at 4 dB mu = |c|^2/N0 is small on most negative offsets, where the
+        # Chernoff bounds alone lie far from log F; the mixture bounds
+        # log F(x; 0) - mu <= log F(x; mu) <= log F(x; 0) settle all but a
+        # few trials, and every flag stays the full series' at its own U
+        series_rows = []
+        rice_log_cdf = montecarlo._rice_log_cdf
+
+        def counted(x, mu):
+            series_rows.append(x.size)
+            return rice_log_cdf(x, mu)
+
+        monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
+        trials = 0
+        for sf in (4, 5, 6, 7):
+            for waveform in ("rect", "rc"):
+                point = _point(sf=sf, waveform=ChipWaveform(waveform), delta_s=1.0, snr_db=4.0)
+                recorded_noise.clear()
+                flags = montecarlo._chunk_error_flags(point, 1, 0)
+                expected = self._replay(point, None, *recorded_noise)[0]
+                np.testing.assert_array_equal(flags, expected, err_msg=f"sf {sf}, {waveform}")
+                trials += flags.size
+        assert sum(series_rows) < 0.005 * trials, (sum(series_rows), trials)
 
     def test_high_snr_chunk_skips_the_series(self, monkeypatch):
         # at sf 4 and 60 dB the boundary term gives mu up to about 4e3, where
