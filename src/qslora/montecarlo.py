@@ -40,12 +40,13 @@ builds an M-vector. Each trial's own log U is tested against a bracket of
 (M - 2) log F: F(x; 0) exp(-mu) <= F(x; mu) <= F(x; 0), the first term and
 the largest Gamma CDF of F's Poisson mixture, each tightened by the Chernoff
 bound on its side of the mean (_others_reach). Only a log U inside the
-bracket goes to the series, so the bracket changes the work and never an
-outcome; at mu = 0 its bounds meet at the closed form. A trial errs when
-|b|^2 >= |a|^2 or when the other bins reach |a|^2: a tie with the wanted bin
-counts as an error. The comparison is scale-invariant, so the kernel forms
-every mean and energy in units of max(N0, 1): the energies stay finite at any
-N0 the SNR check admits, and for N0 <= 1 the unit is 1 and nothing changes.
+bracket goes to the Rice CDF itself, a quadrature of the amplitude density
+(qslora.rice), so the bracket changes the work and never an outcome; at
+mu = 0 its bounds meet at the closed form. A trial errs when |b|^2 >= |a|^2
+or when the other bins reach |a|^2: a tie with the wanted bin counts as an
+error. The comparison is scale-invariant, so the kernel forms every mean and
+energy in units of max(N0, 1): the energies stay finite at any N0 the SNR
+check admits, and for N0 <= 1 the unit is 1 and nothing changes.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ STREAM_VERSION = 4  # the random stream of the module docstring
 TRIALS_PER_CHUNK = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # how far _others_reach widens each bound of its bracket, relative to the
-# bound: the series' log F is within about 1e-13 of its own size
+# bound: rice._rice_log_cdf's log F is within about 1e-14 of its own size
 _BAND_MARGIN = 1e-9
 
 
@@ -245,7 +246,7 @@ def _others_reach(
     CDF F(x; mu)**count at x = energy_a / n0. Drawn by inversion at U, it
     reaches x exactly when log U >= count * log F(x; mu).
 
-    A bracket of log F settles most trials without the series. F is the
+    A bracket of log F settles most trials without evaluating F. F is the
     Poisson mixture sum_j Pois(j; mu) P(Gamma(j + 1) <= x): its j = 0 term
     gives F >= exp(-mu) F(x; 0), and since each Gamma CDF falls as j grows,
     F <= F(x; 0), with F(x; 0) = 1 - exp(-x). With d = sqrt(x) - sqrt(mu),
@@ -258,23 +259,36 @@ def _others_reach(
 
     which meet at the exact value when mu = 0. A trial clears when
     log U < count * lower and reaches when log U >= count * upper, each
-    bound widened by a relative _BAND_MARGIN, far more than the series'
-    error; where |d| is small enough for d's rounding to exceed the margin,
+    bound widened by a relative _BAND_MARGIN, far more than the error of
+    log F; where |d| is small enough for d's rounding to exceed the margin,
     the Chernoff bound lies far from the exact value. Only a log U inside the
-    bracket goes to the series (_rice_log_cdf), so the bracket changes the
-    work and never an outcome. Near a subnormal n0, x, mu and d**2 may
-    overflow to inf; each bound then stays on its side of log F (an inf
-    argument gives log F(x; 0) = 0 and a Chernoff term of 0 or -inf), so the
-    overflow is not an error here. At n0 = 0 (noise-free) every other bin
-    holds exactly c, and a tie with |a| reaches.
+    bracket goes to rice._rice_log_cdf, whose work does not depend on mu, so
+    the bracket changes the work and never an outcome. It takes the
+    amplitudes r = sqrt(energy_a) / sqrt(n0) and s = sqrt(|c|**2) / sqrt(n0),
+    which stay finite at every n0 > 0 where x and mu may not, and r = s
+    exactly where d = 0.
+
+    Near a subnormal n0, x, mu and d**2 may overflow to inf; each bound then
+    stays on its side of log F (an inf argument gives log F(x; 0) = 0 and a
+    Chernoff term of 0 or -inf), so the overflow is not an error here. Once
+    the noise lies below the last bit of the means, the same rule reads: a
+    trial whose |a| and |c| differ as floats has |d| of at least one bit of
+    them over sqrt(n0), and the bracket decides it as the noise-free
+    comparison of |a| with |c| wherever that is more than a few units; a
+    trial whose |a| and |c| are equal floats has d = 0 exactly and decides
+    by log U >= count * log F(s; s), about count * log(1/2) at large s. At
+    n0 = 0 (noise-free) every other bin holds exactly c, and a tie with |a|
+    reaches.
     """
     energy_c = c.real**2 + c.imag**2
     if n0 == 0.0:
         return energy_c >= energy_a
+    root_n0 = math.sqrt(n0)
+    amp_c = np.sqrt(energy_c)
     with np.errstate(over="ignore"):
         d = np.sqrt(energy_a)
-        d -= np.sqrt(energy_c)
-        d /= math.sqrt(n0)
+        d -= amp_c
+        d /= root_n0
         below = np.minimum(d, 0.0)
         np.square(below, out=below)
         np.negative(below, out=below)  # -d**2 below the mean, -0 above it
@@ -293,7 +307,7 @@ def _others_reach(
     reach = log_u >= upper
     band = np.flatnonzero(~reach & (log_u >= lower))
     if band.size:
-        log_cdf = _rice_log_cdf(energy_a[band] / n0, mu[band])[0]
+        log_cdf = _rice_log_cdf(np.sqrt(energy_a[band]) / root_n0, amp_c[band] / root_n0)[0]
         reach[band] = log_u[band] >= count * log_cdf
     return reach
 

@@ -4,22 +4,23 @@ A bin holding a mean m plus complex white noise of variance N0 has an energy
 over N0 with the Rice law: noncentral chi-square with 2 degrees of freedom
 and mu = |m|^2/N0, the exponential law at mu = 0 (Proakis, Digital
 Communications, noncoherent orthogonal signaling; Marcum's Q). This module
-holds its log-CDF (_central_log_cdf at mu = 0, _rice_log_cdf otherwise),
-which the Monte-Carlo kernel in qslora.montecarlo evaluates, and the exact
+holds its log-CDF (_central_log_cdf of the energy at mu = 0, and otherwise
+_rice_log_cdf of the amplitude sqrt(x) around sqrt(mu)), which the
+Monte-Carlo kernel in qslora.montecarlo evaluates, and the exact
 SER of synchronous noncoherent M-ary orthogonal signaling
 (analytical_ser_sync), the oracle of every delta_s = 0 estimate.
 
 Numerics, all float64 numpy in log space: each log-CDF forms the smaller of
 F and 1 - F directly and the other through log1p, so neither tail cancels,
-and a probability below the smallest float reads log 0 = -inf. Poisson
-weights neither overflow nor underflow at their peak for any mean.
-analytical_ser_sync is within a relative 1e-12 of the exact alternating
-sum, and its work is bounded at any finite SNR.
+and a probability below the smallest float reads log 0 = -inf. Both
+_rice_log_cdf and analytical_ser_sync integrate the Rice amplitude density
+by one composite 16-node Gauss-Legendre rule, so the work of either is
+bounded at any mean and any finite SNR. analytical_ser_sync is within a
+relative 1e-12 of the exact alternating sum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ __all__ = ["analytical_ser_sync"]
 _LOG_TINIEST = math.log(math.ulp(0.0))
 # below this log(gamma) the SER is within 2**-54 of the uniform guess 1 - 1/M
 _LOG_GAMMA_GUESS = -107.0 * math.log(2.0)
-# composite Gauss-Legendre rule of the Rice integral in u = sqrt(x)
+# the 16-node Gauss-Legendre rule of every Rice integral in this module;
+# analytical_ser_sync's panels in u = sqrt(x):
 _RICE_NODES, _RICE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _RICE_PANEL = 0.5
 _RICE_REACH = 12.0  # integrate u over [0, sqrt(gamma) + _RICE_REACH]
@@ -56,63 +58,19 @@ def _log_i0e(z: np.ndarray) -> np.ndarray:
 
 
 _LOG_HALF = math.log(0.5)
-# Poisson pmfs: a running product lam/k while lam <= _PRODUCT_REACH (at most
-# 182 factors, and exp(-lam) stays normal); above, the log-pmf, with log k!
-# exact below _STIRLING_FROM and Stirling's series from there on, whose next
-# term is below 2**-53
-_PRODUCT_REACH = 64.0
-_STIRLING_FROM = 16
-_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_STIRLING_FROM)])
-_STIRLING_SERIES = np.array([1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0])
-# the deviance k log(k/lam) + lam - k as a series in v = (k - lam)/(k + lam)
-# for |v| < _DEVIANCE_NEAR (Loader, "Fast and accurate computation of
-# binomial probabilities", 2000): 2k sum_{i>=1} v^(2i+1)/(2i+1), to 2**-53
-_DEVIANCE_NEAR = 0.1
-_DEVIANCE_SERIES = 1.0 / np.arange(3.0, 23.0, 2.0)
-
-
-def _log_poisson(k, lam: np.ndarray) -> np.ndarray:
-    """log Pois(k; lam) for integers k >= 0 and lam >= 0 (broadcast).
-
-    k log(lam) - lam - log k! cancels large terms once k and lam are large,
-    so from k = _STIRLING_FROM on it is Loader's saddle-point form
-    -stirlerr(k) - log(2 pi k)/2 - bd0(k, lam), with the deviance bd0 summed
-    as a series near k = lam: the result is then exact to a few ulps of its
-    own size.
-    """
-    k = np.asarray(k, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0: log 0 and 0 * log 0
-        head = np.where(k == 0.0, -lam, k * np.log(lam) - lam)
-        head -= _LOG_FACTORIAL[np.minimum(k, _STIRLING_FROM - 1).astype(int)]
-        big = np.maximum(k, _STIRLING_FROM)
-        stirling = np.polynomial.polynomial.polyval(1.0 / (big * big), _STIRLING_SERIES) / big
-        v = (k - lam) / (k + lam)
-        series = (k - lam) * v + 2.0 * k * v**3 * np.polynomial.polynomial.polyval(
-            v * v, _DEVIANCE_SERIES
-        )
-        deviance = np.where(np.abs(v) < _DEVIANCE_NEAR, series, k * np.log(k / lam) + lam - k)
-        tail = -(stirling + 0.5 * np.log(2.0 * math.pi * big)) - deviance
-    return np.where(k < _STIRLING_FROM, head, tail)
-
-
-def _scaled_poisson(lam: np.ndarray):
-    """Yield a log scale s, then Pois(k; lam) * exp(-s) for k = 0, 1, 2, ...
-
-    Up to _PRODUCT_REACH s is 0 and each pmf is the last one times lam/k.
-    Above it every pmf is exp(_log_poisson - s), with s the log-pmf at the
-    mode floor(lam), so that none overflows and the peak never underflows.
-    """
-    if lam.max() <= _PRODUCT_REACH:
-        yield 0.0
-        pmf = np.exp(-lam)
-        for k in itertools.count(1):
-            yield pmf
-            pmf *= lam
-            pmf /= k
-    scale = _log_poisson(np.floor(lam), lam)
-    yield scale
-    for k in itertools.count():
-        yield np.exp(_log_poisson(k, lam) - scale)
+# _rice_log_cdf's composite rule: _TAIL_PANELS panels on one side of r, out
+# to where the Gaussian factor has fallen by exp(-_TAIL_REACH**2) from its
+# largest value on that side
+_TAIL_PANELS = 6
+_TAIL_REACH = 7.0
+_TAIL_FRACTIONS = (
+    (np.arange(_TAIL_PANELS)[:, None] + 0.5 * (_RICE_NODES + 1.0)) / _TAIL_PANELS
+).ravel()
+_TAIL_WEIGHTS = np.tile(_RICE_WEIGHTS, _TAIL_PANELS) / (2.0 * _TAIL_PANELS)
+# from here on I0e(z) is 1/sqrt(2 pi z) to the last bit, while 2 pi z, and
+# near a subnormal N0 2 s rho itself, may overflow: there the prefactor
+# 2 rho I0e(2 s rho) is sqrt(rho / (pi s))
+_I0_FLAT = 2.0**60
 
 
 def _central_log_cdf(x: np.ndarray) -> np.ndarray:
@@ -131,53 +89,60 @@ def _central_log_cdf(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rice_log_cdf(x: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log F and log(1 - F) of the Rice law of a bin energy over N0.
+def _rice_log_cdf(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log F and log(1 - F) of the Rice law of a bin amplitude over sqrt(N0).
 
-    F(x; mu) = P(|sqrt(mu) + Z|^2 <= x) for Z complex normal with E|Z|^2 = 1:
-    2x is noncentral chi-square with 2 degrees of freedom and noncentrality
-    2 mu, and 1 - F is Marcum's Q_1(sqrt(2 mu), sqrt(2 x)). At mu = 0 it is
-    the exponential law (_central_log_cdf). Otherwise, with J ~ Pois(mu) and
-    K ~ Pois(x) independent, the Poisson mixture of Gamma tails gives
+    F(r; s) = P(|s + Z| <= r) for Z complex normal with E|Z|^2 = 1: 2 r**2 is
+    noncentral chi-square with 2 degrees of freedom and noncentrality
+    2 s**2, and 1 - F is Marcum's Q_1(sqrt(2) s, sqrt(2) r). r and s are
+    float arrays of one shape, r, s >= 0. At s = 0 it is the exponential law
+    of r**2 (_central_log_cdf). Otherwise each tail is an integral of the
+    amplitude density
 
-        Q = 1 - F = P(K <= J) = sum_j Pois(j; mu) P(K <= j)
-                F = P(K > J)  = sum_k Pois(k; x) P(J < k),
+        f(rho) = 2 rho exp(-(rho - s)**2) I0e(2 s rho),
 
-    two sums of positive terms, taken in one pass over k up to
-    g + 12 sqrt(g + 1) + 21 with g = max(mu, sqrt(mu x)), past where their
-    terms peak. log F is log1p(-Q) where Q < 1/2 and the second sum
-    otherwise, so neither tail cancels. x and mu are float arrays of one
-    shape, x, mu >= 0. A sum below the smallest float is log 0 = -inf, as F
-    or 1 - F then is in floating point.
+    F over [0, r] and 1 - F over [r, inf). The smaller tail is formed
+    directly, F where r**2 - s**2 <= log 2 and 1 - F above (either is then
+    at most about 0.54), and the other through log1p, so neither cancels.
+    The tail takes the same composite 16-node Gauss-Legendre rule as
+    analytical_ser_sync, on _TAIL_PANELS equal panels of offsets t from r,
+    out to where exp(-v**2) has fallen by exp(-_TAIL_REACH**2) from its
+    largest value on that side (capped at r below it): about _TAIL_REACH
+    past the mean, or a span like _TAIL_REACH**2 / (2 |d|) in a far tail,
+    where d = r - s. So the work per row is the same at every s. A node
+    takes its exponent from v = d -/+ t and its prefactor from rho = r -/+ t,
+    so neither rounds onto r at large s. A tail below the smallest float is
+    log 0 = -inf, as it then is in floating point.
     """
-    log_cdf = np.empty(x.shape)
-    log_sf = np.empty(x.shape)
-    central = mu == 0.0
-    log_cdf[central] = _central_log_cdf(x[central])
-    log_sf[central] = -x[central]
-    reach = np.maximum(x, mu) <= _PRODUCT_REACH  # rows that a large lam must not slow
-    for rows in (np.flatnonzero(~central & reach), np.flatnonzero(~central & ~reach)):
-        if not rows.size:
-            continue
-        xr, mr = x[rows], mu[rows]
-        g = np.maximum(mr, np.sqrt(mr * xr))
-        terms = int(np.ceil(np.max(g + 12.0 * np.sqrt(g + 1.0) + 21.0)))
-        pois_j, pois_k = _scaled_poisson(mr), _scaled_poisson(xr)
-        scale = next(pois_j) + next(pois_k)
-        cdf_j, cdf_k, upper, lower, term = np.zeros((5, rows.size))
-        for p, q in itertools.islice(zip(pois_j, pois_k), terms):
-            lower += np.multiply(q, cdf_j, out=term)  # Pois(k; x) P(J < k)
-            cdf_j += p
-            cdf_k += q
-            upper += np.multiply(p, cdf_k, out=term)  # Pois(j; mu) P(K <= j)
-        with np.errstate(divide="ignore"):  # a sum that underflows is log 0
-            log_upper = np.log(upper) + scale
-            log_lower = np.log(lower) + scale
-        tail = log_upper < _LOG_HALF
-        upper_cdf = np.log1p(-np.exp(np.minimum(log_upper, _LOG_HALF)))
-        lower_sf = np.log1p(-np.exp(np.minimum(log_lower, _LOG_HALF)))
-        log_cdf[rows] = np.where(tail, upper_cdf, log_lower)
-        log_sf[rows] = np.where(tail, log_upper, lower_sf)
+    log_cdf = np.empty(r.shape)
+    log_sf = np.empty(r.shape)
+    central = s == 0.0
+    # near a subnormal N0, r**2, v**2 and 2 s rho overflow to inf, and a tail
+    # below the smallest float is log 0
+    with np.errstate(over="ignore", divide="ignore"):
+        x = np.square(r[central])
+        log_cdf[central] = _central_log_cdf(x)
+        log_sf[central] = -x
+        rows = np.flatnonzero(~central)
+        r, s = r[rows, None], s[rows, None]
+        d = r - s
+        # r**2 - s**2 > log 2: integrate 1 - F above r (+1), else F below it (-1)
+        side = np.where(d * (r + s) > -_LOG_HALF, 1.0, -1.0)
+        span = _TAIL_REACH**2 / (np.hypot(d, _TAIL_REACH) + side * d)
+        span = np.where(side > 0.0, span, np.minimum(span, r))
+        t = side * span * _TAIL_FRACTIONS
+        rho = r + t
+        v = d + t
+        z = 2.0 * s * rho
+        log_f = np.log(2.0 * rho) + _log_i0e(z.ravel()).reshape(z.shape)
+        far = z >= _I0_FLAT
+        log_f[far] = 0.5 * np.log(rho[far] / (math.pi * np.broadcast_to(s, z.shape)[far]))
+        log_f -= v * v
+        tail = np.log(np.exp(log_f) @ _TAIL_WEIGHTS * span[:, 0])
+    other = np.log1p(-np.exp(tail))
+    upper = side[:, 0] > 0.0
+    log_cdf[rows] = np.where(upper, other, tail)
+    log_sf[rows] = np.where(upper, tail, other)
     return log_cdf, log_sf
 
 

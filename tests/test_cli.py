@@ -359,6 +359,21 @@ class TestMain:
         p = analytical_ser_sync(4, 8.0)
         assert float(row["ci_low"]) < p < float(row["ci_high"])
 
+    def test_sweep_at_the_other_bins_mean_far_above_any_noise(self, tmp_path):
+        # sf 2, rect, delta = -0.5 gives the symbol pair (3, 1) |a| = |c|,
+        # so at 3000 dB its trials reach the Rice CDF at mu = |c|^2/N0 of
+        # about 6e298, which must cost no more than at any other mean
+        path = tmp_path / "out.csv"
+        argv = [
+            "sweep", "--sf", "2", "-w", "rect", "--delta-s", "0", "--fixed-delta=-0.5",
+            "--snr", "3000:3000:1", "--trials-max", "4096", "--min-errors", "0",
+            "--workers", "1", "-o", str(path),
+        ]
+        assert main(argv) == 0
+        with open(path, newline="", encoding="utf-8") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["trials"] == "4096"
+
     def test_output_io_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "missing_dir" / "out.csv"
         assert main([*TINY_SWEEP, "-o", str(path)]) == 1

@@ -215,6 +215,48 @@ def _rice_log_tail(x: float, mu: float, terms: range, lower: bool) -> float:
         return float(mp.log(total))
 
 
+def _rice_amplitude_log_tails(r: float, s: float) -> tuple[float, float]:
+    """(log F, log(1 - F)) of the Rice law at amplitude r around s, in mpmath.
+
+    The smaller tail integrates the amplitude density
+    2 rho exp(-(rho - s)**2) I0e(2 s rho) in offsets t from r, on the far
+    side of r from s, with its exponent taken from d -/+ t (d = r - s) and
+    scaled by exp(d**2), so that the quadrature sees values near 1 and s
+    never rounds an offset away; below r it stops at t = |d| + 40, past
+    which the scaled density is below exp(-1600). The other tail is
+    log(1 - exp(smaller)). I0e is mpmath's besseli below 1e4 and its
+    asymptotic series above.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        r, s = mp.mpf(r), mp.mpf(s)
+        d = r - s
+        side = 1 if d > 0 else -1
+
+        def i0e(z):
+            if z < 1e4:
+                return mp.besseli(0, z) * mp.exp(-z)
+            term = total = mp.mpf(1)
+            k = 1
+            while term > mp.eps:
+                term *= (2 * k - 1) ** 2 / (8 * k * z)
+                total += term
+                k += 1
+            return total / mp.sqrt(2 * mp.pi * z)
+
+        def density(t):
+            rho = r + side * t
+            return 2 * rho * mp.exp(d * d - (d + side * t) ** 2) * i0e(2 * s * rho)
+
+        end = min(r, abs(d) + 40) if side < 0 else mp.inf
+        cuts = [mp.mpf(4) ** k / (40 * (abs(d) + 1)) for k in range(9)]
+        cuts = [mp.mpf(0)] + [c for c in cuts if c < min(end, abs(d) + 40)] + [end]
+        smaller = mp.log(mp.quad(density, cuts)) - d * d
+        other = mp.log(-mp.expm1(smaller))
+        pair = (smaller, other) if side < 0 else (other, smaller)
+        return float(pair[0]), float(pair[1])
+
+
 class TestRiceLaw:
     @pytest.mark.parametrize("mu", [0.0, 1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0, 63.0, 4e3])
     def test_against_scipy(self, mu):
@@ -225,7 +267,7 @@ class TestRiceLaw:
         # by 1.8e-6 at -329, by mpmath), so each side is compared where
         # scipy's value is above -20
         x = np.append(np.geomspace(1e-8, (math.sqrt(mu) + 30.0) ** 2, 300), mu)
-        log_cdf, log_sf = rice._rice_log_cdf(x, np.full_like(x, mu))
+        log_cdf, log_sf = rice._rice_log_cdf(np.sqrt(x), np.full_like(x, math.sqrt(mu)))
         law = scipy_stats.ncx2(2, 2.0 * mu) if mu else scipy_stats.chi2(2)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy's log of an underflowed tail
@@ -246,16 +288,56 @@ class TestRiceLaw:
     def test_far_tails_against_mpmath(self, x, mu, terms, lower):
         # where scipy's tails fail, the Poisson mixture in mpmath, summed
         # over the terms around sqrt(mu x) where the far tail's mass lies
-        got = rice._rice_log_cdf(np.array([x]), np.array([mu]))[0 if lower else 1][0]
+        got = rice._rice_log_cdf(np.sqrt([x]), np.sqrt([mu]))[0 if lower else 1][0]
         ref = _rice_log_tail(x, mu, terms, lower)
         assert ref < -300.0
         assert got == pytest.approx(ref, rel=2e-15, abs=0)
 
+    @pytest.mark.parametrize("mu", [1e5, 1e12, 1e300])
+    def test_large_mean_against_mpmath(self, mu):
+        # in amplitude form, so that no x = r**2 rounds the input: from
+        # d = -26 to 26 around s = sqrt(mu), where each tail stays a normal
+        # float; at 1e300 the only floats near s are s itself, where
+        # log F = log(1/2) to the last bit, and its neighbours, whose d of
+        # about 2e134 puts one tail below the smallest float
+        s = math.sqrt(mu)
+        if mu < 1e100:
+            r = s + np.array([-26.0, -6.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 6.0, 26.0])
+        else:
+            r = np.array([np.nextafter(s, 0.0), s, np.nextafter(s, math.inf)])
+        ref = np.array([_rice_amplitude_log_tails(ri, s) for ri in r])
+        got = np.column_stack(rice._rice_log_cdf(r, np.full_like(r, s)))
+        near = ref > -20.0
+        far = (ref <= -20.0) & (ref > rice._LOG_TINIEST)
+        np.testing.assert_allclose(got[near], ref[near], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got[far], ref[far], rtol=2e-15, atol=0)
+        assert np.all(got[ref <= rice._LOG_TINIEST] == -math.inf)
+        assert np.count_nonzero(near) >= 3
+
+    def test_work_bounded_in_mu(self, monkeypatch):
+        # every integrand node passes through _log_i0e once, and a row gets
+        # the same number of them at any mean
+        nodes = []
+        log_i0e = rice._log_i0e
+
+        def counted(z):
+            nodes.append(z.size)
+            return log_i0e(z)
+
+        monkeypatch.setattr(rice, "_log_i0e", counted)
+        d = np.array([-30.0, -3.0, -0.5, 0.0, 0.5, 3.0, 30.0])
+        for mu in (1e-3, 4e3, 1e300):
+            s = math.sqrt(mu)
+            rice._rice_log_cdf(np.maximum(s + d, 0.0), np.full_like(d, s))
+        assert len(nodes) == 3
+        assert nodes == [nodes[0]] * 3 and nodes[0] == d.size * 16 * rice._TAIL_PANELS
+
     def test_central_law_is_the_exponential(self):
         # mu = 0: 1 - F = exp(-x), and log F is log1p(-exp(-x)) wherever
         # exp(-x) < 1/2; below, where that would cancel, log(-expm1(-x))
-        x = np.append(np.geomspace(1e-8, 800.0, 400), [0.0, math.log(2.0)])
-        log_cdf, log_sf = rice._rice_log_cdf(x, np.zeros_like(x))
+        r = np.sqrt(np.append(np.geomspace(1e-8, 800.0, 400), [0.0, math.log(2.0)]))
+        x = r * r
+        log_cdf, log_sf = rice._rice_log_cdf(r, np.zeros_like(r))
         np.testing.assert_array_equal(log_sf, -x)
         high = x > math.log(2.0)
         np.testing.assert_array_equal(log_cdf[high], np.log1p(-np.exp(-x[high])))
@@ -266,11 +348,11 @@ class TestRiceLaw:
     def test_zero_energy_and_monotone(self):
         # F(0; mu) = 0 for every mu, without a warning; F rises and 1 - F
         # falls with x
-        log_cdf, log_sf = rice._rice_log_cdf(np.zeros(3), np.array([0.0, 2.0, 300.0]))
+        log_cdf, log_sf = rice._rice_log_cdf(np.zeros(3), np.sqrt([0.0, 2.0, 300.0]))
         assert np.all(log_cdf == -math.inf) and np.all(log_sf == 0.0)
         x = np.geomspace(1e-3, 200.0, 300)
         for mu in (1e-3, 2.0, 80.0):
-            log_cdf, log_sf = rice._rice_log_cdf(x, np.full_like(x, mu))
+            log_cdf, log_sf = rice._rice_log_cdf(np.sqrt(x), np.full_like(x, math.sqrt(mu)))
             assert np.all(np.diff(log_cdf) >= 0.0) and np.all(np.diff(log_sf) <= 0.0)
 
 
@@ -484,7 +566,7 @@ class TestRunPoint:
         c = stats[trial, (x_cur + 1) % m]
         x = (a.real**2 + a.imag**2) / n0
         mu = (c.real**2 + c.imag**2) / n0
-        log_cdf = rice._rice_log_cdf(x, mu)[0]
+        log_cdf = rice._rice_log_cdf(np.sqrt(x), np.sqrt(mu))[0]
         flags = (b.real**2 + b.imag**2 >= a.real**2 + a.imag**2) | (log_u >= (m - 2) * log_cdf)
         return flags, (x, mu, log_u)
 
@@ -521,9 +603,9 @@ class TestRunPoint:
         series_rows = []
         rice_log_cdf = montecarlo._rice_log_cdf
 
-        def counted(x, mu):
-            series_rows.append(int(np.count_nonzero(mu > 0.0)))
-            return rice_log_cdf(x, mu)
+        def counted(r, s):
+            series_rows.append(int(np.count_nonzero(s > 0.0)))
+            return rice_log_cdf(r, s)
 
         monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
         taken = dict(above=0, near=0)
@@ -567,7 +649,7 @@ class TestRunPoint:
         d[small] = rng.uniform(-1e-6, 1e-6, small.size)
         d[small[::4]] = 0.0
         x = (np.sqrt(mu) + d) ** 2
-        log_cdf = rice._rice_log_cdf(x, mu)[0]
+        log_cdf = rice._rice_log_cdf(np.sqrt(x), np.sqrt(mu))[0]
         assert np.all(np.isfinite(log_cdf))
         exact = count * log_cdf
         # the bracket: the Poisson mixture's j = 0 term and its largest
@@ -593,12 +675,12 @@ class TestRunPoint:
         kept = log_u.copy()
         inner = log_u > -math.inf
         log_u[inner] = np.clip(log_u[inner], -53.0 * math.log(2.0), -(2.0**-53))
-        series_x = []
+        series_r = []
         rice_log_cdf = montecarlo._rice_log_cdf
 
-        def seen(x, mu):
-            series_x.append(x)
-            return rice_log_cdf(x, mu)
+        def seen(r, s):
+            series_r.append(r)
+            return rice_log_cdf(r, s)
 
         monkeypatch.setattr(montecarlo, "_rice_log_cdf", seen)
         n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
@@ -614,7 +696,7 @@ class TestRunPoint:
         far_above = rice_rows & (d > math.sqrt(math.log(2.0 * count) + 54.0 * math.log(2.0)))
         far_below = rice_rows & (d < -math.sqrt(54.0 * math.log(2.0) / count))
         near = rice_rows & ~far_above
-        series = np.isin(x, np.concatenate(series_x)) & rice_rows
+        series = np.isin(np.sqrt(x), np.concatenate(series_r)) & rice_rows
         assert np.any(far_above & (log_u == log_u.max())) and not np.any(series[far_above])
         assert np.any(series) and np.any(near & ~series)
         assert np.any(far_below & (log_u == -math.inf)) and not np.any(series[far_below])
@@ -677,6 +759,59 @@ class TestRunPoint:
                 flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta)
             np.testing.assert_array_equal(flags, expected, err_msg=f"delta {fixed_delta}")
 
+    @pytest.mark.parametrize("snr_db", [3000.0, 3090.0, 3150.0, 3230.0])
+    @pytest.mark.parametrize("waveform", ["rect", "rc"])
+    def test_sub_resolution_noise_at_the_other_bins_mean(
+        self, recorded_noise, monkeypatch, waveform, snr_db
+    ):
+        # sf 2 at delta = -0.5: the symbol pair (3, 1) has |a| = |b| = |c|
+        # without noise. The noise lies below the last bit of every mean, so
+        # the other bins of a trial whose |a| and |c| differ as floats reach
+        # |a| as the noise-free comparison does, and those of a trial where
+        # they are equal floats (d = 0 exactly) reach it when its own
+        # log U >= (M - 2) log F(s; s), which is log(1/2) at these s. Under
+        # rect the pair ties in floating point, and its spill bin makes it
+        # an error either way, so every flag is the noise-free argmax; under
+        # rc its |a| and |c| differ in their last bits.
+        point = _point(sf=2, waveform=ChipWaveform(waveform), delta_s=0.0, snr_db=snr_db)
+        n, m = TRIALS_PER_CHUNK, 4
+        reached = []
+        others_reach = montecarlo._others_reach
+
+        def kept(*args):
+            reached.append(others_reach(*args))
+            return reached[-1]
+
+        monkeypatch.setattr(montecarlo, "_others_reach", kept)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = montecarlo._chunk_error_flags(point, 1, 0, -0.5)
+        np.testing.assert_array_equal(flags, self._noise_free_argmax(point, -0.5))
+        rng = montecarlo._chunk_rng(point, 1, 0)
+        x_prev = rng.integers(0, m, size=n)
+        x_cur = rng.integers(0, m, size=n)
+        rng.standard_normal((4, n))  # the noise of a and b, recorded by the kernel
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(n))
+        wanted, _, c = montecarlo._coefficients(
+            x_prev, x_cur, np.full(n, -0.5), point.waveform, m
+        )
+        noise_a = recorded_noise[0]
+        amp_a = np.sqrt(montecarlo._noisy_energy(wanted + c, noise_a.real, noise_a.imag))
+        amp_c = np.sqrt(c.real**2 + c.imag**2)
+        tie = amp_a == amp_c
+        s = amp_c[tie] / math.sqrt(noise_variance(snr_db))
+        log_f0 = rice._rice_log_cdf(s, s)[0]
+        np.testing.assert_allclose(log_f0, math.log(0.5), rtol=0, atol=1e-13)
+        (reach,) = reached
+        np.testing.assert_array_equal(reach[~tie], (amp_c > amp_a)[~tie])
+        np.testing.assert_array_equal(reach[tie], log_u[tie] >= (m - 2) * log_f0)
+        if waveform == "rect":
+            np.testing.assert_array_equal(tie, (x_prev == 3) & (x_cur == 1))
+            assert np.any(reach[tie]) and not np.all(reach[tie])
+        else:
+            assert not np.any(tie)
+
     def test_noise_free_tie_reaches(self):
         # at N0 = 0 every other bin holds exactly c: |c| = |a| reaches at
         # any U (sf 2, rect, delta = -0.5 has such a symbol pair), a smaller
@@ -737,9 +872,9 @@ class TestRunPoint:
         series_rows = []
         rice_log_cdf = montecarlo._rice_log_cdf
 
-        def counted(x, mu):
-            series_rows.append(x.size)
-            return rice_log_cdf(x, mu)
+        def counted(r, s):
+            series_rows.append(r.size)
+            return rice_log_cdf(r, s)
 
         monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
         trials = 0
@@ -760,9 +895,9 @@ class TestRunPoint:
         sizes = []
         rice_log_cdf = montecarlo._rice_log_cdf
 
-        def counted(x, mu):
-            sizes.append(x.size)
-            return rice_log_cdf(x, mu)
+        def counted(r, s):
+            sizes.append(r.size)
+            return rice_log_cdf(r, s)
 
         monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
         point = _point(waveform=ChipWaveform("rc"), delta_s=1.0, snr_db=60.0)
