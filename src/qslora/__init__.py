@@ -25,7 +25,7 @@ from .montecarlo import (
     run_sweep,
     wilson_interval,
 )
-from .quadrature import QuadratureError, integrate
+from .quadrature import integrate
 from .rice import analytical_ser_sync
 from .waveforms import (
     ChipWaveform,
@@ -42,7 +42,6 @@ __all__ = [
     "ChipWaveform",
     "ContinuousSignal",
     "GridPoint",
-    "QuadratureError",
     "SerEstimate",
     "StoppingRule",
     "analytic_decision_statistic",

@@ -10,14 +10,17 @@ energy), then matched-filters it at receiver windows shifted by a
 fractional chip offset. Chip samples obtained this way must agree with
 synthesize_chip_rows to certify the discrete decomposition.
 
-Integration uses piecewise adaptive Gauss-Legendre with the pieces split at
-the signal's chip boundaries (its only non-smooth points); the integrand is
-evaluated exactly from the generating symbols, so no sampled copy of s(t)
-is kept. matched_filter_chip takes an array of chip indices and integrates
-the pieces of all their windows in one batched quadrature call, through one
-integrand: the filter of the window starting at K + delta is
-psi(t - K - delta), and K = floor(t - delta) at every node inside it.
-certify_discrete_model makes one such call per trial, for all M chips.
+Integration uses one fixed 20-node Gauss-Legendre rule per piece, with the
+pieces split at the signal's chip boundaries (its only non-smooth points):
+each piece's integrand is then a constant (rect) or a trig polynomial (rc)
+on at most one chip, which the rule integrates exactly to rounding. The
+integrand is evaluated exactly from the generating symbols, so no sampled
+copy of s(t) is kept. matched_filter_chip takes an array of chip indices
+and integrates the pieces of all their windows in one batched quadrature
+call, through one integrand: the filter of the window starting at
+K + delta is psi(t - K - delta), and K = floor(t - delta) at every node
+inside it. certify_discrete_model makes one such call per trial, for all
+M chips.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ _I0_SWITCH = 25.0
 _I0_SERIES = np.concatenate(
     ([0.0], np.cumprod([(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 21)]))
 )
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _log_i0e(z: np.ndarray) -> np.ndarray:
@@ -53,7 +54,11 @@ def _log_i0e(z: np.ndarray) -> np.ndarray:
     out[small] = np.log(np.i0(z[small])) - z[small]
     big = z[~small]
     series = np.polynomial.polynomial.polyval(1.0 / big, _I0_SERIES)
-    out[~small] = np.log1p(series) - 0.5 * np.log(2.0 * math.pi * big)
+    with np.errstate(over="ignore"):
+        scaled = 2.0 * math.pi * big
+    # log(2 pi z) in two terms only where 2 pi z overflows
+    log_scaled = np.where(np.isfinite(scaled), np.log(scaled), _LOG_2PI + np.log(big))
+    out[~small] = np.log1p(series) - 0.5 * log_scaled
     return out
 
 
@@ -111,15 +116,17 @@ def _rice_log_cdf(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     past the mean, or a span like _TAIL_REACH**2 / (2 |d|) in a far tail,
     where d = r - s. So the work per row is the same at every s. A node
     takes its exponent from v = d -/+ t and its prefactor from rho = r -/+ t,
-    so neither rounds onto r at large s. A tail below the smallest float is
-    log 0 = -inf, as it then is in floating point.
+    so neither rounds onto r at large s. The rule is summed in log space,
+    so a subnormal tail keeps full relative precision; a tail below the
+    smallest float is log 0 = -inf, as it then is in floating point.
     """
     log_cdf = np.empty(r.shape)
     log_sf = np.empty(r.shape)
     central = s == 0.0
-    # near a subnormal N0, r**2, v**2 and 2 s rho overflow to inf, and a tail
-    # below the smallest float is log 0
-    with np.errstate(over="ignore", divide="ignore"):
+    # near a subnormal N0, r**2, v**2 and 2 s rho overflow to inf, a tail
+    # below the smallest float is log 0, and so is a row whose terms are all
+    # log 0, where shifting by its largest term gives nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = np.square(r[central])
         log_cdf[central] = _central_log_cdf(x)
         log_sf[central] = -x
@@ -138,7 +145,11 @@ def _rice_log_cdf(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         far = z >= _I0_FLAT
         log_f[far] = 0.5 * np.log(rho[far] / (math.pi * np.broadcast_to(s, z.shape)[far]))
         log_f -= v * v
-        tail = np.log(np.exp(log_f) @ _TAIL_WEIGHTS * span[:, 0])
+        # summed in log space, shifted by the row's largest term, so that a
+        # tail below the smallest normal float keeps its relative precision
+        peak = np.max(log_f, axis=1)
+        tail = peak + np.log(np.exp(log_f - peak[:, None]) @ _TAIL_WEIGHTS * span[:, 0])
+        tail[~(tail >= _LOG_TINIEST)] = -math.inf
     other = np.log1p(-np.exp(tail))
     upper = side[:, 0] > 0.0
     log_cdf[rows] = np.where(upper, other, tail)

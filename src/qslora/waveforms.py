@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _RC_AMP = np.sqrt(2.0 / 3.0)
-_QUAD_TOL = 1e-12  # absolute tolerance of the quadrature references
 WAVEFORM_TOKENS = ("rect", "rc")
 
 
@@ -75,14 +74,16 @@ def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
 def energy(w: ChipWaveform) -> float:
     """Pulse energy integral of psi**2 over one chip, by quadrature.
 
-    Unit-energy pulses return 1 up to the quadrature tolerance.
+    psi**2 is a trig polynomial on one chip, which the 20-node rule of
+    qslora.quadrature integrates exactly, so unit-energy pulses return 1 up
+    to rounding.
     """
-    return float(integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0, tol=_QUAD_TOL))
+    return integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0)
 
 
 def _check_offsets(delta: np.ndarray) -> np.ndarray:
     d = np.abs(np.asarray(delta, dtype=float))
-    if np.any(d > 1.0 + 1e-12):
+    if not np.all(d <= 1.0 + 1e-12):  # NaN fails too
         raise ValueError("chip offset magnitude must be <= 1")
     return np.minimum(d, 1.0)
 
@@ -125,20 +126,10 @@ def autocorr_overlapped(w: ChipWaveform, delta: np.ndarray | float):
 def autocorr_overlapping_quad(w: ChipWaveform, delta: float) -> float:
     """Quadrature reference for autocorr_overlapping (scalar delta)."""
     d = float(_check_offsets(delta))
-    if d == 1.0:
-        return 0.0
-    val = integrate(
-        lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0, tol=_QUAD_TOL
-    )
-    return float(val)
+    return integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0)
 
 
 def autocorr_overlapped_quad(w: ChipWaveform, delta: float) -> float:
     """Quadrature reference for autocorr_overlapped (scalar delta)."""
     d = float(_check_offsets(delta))
-    if d == 0.0:
-        return 0.0
-    val = integrate(
-        lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d, tol=_QUAD_TOL
-    )
-    return float(val)
+    return integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d)

@@ -8,6 +8,7 @@ main suite.
 
 import inspect
 
+import numpy as np
 import pytest
 
 from qslora import cli, continuous_time, modulation, montecarlo, waveforms
@@ -60,3 +61,11 @@ def test_parse_config_gives_the_sweep_axes():
 
 def test_envelope_matrix_is_cached():
     assert hasattr(modulation.envelope_matrix, "cache_info")
+
+
+def test_integrate_takes_positional_array_ends():
+    # bench/tracing.py wraps continuous_time.integrate as
+    # integrate(integrand, *args, **kwargs) and forwards the interval ends
+    # positionally, as matched_filter_chip passes them
+    got = continuous_time.integrate(lambda t: 2.0 * t, np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+    np.testing.assert_allclose(got, [1.0, 8.0], rtol=0, atol=1e-14)

@@ -109,6 +109,15 @@ class TestAnalyticalSerSync:
         z = np.concatenate((np.logspace(-6, 4, 400), [24.999, 25.0, 25.001, 699.0, 701.0]))
         np.testing.assert_allclose(np.exp(rice._log_i0e(z)), i0e(z), rtol=5e-15, atol=0)
 
+    def test_log_i0e_where_2_pi_z_overflows(self):
+        # log I0e(z) is about -355 there, a float that exp cannot carry back
+        # to a 5e-15 comparison, so the logs are compared, against mpmath
+        mp = pytest.importorskip("mpmath")
+        z = np.array([1e300, 3e307, 1.7e308])
+        with mp.workdps(30):
+            ref = [float(mp.log(mp.besseli(0, zi) * mp.exp(-zi))) for zi in map(mp.mpf, z)]
+        np.testing.assert_allclose(rice._log_i0e(z), ref, rtol=2e-16, atol=0)
+
     @pytest.mark.parametrize("snr_db", [60.0, 400.0, 5000.0, 1e300])
     def test_beyond_the_smallest_subnormal_is_zero(self, snr_db):
         assert analytical_ser_sync(4, snr_db) == 0.0
@@ -296,13 +305,14 @@ class TestRiceLaw:
     @pytest.mark.parametrize("mu", [1e5, 1e12, 1e300])
     def test_large_mean_against_mpmath(self, mu):
         # in amplitude form, so that no x = r**2 rounds the input: from
-        # d = -26 to 26 around s = sqrt(mu), where each tail stays a normal
-        # float; at 1e300 the only floats near s are s itself, where
+        # d = -27 to 27 around s = sqrt(mu), where the far tails are
+        # subnormal floats (log about -733) that keep full relative
+        # precision; at 1e300 the only floats near s are s itself, where
         # log F = log(1/2) to the last bit, and its neighbours, whose d of
         # about 2e134 puts one tail below the smallest float
         s = math.sqrt(mu)
         if mu < 1e100:
-            r = s + np.array([-26.0, -6.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 6.0, 26.0])
+            r = s + np.array([-27.0, -26.0, -6.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 6.0, 26.0, 27.0])
         else:
             r = np.array([np.nextafter(s, 0.0), s, np.nextafter(s, math.inf)])
         ref = np.array([_rice_amplitude_log_tails(ri, s) for ri in r])

@@ -1,7 +1,8 @@
 """Tests for chip pulse shapes and their partial autocorrelations.
 
 The closed forms are checked against two independent quadratures: the
-package's own adaptive Gauss-Legendre routine and scipy.integrate.quad.
+package's own fixed Gauss-Legendre rule and scipy.integrate.quad, the
+adaptive reference.
 """
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestCommonProperties:
             assert autocorr_overlapped(w, delta) == autocorr_overlapped(w, -delta)
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
-    def test_closed_forms_match_adaptive_quadrature(self, token, rng):
+    def test_closed_forms_match_quadrature(self, token, rng):
         # the closed forms are defined by the pair of overlap integrals
         w = ChipWaveform(token)
         offsets = rng.uniform(-1.0, 1.0, size=1000)
@@ -152,6 +153,11 @@ class TestCommonProperties:
             autocorr_overlapping(w, 1.5)
         with pytest.raises(ValueError):
             autocorr_overlapped(w, -1.2)
+        for reject in (autocorr_overlapping, autocorr_overlapped, autocorr_overlapping_quad):
+            with pytest.raises(ValueError, match="must be <= 1"):
+                reject(w, np.nan)
+        with pytest.raises(ValueError, match="must be <= 1"):
+            autocorr_overlapping(w, np.array([0.5, np.nan]))
 
     def test_quadrature_energy_partition(self, rc):
         # R(d) + Rhat(d) equals the energy of the filter window content
