@@ -39,10 +39,15 @@ spreads them over the M-vector, which the chip rows and the continuous-time
 matched filter are tested against.
 
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
-i.i.d. circularly-symmetric complex Gaussian with total variance N0 per
-chip. Despreading is unitary (the envelope rows are orthonormal), so that
-is white noise of the same N0 in every bin, and the Monte-Carlo draws it
-there, for no more bins than the decision needs.
+i.i.d. circularly-symmetric complex Gaussian with total variance
+N0 = 10^(-snr/10) per chip (noise_variance). Despreading is unitary (the
+envelope rows are orthonormal), so that is white noise of the same N0 in
+every bin, and the Monte-Carlo draws it there, for no more bins than the
+decision needs. validate_snr holds the one SNR rule of the package: a real
+number in [-300, 300] dB, so N0 lies in [1e-30, 1e30]. That spans every SNR
+where an SER can change (the synchronous SER is 1 - 1/M to 3e-16 at the low
+end and reads 0.0 from about 32 dB), and keeps every energy the decision
+forms far from overflow.
 """
 
 from __future__ import annotations
@@ -55,12 +60,36 @@ from .modulation import envelope_matrix, symbol_cardinality, validate_int
 from .waveforms import ChipWaveform, _autocorr_pair, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
+    "validate_snr",
+    "noise_variance",
     "validate_delta_s",
     "validate_offset",
     "draw_offset",
     "synthesize_chip_rows",
     "analytic_decision_statistic",
 ]
+
+
+def validate_snr(snr_db) -> float:
+    """The one SNR rule: snr_db, in dB, is a real number with |snr_db| <= 300.
+
+    An int, a float or a numpy integer or float passes; a bool, a string,
+    None or a complex number does not. Returns snr_db as a float; raises
+    ValueError naming snr_db otherwise.
+    """
+    if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float, np.integer, np.floating)):
+        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
+    if not abs(snr_db) <= 300.0:  # nan fails too
+        raise ValueError(f"snr_db must be finite and in [-300, 300] dB, got {snr_db}")
+    return float(snr_db)
+
+
+def noise_variance(snr_db: float) -> float:
+    """Complex noise variance N0 per chip at Es/N0 = snr_db dB, by validate_snr.
+
+    Symbols have unit energy, so N0 = 10^(-snr_db/10), in [1e-30, 1e30].
+    """
+    return 10.0 ** (-validate_snr(snr_db) / 10.0)
 
 
 def validate_delta_s(delta_s: float) -> float:

@@ -304,7 +304,7 @@ def _cmd_corr(argv: Sequence[str]) -> int:
     return 0
 
 
-_NEGATIVE_SNR = "give a negative start as --snr=-4:24:2"
+_NEGATIVE_SNR = "every point in [-300, 300]; give a negative start as --snr=-4:24:2"
 
 _COMMANDS: dict[str, _Command] = {
     "sweep": _Command(

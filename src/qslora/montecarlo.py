@@ -44,9 +44,9 @@ bracket goes to the Rice CDF itself, a quadrature of the amplitude density
 (qslora.rice), so the bracket changes the work and never an outcome; at
 mu = 0 its bounds meet at the closed form. A trial errs when |b|^2 >= |a|^2
 or when the other bins reach |a|^2: a tie with the wanted bin counts as an
-error. The comparison is scale-invariant, so the kernel forms every mean and
-energy in units of max(N0, 1): the energies stay finite at any N0 the SNR
-check admits, and for N0 <= 1 the unit is 1 and nothing changes.
+error. The SNR lies in channel.validate_snr's [-300, 300] dB, so N0 lies in
+[1e-30, 1e30] and every energy, x, mu and d**2 the kernel forms stays below
+about 1e31.
 """
 
 from __future__ import annotations
@@ -61,11 +61,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import _coefficients, draw_offset, validate_delta_s, validate_offset
+from .channel import _coefficients, draw_offset, validate_delta_s, validate_offset, validate_snr
+from .channel import noise_variance  # also in this module's __all__
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
 from .modulation import symbol_cardinality, validate_int, validate_sf
 from .rice import _central_log_cdf, _rice_log_cdf
@@ -94,22 +96,6 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _BAND_MARGIN = 1e-9
 
 
-def noise_variance(snr_db: float) -> float:
-    """Complex noise variance N0 per chip at Es/N0 = snr_db dB.
-
-    Symbols have unit energy, so N0 = 10^(-snr_db/10). Raises ValueError
-    unless snr_db is finite and N0 is a finite float (it overflows below
-    about -3083 dB).
-    """
-    try:
-        n0 = 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        n0 = math.inf
-    if not (math.isfinite(snr_db) and math.isfinite(n0)):
-        raise ValueError(f"snr_db must be finite with a finite noise variance, got {snr_db}")
-    return n0
-
-
 @dataclass(frozen=True)
 class GridPoint:
     """One cell of the sweep grid."""
@@ -123,10 +109,9 @@ class GridPoint:
         validate_sf(self.sf)
         if not isinstance(self.waveform, ChipWaveform):
             raise ValueError(f"waveform must be a ChipWaveform, got {self.waveform!r}")
-        noise_variance(self.snr_db)
         # canonical floats: 1, 1.0 and np.float64(1.0), or -0.0 and 0.0, share a stream
         object.__setattr__(self, "delta_s", validate_delta_s(self.delta_s) + 0.0)
-        object.__setattr__(self, "snr_db", float(self.snr_db) + 0.0)
+        object.__setattr__(self, "snr_db", validate_snr(self.snr_db) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -216,13 +201,13 @@ def _chunk_rng(point: GridPoint, master_seed: int, chunk_index: int) -> np.rando
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _bin_noise(rng: np.random.Generator, scale: float, n: int) -> np.ndarray:
-    """The real and imaginary noise of bins a and b, rows in that order, scale * N(0, 1).
+def _bin_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
+    """The real and imaginary noise of bins a and b, rows in that order, sigma * N(0, 1).
 
     One (4, n) draw gives the same numbers as four draws of n.
     """
     noise = rng.standard_normal((4, n))
-    noise *= scale
+    noise *= sigma
     return noise
 
 
@@ -265,45 +250,29 @@ def _others_reach(
     bracket goes to rice._rice_log_cdf, whose work does not depend on mu, so
     the bracket changes the work and never an outcome. It takes the
     amplitudes r = sqrt(energy_a) / sqrt(n0) and s = sqrt(|c|**2) / sqrt(n0),
-    which stay finite at every n0 > 0 where x and mu may not, and r = s
-    exactly where d = 0.
-
-    Near a subnormal n0, x, mu and d**2 may overflow to inf; each bound then
-    stays on its side of log F (an inf argument gives log F(x; 0) = 0 and a
-    Chernoff term of 0 or -inf), so the overflow is not an error here. Once
-    the noise lies below the last bit of the means, the same rule reads: a
-    trial whose |a| and |c| differ as floats has |d| of at least one bit of
-    them over sqrt(n0), and the bracket decides it as the noise-free
-    comparison of |a| with |c| wherever that is more than a few units; a
-    trial whose |a| and |c| are equal floats has d = 0 exactly and decides
-    by log U >= count * log F(s; s), about count * log(1/2) at large s. At
-    n0 = 0 (noise-free) every other bin holds exactly c, and a tie with |a|
-    reaches.
+    and r = s exactly where d = 0.
     """
     energy_c = c.real**2 + c.imag**2
-    if n0 == 0.0:
-        return energy_c >= energy_a
     root_n0 = math.sqrt(n0)
     amp_c = np.sqrt(energy_c)
-    with np.errstate(over="ignore"):
-        d = np.sqrt(energy_a)
-        d -= amp_c
-        d /= root_n0
-        below = np.minimum(d, 0.0)
-        np.square(below, out=below)
-        np.negative(below, out=below)  # -d**2 below the mean, -0 above it
-        np.maximum(d, 0.0, out=d)
-        np.square(d, out=d)
-        above = _central_log_cdf(d)  # log(1 - exp(-d**2)) above the mean, -inf below it
-        np.divide(energy_a, n0, out=d)  # x
-        upper = _central_log_cdf(d)  # log F(x; 0)
-        mu = np.divide(energy_c, n0, out=energy_c)
-        lower = np.subtract(upper, mu, out=d)
-        np.maximum(lower, above, out=lower)
-        np.minimum(upper, below, out=upper)
-        del above, below  # free two of the five (n,) arrays before the comparisons
-        lower *= (1.0 + _BAND_MARGIN) * count
-        upper *= (1.0 - _BAND_MARGIN) * count
+    d = np.sqrt(energy_a)
+    d -= amp_c
+    d /= root_n0
+    below = np.minimum(d, 0.0)
+    np.square(below, out=below)
+    np.negative(below, out=below)  # -d**2 below the mean, -0 above it
+    np.maximum(d, 0.0, out=d)
+    np.square(d, out=d)
+    above = _central_log_cdf(d)  # log(1 - exp(-d**2)) above the mean, -inf below it
+    np.divide(energy_a, n0, out=d)  # x
+    upper = _central_log_cdf(d)  # log F(x; 0)
+    mu = np.divide(energy_c, n0, out=energy_c)
+    lower = np.subtract(upper, mu, out=d)
+    np.maximum(lower, above, out=lower)
+    np.minimum(upper, below, out=upper)
+    del above, below  # free two of the five (n,) arrays before the comparisons
+    lower *= (1.0 + _BAND_MARGIN) * count
+    upper *= (1.0 - _BAND_MARGIN) * count
     reach = log_u >= upper
     band = np.flatnonzero(~reach & (log_u >= lower))
     if band.size:
@@ -330,15 +299,9 @@ def _chunk_error_flags(
         delta = draw_offset(point.delta_s, rng, n)
     wanted, spill, c = _coefficients(x_prev, x_cur, delta, point.waveform, m)
     n0 = noise_variance(point.snr_db)
-    unit = max(n0, 1.0)  # the decision's energy unit, see the module docstring
-    n0 /= unit
-    # numpy divides a complex z by a real r as z * (1/r), so this product is
-    # the quotient by sqrt(unit) bit for bit, at a fifth of its cost
-    scale = 1.0 / math.sqrt(unit)
     noise = _bin_noise(rng, math.sqrt(n0 / 2.0), n)
-    energy_a = _noisy_energy((wanted + c) * scale, noise[0], noise[1])
-    energy_b = _noisy_energy((spill + c) * scale, noise[2], noise[3])
-    c *= scale
+    energy_a = _noisy_energy(wanted + c, noise[0], noise[1])
+    energy_b = _noisy_energy(spill + c, noise[2], noise[3])
     with np.errstate(divide="ignore"):  # U = 0
         log_u = np.log(rng.random(n))
     return (energy_b >= energy_a) | _others_reach(energy_a, c, n0, log_u, m - 2)
@@ -535,18 +498,30 @@ def run_point(
 
 
 def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
-    """Inclusive dB grid start, start+step, ..., up to stop when reachable."""
-    if not all(math.isfinite(v) for v in (start_db, stop_db, step_db)):
+    """Inclusive dB grid start, start+step, ..., up to stop when reachable.
+
+    Each point is start + i*step formed exactly from the shortest reprs of
+    the three floats (0.1 is one tenth) and rounded once to a float, so a
+    point's value does not depend on the axis it is listed in: 0.1:0.7:0.2
+    ends on 0.7, as 0.7:0.7:1 does. Every point is an SNR by
+    channel.validate_snr; start and the last point are checked, and the
+    points between lie between them. Raises ValueError for a point outside
+    that rule, a non-finite stop or step, a step <= 0, an empty axis, or one
+    whose point count overflows a float.
+    """
+    validate_snr(start_db)
+    if not (math.isfinite(stop_db) and math.isfinite(step_db)):
         raise ValueError(f"snr axis bounds must be finite, got {start_db}:{stop_db}:{step_db}")
     if not step_db > 0:
         raise ValueError(f"snr step must be > 0, got {step_db}")
-    steps = (stop_db - start_db) / step_db
-    if not math.isfinite(steps):
+    if not math.isfinite((stop_db - start_db) / step_db):
         raise ValueError(f"snr axis {start_db}:{stop_db}:{step_db} has too many points")
-    count = int(math.floor(steps + 1e-9)) + 1
-    if count < 1:
+    start, stop, step = (Fraction(repr(float(v))) for v in (start_db, stop_db, step_db))
+    if stop < start:
         raise ValueError(f"snr axis is empty (start {start_db} > stop {stop_db})")
-    return [float(start_db + i * step_db) for i in range(count)]
+    count = int((stop - start) // step) + 1
+    validate_snr(float(start + (count - 1) * step))
+    return [float(start + i * step) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -554,13 +529,13 @@ class SweepConfig:
     """Fully resolved sweep parameters (defaults span the full grid).
 
     Construction checks every field once, through the type that owns the
-    value: validate_sf, ChipWaveform, validate_delta_s, snr_axis and
-    noise_variance, StoppingRule, modulation.validate_int (master_seed >= 0,
-    workers >= 1), run_point's one-offset rule for fixed_delta and
-    os.fspath; record_timing is read as a truth value. A bad value or a
-    wrong type raises ValueError whose message starts with the field's
-    config key (sf, waveform, delta-s, snr, trials-max, min-errors, seed,
-    workers, fixed-delta, output, format).
+    value: validate_sf, ChipWaveform, validate_delta_s, snr_axis (whose
+    points pass channel.validate_snr), StoppingRule, modulation.validate_int
+    (master_seed >= 0, workers >= 1), run_point's one-offset rule for
+    fixed_delta and os.fspath; record_timing is read as a truth value. A
+    bad value or a wrong type raises ValueError whose message starts with
+    the field's config key (sf, waveform, delta-s, snr, trials-max,
+    min-errors, seed, workers, fixed-delta, output, format).
 
     What the checks build is kept, out of __init__ and equality: points, the
     grid ordered by (sf, waveform token, delta_s, snr_db) with one point per
@@ -588,17 +563,11 @@ class SweepConfig:
     stop: StoppingRule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        def snrs() -> list[float]:
-            axis = snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
-            for snr in axis:
-                noise_variance(snr)
-            return axis
-
         checks = (
             ("sf", lambda: [validate_sf(sf) for sf in self.sf_list]),
             ("waveform", lambda: [ChipWaveform(tok) for tok in self.waveforms]),
             ("delta-s", lambda: [validate_delta_s(ds) for ds in self.delta_s_list]),
-            ("snr", snrs),
+            ("snr", lambda: snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)),
             ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
             ("min-errors", lambda: StoppingRule(self.trials_max, self.min_errors)),
             ("seed", lambda: validate_int(self.master_seed, "master_seed", 0)),

@@ -108,6 +108,8 @@ class TestParseConfig:
             (["--snr", "0:1e308:1e-10"], "snr"),
             (["--seed", "-1"], "seed"),
             (["--snr=-4000:-4000:1"], "snr"),
+            (["--snr=-300.5:-300.5:1"], "snr"),
+            (["--snr", "300.5:300.5:1"], "snr"),
         ],
     )
     def test_invalid_values_exit_2_naming_field(self, argv, needle, capsys):
@@ -361,18 +363,31 @@ class TestMain:
 
     def test_sweep_at_the_other_bins_mean_far_above_any_noise(self, tmp_path):
         # sf 2, rect, delta = -0.5 gives the symbol pair (3, 1) |a| = |c|,
-        # so at 3000 dB its trials reach the Rice CDF at mu = |c|^2/N0 of
-        # about 6e298, which must cost no more than at any other mean
+        # so at 300 dB its trials reach the Rice CDF at mu = |c|^2/N0 of
+        # about 6e28, which must cost no more than at any other mean
         path = tmp_path / "out.csv"
         argv = [
             "sweep", "--sf", "2", "-w", "rect", "--delta-s", "0", "--fixed-delta=-0.5",
-            "--snr", "3000:3000:1", "--trials-max", "4096", "--min-errors", "0",
+            "--snr", "300:300:1", "--trials-max", "4096", "--min-errors", "0",
             "--workers", "1", "-o", str(path),
         ]
         assert main(argv) == 0
         with open(path, newline="", encoding="utf-8") as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["trials"] == "4096"
+
+    def test_decimal_snr_step_keeps_the_point(self, tmp_path):
+        # 0.1:0.7:0.2 ends on 0.7 itself, so its 0.7 dB row is the row of
+        # 0.7:0.7:1: a point's estimate does not depend on the axis
+        rows = []
+        for snr in ("0.1:0.7:0.2", "0.7:0.7:1"):
+            path = tmp_path / "out.csv"
+            argv = ["--sf", "4", "-w", "rect", "--delta-s", "0.4", "--snr", snr,
+                    "--trials-max", "4096", "--min-errors", "0", "-o", str(path)]
+            assert main(argv) == 0
+            rows.append(path.read_text(encoding="utf-8").splitlines()[-1])
+        assert rows[0] == rows[1]
+        assert rows[0].startswith("4,rect,0.4,0.7,4096,")
 
     def test_output_io_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "missing_dir" / "out.csv"
@@ -402,6 +417,9 @@ class TestMain:
             (["certify", "-w", ","], "waveform"),
             (["oracle", "--sf", ","], "sf"),
             (["corr", "-w", ","], "waveform"),
+            (["oracle", "--snr=-300.5:-300.5:1"], "snr"),
+            (["oracle", "--snr", "300.5:300.5:1"], "snr"),
+            (["oracle", "--snr=-4000:-4000:1"], "snr"),
         ],
     )
     def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):
@@ -471,11 +489,13 @@ class TestMain:
         assert len(lines) == 4
         assert lines[1] == f"4 0 {analytical_ser_sync(4, 0.0)!r}"
 
-    def test_oracle_needs_no_noise_variance(self, capsys):
-        # N0 overflows at -4000 dB, which the sweep rejects; the oracle
-        # never forms N0 and prints the uniform-guess error rate
-        assert main(["oracle", "--sf", "4", "--snr=-4000:-4000:1"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "4 -4000 0.9375"
+    def test_snr_domain_edges_accepted(self, capsys):
+        # sweep and oracle share one SNR domain, [-300, 300] dB
+        config = parse_config(["--snr=-300:300:600"])
+        assert [p.snr_db for p in config.points[:2]] == [-300.0, 300.0]
+        assert main(["oracle", "--sf", "4", "--snr=-300:300:600"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"4 -300 {analytical_ser_sync(4, -300.0)!r}", "4 300 0.0"]
 
     def test_corr_smoke(self, capsys):
         assert main(["corr", "--steps", "3"]) == 0

@@ -109,16 +109,7 @@ class TestAnalyticalSerSync:
         z = np.concatenate((np.logspace(-6, 4, 400), [24.999, 25.0, 25.001, 699.0, 701.0]))
         np.testing.assert_allclose(np.exp(rice._log_i0e(z)), i0e(z), rtol=5e-15, atol=0)
 
-    def test_log_i0e_where_2_pi_z_overflows(self):
-        # log I0e(z) is about -355 there, a float that exp cannot carry back
-        # to a 5e-15 comparison, so the logs are compared, against mpmath
-        mp = pytest.importorskip("mpmath")
-        z = np.array([1e300, 3e307, 1.7e308])
-        with mp.workdps(30):
-            ref = [float(mp.log(mp.besseli(0, zi) * mp.exp(-zi))) for zi in map(mp.mpf, z)]
-        np.testing.assert_allclose(rice._log_i0e(z), ref, rtol=2e-16, atol=0)
-
-    @pytest.mark.parametrize("snr_db", [60.0, 400.0, 5000.0, 1e300])
+    @pytest.mark.parametrize("snr_db", [60.0, 100.0, 200.0, 300.0])
     def test_beyond_the_smallest_subnormal_is_zero(self, snr_db):
         assert analytical_ser_sync(4, snr_db) == 0.0
         assert analytical_ser_sync(12, snr_db) == 0.0
@@ -130,14 +121,18 @@ class TestAnalyticalSerSync:
         assert analytical_ser_sync(4, cut_db + 1e-9) == 0.0
         assert 0.0 < analytical_ser_sync(4, cut_db - 0.1) < 1e-315
 
-    @pytest.mark.parametrize("snr_db", [-400.0, -5000.0, -1e300])
+    @pytest.mark.parametrize("snr_db", [-200.0, -250.0, -300.0])
     def test_deep_noise_is_the_uniform_guess(self, snr_db):
-        assert analytical_ser_sync(4, snr_db) == 15.0 / 16.0
-        assert analytical_ser_sync(12, snr_db) == 4095.0 / 4096.0
+        # at gamma = 1e-30 the SER is 1 - 1/M to about 3e-16
+        assert analytical_ser_sync(4, snr_db) == pytest.approx(15.0 / 16.0, rel=1e-15, abs=0)
+        assert analytical_ser_sync(12, snr_db) == pytest.approx(4095.0 / 4096.0, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "snr_db", [math.nan, math.inf, -math.inf, 300.5, -300.5, -4000.0, True, "4", None, 1j]
+    )
     def test_non_finite_snr_rejected(self, snr_db):
-        with pytest.raises(ValueError, match="finite"):
+        # and every other value outside channel.validate_snr's rule
+        with pytest.raises(ValueError, match="^snr_db must be"):
             analytical_ser_sync(4, snr_db)
 
     def test_work_bounded_in_snr(self, monkeypatch):
@@ -150,11 +145,11 @@ class TestAnalyticalSerSync:
             return log_i0e(z)
 
         monkeypatch.setattr(rice, "_log_i0e", counted)
-        for snr_db in (-4.0, 10.0, 24.0, 31.5, 31.7, 32.0, 60.0, 400.0, 5000.0):
+        for snr_db in (-300.0, -4.0, 10.0, 24.0, 31.5, 31.7, 32.0, 60.0, 300.0):
             analytical_ser_sync(12, snr_db)
         # nodes are built up to the cutoff near 31.7 dB only: about 1.6k at
         # sf 12, and none at all beyond it
-        assert len(nodes) == 5
+        assert len(nodes) == 6
         assert max(nodes) == nodes[-1] < 2000
 
     def test_frozen_values(self):
@@ -302,10 +297,11 @@ class TestRiceLaw:
         assert ref < -300.0
         assert got == pytest.approx(ref, rel=2e-15, abs=0)
 
-    @pytest.mark.parametrize("mu", [1e5, 1e12, 1e300])
+    @pytest.mark.parametrize("mu", [1e5, 1e12, 1e30, 1e300])
     def test_large_mean_against_mpmath(self, mu):
         # in amplitude form, so that no x = r**2 rounds the input: from
-        # d = -27 to 27 around s = sqrt(mu), where the far tails are
+        # d = -27 to 27 around s = sqrt(mu), up to the mu of about 1e30 the
+        # kernel reaches at 300 dB, where the far tails are
         # subnormal floats (log about -733) that keep full relative
         # precision; at 1e300 the only floats near s are s itself, where
         # log F = log(1/2) to the last bit, and its neighbours, whose d of
@@ -563,12 +559,8 @@ class TestRunPoint:
         rng.standard_normal((4, n))  # the noise of a and b, recorded by the kernel
         with np.errstate(divide="ignore"):
             log_u = np.log(rng.random(n))
-        # the kernel's noise is in its energy unit max(N0, 1), and so are a, b and c
         n0 = noise_variance(point.snr_db)
-        unit = max(n0, 1.0)
-        n0 /= unit
         stats = analytic_decision_statistic(x_prev, x_cur, delta, point.waveform, point.sf)
-        stats /= math.sqrt(unit)
         trial = np.arange(n)
         spill = (x_cur + np.where(delta < 0.0, -2, 2)) % m
         a = stats[trial, x_cur] + noise_a
@@ -637,10 +629,10 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("delta_s", [0.0, 1.0])
     def test_extreme_noise_guesses_uniformly(self, delta_s):
-        # at -3080 dB N0 is near the largest float; the decision must stay
-        # finite and unbiased, so the SER is the uniform guess 15/16 at
-        # sf 4 within 4 sigma over ten chunks
-        point = _point(delta_s=delta_s, snr_db=-3080.0)
+        # at -300 dB, the bottom of the SNR domain, N0 = 1e30; the decision
+        # must stay finite and unbiased, so the SER is the uniform guess
+        # 15/16 at sf 4 within 4 sigma over ten chunks
+        point = _point(delta_s=delta_s, snr_db=-300.0)
         est = run_point(point, StoppingRule(max_trials=10 * TRIALS_PER_CHUNK, min_errors=0))
         p = 15 / 16
         assert abs(est.ser - p) <= 4.0 * math.sqrt(p * (1.0 - p) / est.trials)
@@ -739,28 +731,14 @@ class TestRunPoint:
         energy[trial, x_cur] = -1.0
         return energy.max(axis=1) >= wanted
 
+    @pytest.mark.parametrize("snr_db", [200.0, 250.0, 300.0])
     @pytest.mark.parametrize("waveform", ["rect", "rc"])
-    @pytest.mark.parametrize("sf", [2, 3, 4, 5])
-    def test_noise_free_chunk_is_the_argmax(self, sf, waveform):
-        # at 3300 dB N0 rounds to 0, so every flag is the noise-free argmax
-        # over analytic_decision_statistic's energies, a tie with the wanted
-        # bin counting as an error
-        for delta_s, fixed_delta in ((1.0, None), (0.0, -0.5), (0.0, -0.3), (0.0, 0.3)):
-            point = _point(sf=sf, waveform=ChipWaveform(waveform), delta_s=delta_s, snr_db=3300.0)
-            assert noise_variance(point.snr_db) == 0.0
-            expected = self._noise_free_argmax(point, fixed_delta)
-            flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta)
-            np.testing.assert_array_equal(flags, expected, err_msg=f"delta {fixed_delta}")
-
-    @pytest.mark.parametrize("snr_db", [3090.0, 3150.0, 3230.0])
-    @pytest.mark.parametrize("waveform", ["rect", "rc"])
-    @pytest.mark.parametrize("sf", [3, 4, 5])
-    def test_subnormal_noise_is_the_argmax(self, sf, waveform, snr_db):
-        # N0 is subnormal, so x = |a|^2/N0, mu = |c|^2/N0 and d**2 overflow
-        # to inf, which the bracket takes without a warning; the noise lies
-        # below the last bit of every energy, so each flag is the noise-free
-        # argmax (no trial here ties |a| with another bin)
-        assert 0.0 < noise_variance(snr_db) < np.finfo(float).tiny
+    @pytest.mark.parametrize("sf", [2, 3, 4, 5, 6, 7])
+    def test_high_snr_chunk_is_the_noise_free_argmax(self, sf, waveform, snr_db):
+        # at the top of the SNR domain x = |a|^2/N0, mu = |c|^2/N0 and d**2
+        # reach about 1e30 without a warning; the noise lies far below the
+        # gaps between the energies, so each flag is the noise-free argmax
+        # (no trial here ties |a| with another bin)
         for delta_s, fixed_delta in ((1.0, None), (0.0, -0.3), (0.0, 0.3)):
             point = _point(sf=sf, waveform=ChipWaveform(waveform), delta_s=delta_s, snr_db=snr_db)
             expected = self._noise_free_argmax(point, fixed_delta)
@@ -768,68 +746,6 @@ class TestRunPoint:
                 warnings.simplefilter("error")
                 flags = montecarlo._chunk_error_flags(point, 1, 0, fixed_delta)
             np.testing.assert_array_equal(flags, expected, err_msg=f"delta {fixed_delta}")
-
-    @pytest.mark.parametrize("snr_db", [3000.0, 3090.0, 3150.0, 3230.0])
-    @pytest.mark.parametrize("waveform", ["rect", "rc"])
-    def test_sub_resolution_noise_at_the_other_bins_mean(
-        self, recorded_noise, monkeypatch, waveform, snr_db
-    ):
-        # sf 2 at delta = -0.5: the symbol pair (3, 1) has |a| = |b| = |c|
-        # without noise. The noise lies below the last bit of every mean, so
-        # the other bins of a trial whose |a| and |c| differ as floats reach
-        # |a| as the noise-free comparison does, and those of a trial where
-        # they are equal floats (d = 0 exactly) reach it when its own
-        # log U >= (M - 2) log F(s; s), which is log(1/2) at these s. Under
-        # rect the pair ties in floating point, and its spill bin makes it
-        # an error either way, so every flag is the noise-free argmax; under
-        # rc its |a| and |c| differ in their last bits.
-        point = _point(sf=2, waveform=ChipWaveform(waveform), delta_s=0.0, snr_db=snr_db)
-        n, m = TRIALS_PER_CHUNK, 4
-        reached = []
-        others_reach = montecarlo._others_reach
-
-        def kept(*args):
-            reached.append(others_reach(*args))
-            return reached[-1]
-
-        monkeypatch.setattr(montecarlo, "_others_reach", kept)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            flags = montecarlo._chunk_error_flags(point, 1, 0, -0.5)
-        np.testing.assert_array_equal(flags, self._noise_free_argmax(point, -0.5))
-        rng = montecarlo._chunk_rng(point, 1, 0)
-        x_prev = rng.integers(0, m, size=n)
-        x_cur = rng.integers(0, m, size=n)
-        rng.standard_normal((4, n))  # the noise of a and b, recorded by the kernel
-        with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(n))
-        wanted, _, c = montecarlo._coefficients(
-            x_prev, x_cur, np.full(n, -0.5), point.waveform, m
-        )
-        noise_a = recorded_noise[0]
-        amp_a = np.sqrt(montecarlo._noisy_energy(wanted + c, noise_a.real, noise_a.imag))
-        amp_c = np.sqrt(c.real**2 + c.imag**2)
-        tie = amp_a == amp_c
-        s = amp_c[tie] / math.sqrt(noise_variance(snr_db))
-        log_f0 = rice._rice_log_cdf(s, s)[0]
-        np.testing.assert_allclose(log_f0, math.log(0.5), rtol=0, atol=1e-13)
-        (reach,) = reached
-        np.testing.assert_array_equal(reach[~tie], (amp_c > amp_a)[~tie])
-        np.testing.assert_array_equal(reach[tie], log_u[tie] >= (m - 2) * log_f0)
-        if waveform == "rect":
-            np.testing.assert_array_equal(tie, (x_prev == 3) & (x_cur == 1))
-            assert np.any(reach[tie]) and not np.all(reach[tie])
-        else:
-            assert not np.any(tie)
-
-    def test_noise_free_tie_reaches(self):
-        # at N0 = 0 every other bin holds exactly c: |c| = |a| reaches at
-        # any U (sf 2, rect, delta = -0.5 has such a symbol pair), a smaller
-        # |c| never does
-        energy_a = np.full(3, 0.25)
-        c = np.array([0.5, 0.5j, 0.5 - 2.0**-50])
-        reach = montecarlo._others_reach(energy_a, c, 0.0, np.log([0.5, 1e-300, 0.5]), 2)
-        np.testing.assert_array_equal(reach, [True, True, False])
 
     @pytest.mark.parametrize(
         "waveform,delta_s,fixed_delta", [("rect", 0.0, -0.3), ("rc", 1.0, None)]
@@ -977,21 +893,46 @@ def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
     assert (est.trials, est.errors) == expected
 
 
-# sha256 of the sweep output for the benchmark's grid-w2 argv at one worker
-# (bench/workloads.py), under the same stream version as STREAM_PINS: 96
-# points with offsets of both signs, early stops and truncated last chunks.
-GRID_SWEEP_ARGV = (
-    "--sf 4,5,6,7 --waveform rect,rc --delta-s 0,0.2,0.4,0.6,0.8,1 --snr 4:16:12 "
-    "--trials-max 5000 --min-errors 100 --seed 1 --workers 1"
-)
-GRID_SWEEP_SHA256 = "047c9784c51c013109765b0f53a6b6b91bf2cf114fc5aa88d272ffe42740377a"
+# sha256 of whole outputs, under the same stream version as STREAM_PINS:
+# the sweep of the benchmark's grid-w2 argv at one worker (bench/workloads.py),
+# 96 points with offsets of both signs, early stops and truncated last chunks;
+# the sweep of its sf10-w1 argv, four full chunks at sf 10; a sweep at the
+# bottom of the SNR domain and in its N0 > 1 part, 24 points; and the default
+# oracle table, 60 lines.
+OUTPUT_PINS = {
+    "grid-w2": (
+        "sweep --sf 4,5,6,7 --waveform rect,rc --delta-s 0,0.2,0.4,0.6,0.8,1 --snr 4:16:12 "
+        "--trials-max 5000 --min-errors 100 --seed 1 --workers 1",
+        "047c9784c51c013109765b0f53a6b6b91bf2cf114fc5aa88d272ffe42740377a",
+    ),
+    "sf10-w1": (
+        "sweep --sf 10 --waveform rect,rc --delta-s 0,1 --snr 11:11:1 "
+        "--trials-max 4096 --min-errors 0 --seed 1 --workers 1",
+        "225ec1797b8b3b5ee33c6b40ac21340b09940fd373029154b9f449710f2b26b6",
+    ),
+    "deep-noise": (
+        "sweep --sf 4,7 --waveform rect,rc --delta-s 0,1 --snr=-300:-2:149 "
+        "--trials-max 4096 --min-errors 0 --seed 1 --workers 1",
+        "2e1713c631dad8fab1fd35359f068464df14f7b4c8ff76d45965f592f9e4adf5",
+    ),
+    "oracle": (
+        "oracle",
+        "e2968af3d2aa537dca8b0b83cf1802dfffcd4e5f9c69a624d78d0f96cac04a29",
+    ),
+}
 
 
-def test_stream_pin_of_a_grid_sweep(tmp_path):
+@pytest.mark.parametrize("name", OUTPUT_PINS)
+def test_stream_pin_of_a_grid_sweep(name, tmp_path, capsys):
     assert montecarlo.STREAM_VERSION == 4
-    path = tmp_path / "grid.csv"
-    assert main(["sweep", *GRID_SWEEP_ARGV.split(), "-o", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_SWEEP_SHA256
+    argv, expected = OUTPUT_PINS[name]
+    argv = argv.split()
+    path = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv += ["-o", str(path)]
+    assert main(argv) == 0
+    output = path.read_bytes() if argv[0] == "sweep" else capsys.readouterr().out.encode()
+    assert hashlib.sha256(output).hexdigest() == expected
 
 
 def _chip_rate_errors(sf, token, delta_s, snr_db, trials, rng):
@@ -1148,26 +1089,50 @@ def result_cancel_pools(monkeypatch):
 class TestSweep:
     def test_noise_variance(self):
         assert noise_variance(8.0) == 10.0 ** (-8.0 / 10.0)
-        assert noise_variance(4000.0) == 0.0
-        # N0 overflows below about -3083 dB; GridPoint and the sweep's snr
-        # axis reject such an SNR like a non-finite one
-        for snr in (-4000.0, float("nan"), float("inf"), float("-inf")):
+        assert noise_variance(300.0) == 10.0**-30.0
+        assert noise_variance(-300) == 10.0**30.0
+        assert _point(snr_db=-300.0).snr_db == -300.0
+        # the SNR domain is [-300, 300] dB (channel.validate_snr): noise_variance,
+        # GridPoint and the sweep's snr axis reject a value outside it, a
+        # non-finite one, and one that is not a real number, naming snr_db
+        bad = (300.5, -300.5, -4000.0, math.nan, math.inf, -math.inf, True, "4", None, 1j)
+        for snr in bad:
             with pytest.raises(ValueError, match="snr_db"):
                 noise_variance(snr)
             with pytest.raises(ValueError, match="snr_db"):
                 _point(snr_db=snr)
         with pytest.raises(ValueError, match="^snr: "):
             _config(snr_start_db=-4000.0, snr_stop_db=0.0, snr_step_db=1000.0)
+        with pytest.raises(ValueError, match="^snr: .*snr_db"):
+            _config(snr_start_db=0.0, snr_stop_db=400.0, snr_step_db=100.0)
 
     def test_snr_axis_inclusive(self):
         assert snr_axis(-4.0, 24.0, 2.0) == [float(v) for v in range(-4, 25, 2)]
         assert snr_axis(0.0, 0.0, 2.0) == [0.0]
+        # integer and half-integer axes are the float sums start + i * step
+        assert snr_axis(-4.5, 24.0, 0.5) == [-4.5 + i * 0.5 for i in range(58)]
+        assert snr_axis(-300, 300, 150) == [-300.0, -150.0, 0.0, 150.0, 300.0]
+        # each point is start + i * step in decimal, rounded once: a decimal
+        # step reaches its decimal stop and lists each point as it is typed
+        assert snr_axis(0.1, 0.7, 0.2) == [0.1, 0.3, 0.5, 0.7]
+        assert snr_axis(0.0, 0.7, 0.1) == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        assert snr_axis(-0.3, 0.3, 0.3) == [-0.3, 0.0, 0.3]
+        assert snr_axis(1.0, 1.95, 0.1)[-1] == 1.9
         with pytest.raises(ValueError):
             snr_axis(0.0, 10.0, 0.0)
         with pytest.raises(ValueError):
             snr_axis(10.0, 0.0, 2.0)
-        with pytest.raises(ValueError, match="too many points"):
-            snr_axis(0.0, 1.0, 1e-320)
+        for bounds in ((0.0, 1.0, 1e-320), (0.0, 1e308, 1e-10)):
+            with pytest.raises(ValueError, match="too many points"):
+                snr_axis(*bounds)
+        for bounds in ((math.nan, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                snr_axis(*bounds)
+        # a point outside the SNR domain; an unreachable stop is no point
+        for bounds in ((-301.0, 0.0, 1.0), (0.0, 400.0, 100.0), (0.0, 1e20, 1.0)):
+            with pytest.raises(ValueError, match="snr_db"):
+                snr_axis(*bounds)
+        assert snr_axis(0.0, 400.0, 500.0) == [0.0]
 
     def test_point_grid_order_and_count(self):
         config = _config(
