@@ -56,7 +56,7 @@ import functools
 
 import numpy as np
 
-from .modulation import envelope_matrix, symbol_cardinality, validate_int
+from .modulation import envelope_matrix, symbol_cardinality, validate_int, validate_real
 from .waveforms import ChipWaveform, _autocorr_pair, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
@@ -71,17 +71,8 @@ __all__ = [
 
 
 def validate_snr(snr_db) -> float:
-    """The one SNR rule: snr_db, in dB, is a real number with |snr_db| <= 300.
-
-    An int, a float or a numpy integer or float passes; a bool, a string,
-    None or a complex number does not. Returns snr_db as a float; raises
-    ValueError naming snr_db otherwise.
-    """
-    if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float, np.integer, np.floating)):
-        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
-    if not abs(snr_db) <= 300.0:  # nan fails too
-        raise ValueError(f"snr_db must be finite and in [-300, 300] dB, got {snr_db}")
-    return float(snr_db)
+    """The one SNR rule: snr_db, in dB, is a real number with |snr_db| <= 300."""
+    return validate_real(snr_db, "snr_db", -300, 300)
 
 
 def noise_variance(snr_db: float) -> float:
@@ -92,23 +83,14 @@ def noise_variance(snr_db: float) -> float:
     return 10.0 ** (-validate_snr(snr_db) / 10.0)
 
 
-def validate_delta_s(delta_s: float) -> float:
-    """Check an offset bound: delta_s must lie in [0, 1] chips."""
-    if not 0.0 <= delta_s <= 1.0:
-        raise ValueError(f"delta_s must be in [0, 1], got {delta_s}")
-    return float(delta_s)
+def validate_delta_s(delta_s) -> float:
+    """Check an offset bound: delta_s is a real number in [0, 1] chips."""
+    return validate_real(delta_s, "delta_s", 0, 1)
 
 
-def validate_offset(delta):
-    """Check chip offsets: every |delta| must be <= 0.5 chips (NaN is rejected).
-
-    Returns a float for a scalar and a float array otherwise.
-    """
-    d = np.asarray(delta, dtype=float)
-    bad = d[~(np.abs(d) <= 0.5)]
-    if bad.size:
-        raise ValueError(f"chip offset magnitude must be <= 0.5, got {bad[0]}")
-    return d if d.ndim else float(d)
+def validate_offset(delta, name: str = "delta", *, array: bool = False):
+    """Check chip offsets, real numbers with |delta| <= 0.5 chips; arrays only if array=True."""
+    return validate_real(delta, name, -0.5, 0.5, array=array)
 
 
 def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -116,7 +98,8 @@ def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
 
     delta_s = 0 returns exact zeros without consuming the stream.
     """
-    validate_delta_s(delta_s)
+    delta_s = validate_delta_s(delta_s)
+    n = validate_int(n, "n", 0)
     if delta_s == 0.0:
         return np.zeros(n)
     return rng.uniform(-0.5 * delta_s, 0.5 * delta_s, size=n)
@@ -192,14 +175,15 @@ def analytic_decision_statistic(
     their shape plus a last axis of length M, so scalars give one (M,)
     vector and arrays of n trials an (n, M) batch. x_prev only enters for
     delta < 0, through the boundary term c that is added to every candidate
-    (see the module docstring). Raises ValueError for a symbol that is not
-    an integer in [0, M) by modulation.validate_int (a bool or float is not)
-    or an offset magnitude above 0.5.
+    (see the module docstring). Each may be a number, an ndarray or a list.
+    Raises ValueError for a symbol that is not an integer in [0, M) by
+    modulation.validate_int (a bool or float is not) or an offset that is
+    not a real number of magnitude <= 0.5 (validate_offset).
     """
     m = symbol_cardinality(sf)
-    x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1))
-    x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1))
-    delta = validate_offset(delta)
+    x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1, array=True))
+    x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1, array=True))
+    delta = validate_offset(delta, array=True)
     shape = np.broadcast_shapes(x_prev.shape, x_cur.shape, np.shape(delta))
     x_prev, x_cur, delta = (np.broadcast_to(a, shape).ravel() for a in (x_prev, x_cur, delta))
     wanted, spill, c = _coefficients(x_prev, x_cur, delta, waveform, m)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
@@ -55,8 +56,7 @@ def _snr_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("expected start:stop:step")
-    start, stop, step = (float(part) for part in parts)
-    return start, stop, step
+    return tuple(float(part) for part in parts)
 
 
 def _unique(items) -> list:
@@ -79,10 +79,10 @@ def _snr_list(text: str) -> list[float]:
     return snr_axis(*_snr_range(text))
 
 
-def _positive(text: str) -> float:
+def _tolerance(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise ValueError("must be > 0")
+    if not 0.0 < value < math.inf:  # nan fails too
+        raise ValueError("must be finite and > 0")
     return value
 
 
@@ -345,7 +345,7 @@ _COMMANDS: dict[str, _Command] = {
             "delta-s": _Flag(lambda text: validate_delta_s(float(text)), "max offset in [0,1]",
                              "1.0"),
             "seed": _Flag(_int("seed", 0), "master seed for the certification streams", "1"),
-            "tolerance": _Flag(_positive, "pass when max_abs_error is below this", "1e-6"),
+            "tolerance": _Flag(_tolerance, "pass when max_abs_error is below this", "1e-6"),
         },
     ),
     "oracle": _Command(

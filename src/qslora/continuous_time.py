@@ -104,12 +104,13 @@ def matched_filter_chip(
     Every window must lie inside the synthesized span. A scalar k returns a
     complex; an array of chip indices returns an array of their outputs,
     all integrated in one batched quadrature call. n and k must be integers
-    by modulation.validate_int.
+    by modulation.validate_int, k also an ndarray or a list of them, and
+    delta one real number of magnitude <= 0.5 (channel.validate_offset).
     """
     m = 1 << sig.sf  # checked by ContinuousSignal
-    validate_int(n, "symbol index", 0, len(sig.symbols) - 1)
-    chips = np.asarray(validate_int(k, "chip index", 0, m - 1))
-    validate_offset(delta)
+    n = validate_int(n, "symbol index", 0, len(sig.symbols) - 1)
+    chips = np.asarray(validate_int(k, "chip index", 0, m - 1, array=True))
+    delta = validate_offset(delta)
     a = np.ravel(n * m + chips + delta)
     b = a + 1.0
     lo, hi = sig.span

@@ -22,6 +22,7 @@ __all__ = [
     "MIN_SF",
     "MAX_SF",
     "validate_int",
+    "validate_real",
     "validate_sf",
     "symbol_cardinality",
     "envelope_matrix",
@@ -30,34 +31,59 @@ __all__ = [
 
 MIN_SF = 2
 MAX_SF = 12
+_FLOAT_MAX = float(np.finfo(float).max)
+
+# the two kinds of the number rule: (noun, array dtype kinds, scalar types, result type)
+_INTEGER = ("an integer", "iu", (int, np.integer), int)
+_REAL = ("a real number", "iuf", (int, float, np.integer, np.floating), float)
 
 
-def validate_int(value, name: str, low: int, high: int | None = None):
-    """The one integer rule: check value, return it as an int or int64 array.
-
-    A scalar must be an int or a numpy integer, never a bool; an ndarray
-    must have an integer dtype. A list or tuple is read as np.asarray reads
-    it, but a bool element fails as a bare bool does, although np.asarray
-    would turn [True, 2] into integers. Every value must lie in [low, high],
-    or be >= low when high is None. Raises ValueError naming the value
-    otherwise.
-    """
-    if isinstance(value, (list, tuple)):
+def _validate_number(value, name, low, high, array, kind):
+    noun, dtype_kinds, types, result = kind
+    if array and isinstance(value, (list, tuple)):
         if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
         value = np.asarray(value)
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "iu":  # signed or unsigned integer dtype
-            raise ValueError(f"{name} must be an integer, got dtype {value.dtype}")
-        lo, hi = (value.min(), value.max()) if value.size else (low, low)
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        lo = hi = value
+    if array and isinstance(value, np.ndarray):
+        if value.dtype.kind not in dtype_kinds:  # bool, str, object and complex dtypes fail
+            raise ValueError(f"{name} must be {noun}, got dtype {value.dtype}")
+        lo, hi = (value.min().item(), value.max().item()) if value.size else (low, low)
+    elif isinstance(value, types) and not isinstance(value, bool):
+        lo = hi = value.item() if isinstance(value, np.generic) else value
     else:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if lo < low or (high is not None and hi > high):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # compared as Python numbers; nan fails every bound, and a real must be finite
+    top = high if high is not None else (_FLOAT_MAX if result is float else float("inf"))
+    if not low <= lo <= hi <= top:
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be {span}, got {lo if lo < low else hi}")
-    return value.astype(np.int64, copy=False) if isinstance(value, np.ndarray) else int(value)
+        finite = "finite and " if result is float else ""
+        raise ValueError(f"{name} must be {finite}{span}, got {hi if low <= lo else lo}")
+    if isinstance(value, np.ndarray):
+        return value.astype(np.int64 if result is int else float, copy=False)
+    return result(value)
+
+
+def validate_int(value, name: str, low: int, high: int | None = None, *, array: bool = False):
+    """The integer kind of the one number rule: return value as an int.
+
+    An integer is an int or a numpy integer, never a bool, in [low, high]
+    (>= low when high is None). Where the caller passes array=True, value
+    may also be an integer-dtype ndarray, or a list or tuple without bool
+    elements read by np.asarray, and comes back as an int64 array; elsewhere
+    every ndarray fails, 0-d included. Raises ValueError naming the value.
+    """
+    return _validate_number(value, name, low, high, array, _INTEGER)
+
+
+def validate_real(value, name: str, low: float, high: float | None = None, *, array: bool = False):
+    """The real kind of the one number rule: return value as a float.
+
+    A real is an int, a float or a numpy integer or floating scalar, never
+    a bool, str, None or complex, in [low, high] (finite and >= low when
+    high is None); NaN fails every bound. Arrays as in validate_int, of
+    integer or float dtype, come back as float arrays.
+    """
+    return _validate_number(value, name, low, high, array, _REAL)
 
 
 def validate_sf(sf: int) -> int:

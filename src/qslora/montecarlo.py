@@ -69,7 +69,7 @@ import numpy as np
 from .channel import _coefficients, draw_offset, validate_delta_s, validate_offset, validate_snr
 from .channel import noise_variance  # also in this module's __all__
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
-from .modulation import symbol_cardinality, validate_int, validate_sf
+from .modulation import symbol_cardinality, validate_int, validate_real, validate_sf
 from .rice import _central_log_cdf, _rice_log_cdf
 from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py imports it from here
 from .waveforms import WAVEFORM_TOKENS, ChipWaveform
@@ -94,6 +94,7 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # how far _others_reach widens each bound of its bracket, relative to the
 # bound: rice._rice_log_cdf's log F is within about 1e-14 of its own size
 _BAND_MARGIN = 1e-9
+_MAX_SNR_POINTS = 100_000  # the most points snr_axis builds
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class GridPoint:
     snr_db: float
 
     def __post_init__(self) -> None:
-        validate_sf(self.sf)
+        object.__setattr__(self, "sf", validate_sf(self.sf))
         if not isinstance(self.waveform, ChipWaveform):
             raise ValueError(f"waveform must be a ChipWaveform, got {self.waveform!r}")
         # canonical floats: 1, 1.0 and np.float64(1.0), or -0.0 and 0.0, share a stream
@@ -125,8 +126,8 @@ class StoppingRule:
     min_errors: int = 100
 
     def __post_init__(self) -> None:
-        validate_int(self.max_trials, "max_trials", 1)
-        validate_int(self.min_errors, "min_errors", 0)
+        object.__setattr__(self, "max_trials", validate_int(self.max_trials, "max_trials", 1))
+        object.__setattr__(self, "min_errors", validate_int(self.min_errors, "min_errors", 0))
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,8 @@ class SerEstimate:
     chunk to its decision; at workers > 1 the sweep runs points side by
     side, so the elapsed of neighbouring points overlap. It is excluded
     from equality so that estimates from different runs or worker counts
-    compare equal.
+    compare equal. Construction checks the counts as wilson_interval does,
+    and stores seed (an integer >= 0) and elapsed (a real >= 0) as checked.
     """
 
     point: GridPoint
@@ -148,6 +150,8 @@ class SerEstimate:
 
     def __post_init__(self) -> None:
         wilson_interval(self.errors, self.trials)  # checks 0 <= errors <= trials, trials >= 1
+        object.__setattr__(self, "seed", validate_int(self.seed, "seed", 0))
+        object.__setattr__(self, "elapsed", validate_real(self.elapsed, "elapsed", 0))
 
     @property
     def ser(self) -> float:
@@ -329,18 +333,6 @@ def _pool_size(workers: int) -> int:
     return min(workers, cpus)
 
 
-def _fixed_offset(fixed_delta) -> Optional[float]:
-    """None, or one offset as a float by channel.validate_offset (|delta| <= 0.5).
-
-    An array or a list is not one offset, even with one element.
-    """
-    if fixed_delta is None:
-        return None
-    if np.ndim(fixed_delta):
-        raise ValueError(f"fixed_delta must be one offset, got {fixed_delta!r}")
-    return validate_offset(fixed_delta)
-
-
 class _PointRun:
     """One point's chunks, handed out and counted in index order.
 
@@ -483,16 +475,16 @@ def run_point(
     many workers computed the chunks. At most one worker per CPU this
     process may run on is used; executor, when given, is used in place of
     a pool of its own and is left open. fixed_delta, when given, replaces
-    the offset draw for every trial; it must be one offset of magnitude
-    <= 0.5 (_fixed_offset). master_seed >= 0 and workers >= 1 must be
+    the offset draw for every trial: one real |delta| <= 0.5, never an
+    array (channel.validate_offset). master_seed >= 0 and workers >= 1 are
     integers by modulation.validate_int. elapsed runs from the first
     submitted chunk to the decision.
     """
-    validate_int(master_seed, "master_seed", 0)
-    validate_int(workers, "workers", 1)
-    scheduler = _estimates(
-        [point], stop, master_seed, workers, _fixed_offset(fixed_delta), executor
-    )
+    master_seed = validate_int(master_seed, "master_seed", 0)
+    workers = validate_int(workers, "workers", 1)
+    if fixed_delta is not None:
+        fixed_delta = validate_offset(fixed_delta, "fixed_delta")
+    scheduler = _estimates([point], stop, master_seed, workers, fixed_delta, executor)
     with closing(scheduler) as estimates:
         return next(estimates)
 
@@ -505,21 +497,19 @@ def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
     point's value does not depend on the axis it is listed in: 0.1:0.7:0.2
     ends on 0.7, as 0.7:0.7:1 does. Every point is an SNR by
     channel.validate_snr; start and the last point are checked, and the
-    points between lie between them. Raises ValueError for a point outside
-    that rule, a non-finite stop or step, a step <= 0, an empty axis, or one
-    whose point count overflows a float.
+    points between lie between them. stop >= start and step > 0 are real
+    numbers by modulation.validate_real, and an axis of more than
+    _MAX_SNR_POINTS points, counted exactly before any is built, is refused.
     """
-    validate_snr(start_db)
-    if not (math.isfinite(stop_db) and math.isfinite(step_db)):
-        raise ValueError(f"snr axis bounds must be finite, got {start_db}:{stop_db}:{step_db}")
+    start_db = validate_snr(start_db)
+    stop_db = validate_real(stop_db, "snr axis stop", start_db)
+    step_db = validate_real(step_db, "snr axis step", 0)
     if not step_db > 0:
-        raise ValueError(f"snr step must be > 0, got {step_db}")
-    if not math.isfinite((stop_db - start_db) / step_db):
-        raise ValueError(f"snr axis {start_db}:{stop_db}:{step_db} has too many points")
-    start, stop, step = (Fraction(repr(float(v))) for v in (start_db, stop_db, step_db))
-    if stop < start:
-        raise ValueError(f"snr axis is empty (start {start_db} > stop {stop_db})")
+        raise ValueError(f"snr axis step must be > 0, got {step_db}")
+    start, stop, step = (Fraction(repr(v)) for v in (start_db, stop_db, step_db))
     count = int((stop - start) // step) + 1
+    if count > _MAX_SNR_POINTS:
+        raise ValueError(f"snr axis has too many points (more than {_MAX_SNR_POINTS})")
     validate_snr(float(start + (count - 1) * step))
     return [float(start + i * step) for i in range(count)]
 
@@ -531,11 +521,13 @@ class SweepConfig:
     Construction checks every field once, through the type that owns the
     value: validate_sf, ChipWaveform, validate_delta_s, snr_axis (whose
     points pass channel.validate_snr), StoppingRule, modulation.validate_int
-    (master_seed >= 0, workers >= 1), run_point's one-offset rule for
-    fixed_delta and os.fspath; record_timing is read as a truth value. A
-    bad value or a wrong type raises ValueError whose message starts with
-    the field's config key (sf, waveform, delta-s, snr, trials-max,
-    min-errors, seed, workers, fixed-delta, output, format).
+    (master_seed >= 0, workers >= 1), channel.validate_offset for
+    fixed_delta and os.fspath; record_timing is read as a truth value. So
+    every number, and each item of a list field, is a scalar by the number
+    rule of qslora.modulation. A bad value or a wrong type raises
+    ValueError whose message starts with the field's config key (sf,
+    waveform, delta-s, snr, trials-max, min-errors, seed, workers,
+    fixed-delta, output, format).
 
     What the checks build is kept, out of __init__ and equality: points, the
     grid ordered by (sf, waveform token, delta_s, snr_db) with one point per
@@ -572,7 +564,8 @@ class SweepConfig:
             ("min-errors", lambda: StoppingRule(self.trials_max, self.min_errors)),
             ("seed", lambda: validate_int(self.master_seed, "master_seed", 0)),
             ("workers", lambda: validate_int(self.workers, "workers", 1)),
-            ("fixed-delta", lambda: _fixed_offset(self.fixed_delta)),
+            ("fixed-delta", lambda: None if self.fixed_delta is None
+             else validate_offset(self.fixed_delta, "fixed_delta")),
             ("output", lambda: os.fspath(self.output_path)),
         )
         built = {}

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modulation import validate_real
 from .quadrature import integrate
 
 __all__ = [
@@ -81,17 +82,11 @@ def energy(w: ChipWaveform) -> float:
     return integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0)
 
 
-def _check_offsets(delta: np.ndarray) -> np.ndarray:
-    d = np.abs(np.asarray(delta, dtype=float))
-    if not np.all(d <= 1.0 + 1e-12):  # NaN fails too
-        raise ValueError("chip offset magnitude must be <= 1")
-    return np.minimum(d, 1.0)
-
-
 def _autocorr_pair(w: ChipWaveform, d: np.ndarray):
     """(R, Rhat) at d = |delta| from one cos/sin pair.
 
-    Unchecked: d must be floats in [0, 1], as _check_offsets returns them.
+    Unchecked: d must be floats in [0, 1], as the magnitude of an offset
+    that passes modulation.validate_real with bounds [-1, 1].
     """
     if w.kind == "rect":
         return 1.0 - d, d
@@ -108,7 +103,7 @@ def autocorr_overlapping(w: ChipWaveform, delta: np.ndarray | float):
         rect: 1 - d
         rc:   (2/3) * ((1-d) * (1 + cos(2*pi*d)/2) + (3/(4*pi)) * sin(2*pi*d))
     """
-    out = _autocorr_pair(w, _check_offsets(delta))[0]
+    out = _autocorr_pair(w, np.abs(validate_real(delta, "delta", -1, 1, array=True)))[0]
     return out if out.ndim else float(out)
 
 
@@ -119,17 +114,17 @@ def autocorr_overlapped(w: ChipWaveform, delta: np.ndarray | float):
         rect: d
         rc:   (2/3) * (d * (1 + cos(2*pi*d)/2) - (3/(4*pi)) * sin(2*pi*d))
     """
-    out = _autocorr_pair(w, _check_offsets(delta))[1]
+    out = _autocorr_pair(w, np.abs(validate_real(delta, "delta", -1, 1, array=True)))[1]
     return out if out.ndim else float(out)
 
 
 def autocorr_overlapping_quad(w: ChipWaveform, delta: float) -> float:
     """Quadrature reference for autocorr_overlapping (scalar delta)."""
-    d = float(_check_offsets(delta))
+    d = abs(validate_real(delta, "delta", -1, 1))
     return integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0)
 
 
 def autocorr_overlapped_quad(w: ChipWaveform, delta: float) -> float:
     """Quadrature reference for autocorr_overlapped (scalar delta)."""
-    d = float(_check_offsets(delta))
+    d = abs(validate_real(delta, "delta", -1, 1))
     return integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d)

@@ -27,10 +27,10 @@ class TestValidateOffset:
 
     def test_array_checked_as_a_whole(self):
         deltas = np.array([-0.5, 0.0, 0.5])
-        np.testing.assert_array_equal(validate_offset(deltas), deltas)
+        np.testing.assert_array_equal(validate_offset(deltas, array=True), deltas)
         for bad in (0.75, -0.6, np.nan):
             with pytest.raises(ValueError, match="0.5"):
-                validate_offset(np.array([0.1, bad, 0.2]))
+                validate_offset(np.array([0.1, bad, 0.2]), array=True)
             with pytest.raises(ValueError, match="0.5"):
                 validate_offset(bad)
 
@@ -170,5 +170,5 @@ class TestSynthesizeChips:
     def test_offset_beyond_one_chip_is_rejected(self, rc, delta):
         # the public entry checks offsets through the autocorrelations; the
         # kernel's unchecked pair must not make a wrong offset pass quietly
-        with pytest.raises(ValueError, match="chip offset"):
+        with pytest.raises(ValueError, match=r"^delta must be finite and in \[-1, 1\]"):
             synthesize_chip_rows(np.array([1]), np.array([2]), np.array([delta]), rc, 4)

@@ -9,13 +9,15 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 import qslora
 
 from qslora.cli import SweepConfig, main, parse_config, write_results
-from qslora.montecarlo import GridPoint, SerEstimate, wilson_interval
+from qslora.montecarlo import GridPoint, SerEstimate, run_sweep, snr_axis, wilson_interval
 from qslora.rice import analytical_ser_sync
 from qslora.waveforms import ChipWaveform
 
@@ -260,6 +262,19 @@ class TestWriteResults:
             "1.25",
         ]
 
+    def test_json_of_numpy_typed_config(self):
+        # the sweep's counts and seed reach the output as the Python ints the
+        # number rule returns, so json can write them
+        config = SweepConfig(
+            sf_list=(np.int64(4),), waveforms=("rect",), delta_s_list=(np.float64(0.0),),
+            snr_start_db=8.0, snr_stop_db=8.0, trials_max=np.int64(4096), min_errors=0,
+            master_seed=np.int64(3),
+        )
+        fh = io.StringIO()
+        write_results(run_sweep(config), fh, format="json")
+        (row,) = json.loads(fh.getvalue())
+        assert (row["sf"], row["trials"], row["seed"]) == (4, 4096, 3)
+
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -420,6 +435,8 @@ class TestMain:
             (["oracle", "--snr=-300.5:-300.5:1"], "snr"),
             (["oracle", "--snr", "300.5:300.5:1"], "snr"),
             (["oracle", "--snr=-4000:-4000:1"], "snr"),
+            (["certify", "--sf", "2", "--trials", "1", "--tolerance", "inf"], "tolerance"),
+            (["oracle", "--snr", "0:300:1e-300"], "too many points"),
         ],
     )
     def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):
@@ -427,6 +444,19 @@ class TestMain:
             main(argv)
         assert exc.value.code == 2
         assert needle in capsys.readouterr().err
+
+    def test_snr_axis_point_count_decided_before_building(self, capsys):
+        # 3e302 points, every one inside the SNR domain: refused from the
+        # exact count, without building any
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--snr", "0:300:1e-300"])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "too many points" in capsys.readouterr().err
+        assert len(snr_axis(0.0, 99.999, 0.001)) == 100_000
+        with pytest.raises(ValueError, match="too many points"):
+            snr_axis(0.0, 100.0, 0.001)
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

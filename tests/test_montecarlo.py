@@ -516,7 +516,7 @@ class TestRunPoint:
     @pytest.mark.parametrize("fixed_delta", [[0.1, 0.2], [0.1], np.array([0.1, 0.2])])
     def test_fixed_delta_must_be_one_offset(self, fixed_delta):
         # an array of offsets would fail only inside the chunk kernel
-        with pytest.raises(ValueError, match="fixed_delta must be one offset"):
+        with pytest.raises(ValueError, match="^fixed_delta must be a real number"):
             run_point(_point(), NO_EARLY_STOP, master_seed=1, fixed_delta=fixed_delta)
 
     def test_noise_calibration(self, recorded_noise):
@@ -1122,14 +1122,14 @@ class TestSweep:
             snr_axis(0.0, 10.0, 0.0)
         with pytest.raises(ValueError):
             snr_axis(10.0, 0.0, 2.0)
-        for bounds in ((0.0, 1.0, 1e-320), (0.0, 1e308, 1e-10)):
+        for bounds in ((0.0, 1.0, 1e-320), (0.0, 1e308, 1e-10), (0.0, 1e20, 1.0)):
             with pytest.raises(ValueError, match="too many points"):
                 snr_axis(*bounds)
         for bounds in ((math.nan, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 snr_axis(*bounds)
         # a point outside the SNR domain; an unreachable stop is no point
-        for bounds in ((-301.0, 0.0, 1.0), (0.0, 400.0, 100.0), (0.0, 1e20, 1.0)):
+        for bounds in ((-301.0, 0.0, 1.0), (0.0, 400.0, 100.0), (0.0, 1e20, 1e18)):
             with pytest.raises(ValueError, match="snr_db"):
                 snr_axis(*bounds)
         assert snr_axis(0.0, 400.0, 500.0) == [0.0]
@@ -1192,13 +1192,15 @@ class TestSweep:
             SweepConfig(**kwargs)
 
     def test_config_keeps_what_its_checks_build(self):
-        config = _config(fixed_delta="0.1", sf_list=(np.int64(5), 4, 5), snr_stop_db=10.0)
-        assert config.fixed_delta == 0.1 and isinstance(config.fixed_delta, float)
+        config = _config(
+            fixed_delta=np.float32(0.25), sf_list=(np.int64(5), 4, 5), snr_stop_db=10.0
+        )
+        assert config.fixed_delta == 0.25 and type(config.fixed_delta) is float
         assert config.stop == StoppingRule(max_trials=TRIALS_PER_CHUNK, min_errors=0)
         coords = [(p.sf, p.snr_db) for p in config.points]
         assert coords == [(4, 8.0), (4, 10.0), (5, 8.0), (5, 10.0)]
         # derived fields are not arguments and do not enter equality
-        assert config == _config(fixed_delta=0.1, sf_list=(np.int64(5), 4, 5), snr_stop_db=10.0)
+        assert config == _config(fixed_delta=0.25, sf_list=(np.int64(5), 4, 5), snr_stop_db=10.0)
         assert "points" not in repr(config)
 
     def test_out_of_range_values_rejected(self):
