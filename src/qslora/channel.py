@@ -13,9 +13,9 @@ window also covers a sliver of the chip one step ahead (delta > 0) or behind
 window. For delta < 0 that is window 0, which reads the last chip of the
 previous symbol. For delta > 0 it is window M-1, which reads chip 0 of the
 next symbol; chip 0 of every symbol is 1/sqrt(M), the same as the current
-symbol's own chip 0, so the next symbol is not observable and the spill is
-the current symbol's chips rotated by one. synthesize_chip_rows builds these
-chips.
+symbol's own chip 0, so the next symbol is not observable. The chip formula,
+modulation._chip, depends on k only mod M, and synthesize_chip_rows reads
+every other spill as chip k + s of the current symbol.
 
 Symbol x has chips env(x)[k] = w**(k*(x+k)) / sqrt(M) with w = exp(2j*pi/M),
 so a chirp shifted by one chip is another chirp times a phase:
@@ -52,11 +52,9 @@ forms far from overflow.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .modulation import envelope_matrix, symbol_cardinality, validate_int, validate_real
+from .modulation import _chip, _roots, symbol_cardinality, validate_int, validate_real
 from .waveforms import ChipWaveform, _autocorr_pair, autocorr_overlapped, autocorr_overlapping
 
 __all__ = [
@@ -114,35 +112,21 @@ def synthesize_chip_rows(
 ) -> np.ndarray:
     """Noise-free received chips for a batch of trials, one row per trial.
 
-    The spill term reads one chip ahead (delta > 0) or behind (delta < 0).
-    Ahead, the boundary chip is chip 0, equal for every symbol, so the
-    current symbol's chips rotate; behind, the boundary chip is the previous
-    symbol's last one. Inputs are not range-checked here: symbol indices
-    must lie in [0, M) and offsets in [-0.5, 0.5], as the callers' own
-    types guarantee.
+    Window k reads chip k of x_cur and, weighted by Rhat, chip k + s of
+    x_cur, except window 0 at delta < 0, which reads x_prev's last chip.
+    The inputs broadcast together, and rows add a last axis of length M.
+    Symbols are checked by modulation.validate_int (arrays and lists too),
+    offsets through the autocorrelations (real numbers, |delta| <= 1).
     """
     m = symbol_cardinality(sf)
-    env = envelope_matrix(sf)
-    keep = np.asarray(autocorr_overlapping(waveform, delta), dtype=float)
-    spill = np.asarray(autocorr_overlapped(waveform, delta), dtype=float)
-    rows = keep[:, None] * env[x_cur]
-    pos = delta > 0
-    if np.any(pos):
-        rows[pos] += spill[pos, None] * np.roll(env[x_cur[pos]], -1, axis=1)
-    neg = delta < 0
-    if np.any(neg):
-        src = np.roll(env[x_cur[neg]], 1, axis=1)
-        src[:, 0] = env[x_prev[neg], m - 1]
-        rows[neg] += spill[neg, None] * src
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _roots(m: int) -> np.ndarray:
-    """The M-th roots of unity, roots[p] = w**p, computed once per M (read-only)."""
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    roots.flags.writeable = False
-    return roots
+    x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1, array=True))[..., None]
+    x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1, array=True))[..., None]
+    keep = np.asarray(autocorr_overlapping(waveform, delta))[..., None]
+    spill = np.asarray(autocorr_overlapped(waveform, delta))[..., None]
+    back = np.asarray(delta)[..., None] < 0
+    k = np.arange(m)
+    src = np.where(back & (k == 0), x_prev, x_cur)
+    return keep * _chip(x_cur, k, m) + spill * _chip(src, k + np.where(back, -1, 1), m)
 
 
 def _coefficients(x_prev, x_cur, delta, waveform: ChipWaveform, m: int):

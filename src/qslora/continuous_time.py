@@ -14,8 +14,9 @@ Integration uses one fixed 20-node Gauss-Legendre rule per piece, with the
 pieces split at the signal's chip boundaries (its only non-smooth points):
 each piece's integrand is then a constant (rect) or a trig polynomial (rc)
 on at most one chip, which the rule integrates exactly to rounding. The
-integrand is evaluated exactly from the generating symbols, so no sampled
-copy of s(t) is kept. matched_filter_chip takes an array of chip indices
+integrand is evaluated exactly from the generating symbols, each chip read
+from modulation's one chip formula, so neither a sampled copy of s(t) nor a
+chip matrix is kept. matched_filter_chip takes an array of chip indices
 and integrates the pieces of all their windows in one batched quadrature
 call, through one integrand: the filter of the window starting at
 K + delta is psi(t - K - delta), and K = floor(t - delta) at every node
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import draw_offset, synthesize_chip_rows, validate_offset
-from .modulation import envelope_matrix, symbol_cardinality, validate_int, validate_sf
+from .modulation import _chip, symbol_cardinality, validate_int, validate_real, validate_sf
 from .quadrature import integrate
 from .waveforms import ChipWaveform, sample_waveform
 
@@ -64,22 +65,15 @@ class ContinuousSignal:
         return 0.0, float(len(self.symbols) * symbol_cardinality(self.sf))
 
     def value_at(self, t: np.ndarray | float) -> np.ndarray:
-        """Exact s(t), zero outside the synthesized span."""
+        """Exact s(t) at finite times t (validate_real, arrays too), zero outside the span."""
         m = 1 << self.sf  # checked at construction
-        t = np.asarray(t, dtype=float)
-        rel = t.ravel()
-        chip = np.floor(rel).astype(np.int64)
-        frac = rel - chip
+        t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
+        chip = np.floor(t).astype(np.int64)
         n = chip // m
         inside = (chip >= 0) & (n < len(self.symbols))
-        out = np.zeros(rel.shape, dtype=complex)
-        if np.any(inside):
-            idx = np.flatnonzero(inside)
-            env = envelope_matrix(self.sf)
-            sym = np.asarray(self.symbols)[n[idx]]
-            k = chip[idx] - n[idx] * m
-            out[idx] = env[sym, k] * sample_waveform(self.waveform, frac[idx])
-        return out[0] if t.ndim == 0 else out.reshape(t.shape)
+        sym = np.asarray(self.symbols)[np.where(inside, n, 0)]
+        chips = _chip(sym, chip & (m - 1), m) * sample_waveform(self.waveform, t - chip)
+        return np.where(inside, chips, 0j)[()]  # a complex scalar for a scalar t
 
 
 def synthesize(

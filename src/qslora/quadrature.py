@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .modulation import validate_real
+
 __all__ = ["integrate"]
 
 # The 20-node Gauss-Legendre rule on [-1, 1] (Abramowitz and Stegun, table
@@ -51,18 +53,20 @@ def integrate(
 
     a and b are scalars or arrays of interval ends (broadcast together);
     each interval's value is its own row sum, independent of the other
-    intervals in the call. Raises ValueError if any interval is reversed or
-    has a NaN end.
+    intervals in the call. Ends are finite reals (modulation.validate_real);
+    raises ValueError for any other end or a reversed interval.
 
     Scalar ends return a float, or a complex when the imaginary part is
     nonzero; array ends return an array of the broadcast shape, real when
     every imaginary part is zero.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a = validate_real(a, "a", -np.inf, np.inf, array=True)
+    b = validate_real(b, "b", -np.inf, np.inf, array=True)
+    lo, hi = np.broadcast_arrays(a, b)
     shape = lo.shape
     lo, hi = lo.ravel(), hi.ravel()
     if not np.all(hi >= lo):
-        raise ValueError("integration interval is reversed or NaN (need a <= b)")
+        raise ValueError("integration interval is reversed (need a <= b)")
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     values = np.broadcast_to(f(t), t.shape)

@@ -64,8 +64,8 @@ def raised_cosine() -> ChipWaveform:
 
 
 def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
-    """Evaluate psi(t); zero outside the support [0, 1)."""
-    t = np.asarray(t, dtype=float)
+    """Evaluate psi(t) at finite times t (validate_real, arrays too); zero outside [0, 1)."""
+    t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
     inside = (t >= 0.0) & (t < 1.0)
     if w.kind == "rect":
         return np.where(inside, 1.0, 0.0)

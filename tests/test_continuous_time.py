@@ -1,6 +1,8 @@
 """Tests for the continuous-time reference model and its certification of
 the chip-rate decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,16 @@ class TestCertifyDiscreteModel:
         rng = np.random.default_rng(33)
         err = certify_discrete_model(5, rc, 5, rng)
         assert err < 1e-6
+
+    def test_sf12_builds_no_chip_matrix(self, rc):
+        # every chip of the signal and of the chip rows comes from the chip
+        # formula, so an sf-12 trial never builds the 256 MB chip matrix
+        envelope_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            certify_discrete_model(12, rc, 1, np.random.default_rng(34))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert envelope_matrix.cache_info().currsize == 0
+        assert peak < 64 * 2**20

@@ -65,15 +65,23 @@ class TestEnvelope:
             envelope_matrix.cache_clear()
 
     def test_build_peak_below_twice_result(self):
-        # the phase is reduced in place in one integer array that indexes a
-        # table of roots of unity; bypass the cache so the build is measured
+        # the chip formula's phase is one integer array that indexes a table
+        # of roots of unity; clear the cache so the build is measured
+        envelope_matrix.cache_clear()
         tracemalloc.start()
         try:
-            mat = envelope_matrix.__wrapped__(11)
+            mat = envelope_matrix(11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            envelope_matrix.cache_clear()
         assert peak < 2 * mat.nbytes
+
+    def test_cache_keys_on_the_checked_sf(self):
+        # an int and a numpy integer share one entry, so one matrix
+        envelope_matrix.cache_clear()
+        assert envelope_matrix(np.int64(4)) is envelope_matrix(4)
+        assert envelope_matrix.cache_info().misses == 1
 
     def test_matrix_rows_match_envelope(self):
         # rows follow the defining formula c_x[k] = exp(2j*pi*k*((x+k) mod M)/M)/sqrt(M)

@@ -22,6 +22,7 @@ from qslora.channel import (
     analytic_decision_statistic,
     draw_offset,
     noise_variance,
+    synthesize_chip_rows,
     validate_delta_s,
     validate_offset,
     validate_snr,
@@ -32,7 +33,13 @@ from qslora.continuous_time import (
     matched_filter_chip,
     synthesize,
 )
-from qslora.modulation import despread, symbol_cardinality, validate_int, validate_sf
+from qslora.modulation import (
+    despread,
+    envelope_matrix,
+    symbol_cardinality,
+    validate_int,
+    validate_sf,
+)
 from qslora.montecarlo import (
     GridPoint,
     SerEstimate,
@@ -42,6 +49,7 @@ from qslora.montecarlo import (
     snr_axis,
     wilson_interval,
 )
+from qslora.quadrature import integrate
 from qslora.rice import analytical_ser_sync
 from qslora.waveforms import (
     autocorr_overlapped,
@@ -50,6 +58,7 @@ from qslora.waveforms import (
     autocorr_overlapping_quad,
     raised_cosine,
     rectangular,
+    sample_waveform,
 )
 
 RECT = rectangular()
@@ -95,6 +104,7 @@ PARAMS = {
     "validate_sf": _int(validate_sf, "spreading factor", 2, 12, 4),
     "symbol_cardinality": _int(symbol_cardinality, "spreading factor", 2, 12, 4),
     "despread.sf": _int(lambda v: despread(np.zeros(16), v), "spreading factor", 2, 12, 4),
+    "envelope_matrix.sf": _int(envelope_matrix, "spreading factor", 2, 12, 4),
     "validate_snr": _real(validate_snr, "snr_db", -300, 300, 8.0),
     "noise_variance": _real(noise_variance, "snr_db", -300, 300, 8.0),
     "validate_delta_s": _real(validate_delta_s, "delta_s", 0, 1, 0.4),
@@ -123,6 +133,24 @@ PARAMS = {
     "analytic_decision_statistic.sf": _int(
         lambda v: analytic_decision_statistic(1, 2, -0.3, RECT, v),
         "spreading factor", 2, 12, 4,
+    ),
+    "synthesize_chip_rows.x_prev": _int(
+        lambda v: synthesize_chip_rows(v, 2, -0.3, RECT, 4), "x_prev", 0, 15, 1, array=True
+    ),
+    "synthesize_chip_rows.x_cur": _int(
+        lambda v: synthesize_chip_rows(1, v, -0.3, RECT, 4), "x_cur", 0, 15, 2, array=True
+    ),
+    "integrate.a": _real(
+        lambda v: integrate(np.cos, v, 1.0), "a", -math.inf, math.inf, 0.5, array=True
+    ),
+    "integrate.b": _real(
+        lambda v: integrate(np.cos, 0.0, v), "b", -math.inf, math.inf, 0.5, array=True
+    ),
+    "sample_waveform.t": _real(
+        lambda v: sample_waveform(RC, v), "t", -math.inf, math.inf, 0.5, array=True
+    ),
+    "ContinuousSignal.value_at.t": _real(
+        SIGNAL.value_at, "t", -math.inf, math.inf, 3.0, array=True
     ),
     "autocorr_overlapping": _real(
         lambda v: autocorr_overlapping(RC, v), "delta", -1, 1, 0.3, array=True
@@ -338,6 +366,17 @@ MOTIVATING = {
     "matched_filter_chip.delta=array": (
         "delta", lambda: matched_filter_chip(SIGNAL, 1, 0, np.array([0.1, 0.2]))
     ),
+    "envelope_matrix.sf=array": ("spreading factor", lambda: envelope_matrix(np.array([4]))),
+    "synthesize_chip_rows.x_cur=16": (
+        "x_cur", lambda: synthesize_chip_rows([1], [16], [0.2], RECT, 4)
+    ),
+    "synthesize_chip_rows.x_cur=-1": (
+        "x_cur", lambda: synthesize_chip_rows([1], [-1], [0.2], RECT, 4)
+    ),
+    "integrate('0', '1')": ("a", lambda: integrate(np.cos, "0", "1")),
+    "integrate(False, True)": ("a", lambda: integrate(np.cos, False, True)),
+    "sample_waveform('0.5')": ("t", lambda: sample_waveform(RECT, "0.5")),
+    "value_at('3')": ("t", lambda: SIGNAL.value_at("3")),
 }
 
 
@@ -393,6 +432,16 @@ ARRAY_CALLS = {
     "autocorr_overlapping": (lambda v: autocorr_overlapping(RC, v), [-1, -0.3, 0, 0.7, 1]),
     "autocorr_overlapped": (lambda v: autocorr_overlapped(RC, v), [-1, 0, 1]),
     "matched_filter_chip.k": (lambda v: matched_filter_chip(SIGNAL, 1, v, -0.2), [0, 3, 15]),
+    "synthesize_chip_rows.x_prev": (
+        lambda v: synthesize_chip_rows(v, 2, -0.3, RC, 4), [0, 7, 15],
+    ),
+    "synthesize_chip_rows.x_cur": (
+        lambda v: synthesize_chip_rows(1, v, 0.3, RC, 4), [0, 7, 15],
+    ),
+    "integrate.a": (lambda v: integrate(np.cos, v, 2.0), [-1, 0.5, 2]),
+    "integrate.b": (lambda v: integrate(np.cos, -1.0, v), [-1, 0.25, 3.5]),
+    "sample_waveform.t": (lambda v: sample_waveform(RC, v), [-0.5, 0, 0.25, 0.999, 1]),
+    "ContinuousSignal.value_at.t": (SIGNAL.value_at, [-1, 0, 3.5, 47.9, 48]),
 }
 
 

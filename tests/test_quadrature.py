@@ -77,13 +77,14 @@ class TestIntegrate:
         assert got[1] == 0.0 and got[0] == pytest.approx(math.sin(1.0), abs=1e-15)
 
     def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError, match="reversed or NaN"):
+        with pytest.raises(ValueError, match=r"^integration interval is reversed \(need a <= b\)"):
             integrate(np.cos, 1.0, 0.0)
 
     def test_nan_interval_rejected(self):
-        with pytest.raises(ValueError, match="reversed or NaN"):
+        # the ends pass the number rule, which NaN fails by name
+        with pytest.raises(ValueError, match="^a must be finite"):
             integrate(np.cos, math.nan, 1.0)
-        with pytest.raises(ValueError, match="reversed or NaN"):
+        with pytest.raises(ValueError, match="^b must be finite"):
             integrate(np.cos, 0.0, math.nan)
 
     def test_additivity_over_split(self):
