@@ -16,9 +16,9 @@ from .continuous_time import (
     matched_filter_chip,
     synthesize,
 )
+from .grid import GridPoint
 from .modulation import despread, envelope_matrix, symbol_cardinality
 from .montecarlo import (
-    GridPoint,
     SerEstimate,
     StoppingRule,
     run_point,

@@ -2,7 +2,10 @@
 
 Each subcommand and each of its flags is declared once, in _COMMANDS; the
 parsers, `qslora --help` and the dispatch in main are built from that
-table. sweep is the default subcommand.
+table. sweep is the default subcommand. The grid's axis flags (--sf, -w,
+--delta-s, --snr) are declared once and shared by every subcommand that
+takes them, and each subcommand reads them through qslora.grid.Grid, so
+every subcommand checks, deduplicates and sorts an axis by one rule.
 
 Exit status: 0 success, 1 runtime/I-O failure, 2 usage error.
 """
@@ -16,18 +19,18 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
 
 from .channel import validate_delta_s
 from .continuous_time import certify_discrete_model
-from .modulation import validate_int, validate_sf
-from .montecarlo import SerEstimate, SweepConfig, run_sweep, snr_axis
+from .grid import Axes, Grid
+from .modulation import validate_int
+from .montecarlo import SerEstimate, SweepConfig, run_sweep
 from .rice import analytical_ser_sync
 from .waveforms import (
     WAVEFORM_TOKENS,
-    ChipWaveform,
     autocorr_overlapped,
     autocorr_overlapped_quad,
     autocorr_overlapping,
@@ -38,6 +41,7 @@ __all__ = ["SweepConfig", "parse_config", "write_results", "main"]
 
 WORKERS_ENV_VAR = "QSLORA_WORKERS"
 _ALL_WAVEFORMS = ",".join(WAVEFORM_TOKENS)
+_G = TypeVar("_G", bound=Grid)
 
 
 def _split_list(text: str) -> tuple[str, ...]:
@@ -59,26 +63,6 @@ def _snr_range(text: str) -> tuple[float, float, float]:
     return tuple(float(part) for part in parts)
 
 
-def _unique(items) -> list:
-    """The items with repeats dropped, first occurrences kept in order; none is an error."""
-    out = list(dict.fromkeys(items))
-    if not out:
-        raise ValueError("list is empty")
-    return out
-
-
-def _sf_list(text: str) -> list[int]:
-    return _unique(validate_sf(sf) for sf in _ints(text))
-
-
-def _waveform_list(text: str) -> list[ChipWaveform]:
-    return _unique(ChipWaveform(token) for token in _split_list(text))
-
-
-def _snr_list(text: str) -> list[float]:
-    return snr_axis(*_snr_range(text))
-
-
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:  # nan fails too
@@ -96,8 +80,9 @@ class _Flag(NamedTuple):
     convert turns the typed string into the value, on the command line and
     for a string default alike; None makes a switch that takes no value.
     default is the value as typed (None: unset), short an optional
-    one-letter alias, and fields the SweepConfig fields a sweep flag sets.
-    A sweep flag that takes a value and sets fields is also a config key.
+    one-letter alias, and fields the Grid or SweepConfig fields the flag
+    sets. A sweep flag that takes a value and sets fields is also a config
+    key.
     """
 
     convert: Optional[Callable[[str], object]]
@@ -185,17 +170,35 @@ def parse_config(argv: Sequence[str]) -> SweepConfig:
     if os.environ.get(WORKERS_ENV_VAR):
         defaults["workers"] = os.environ[WORKERS_ENV_VAR]
     parser.set_defaults(**{_dest(key): value for key, value in defaults.items()})
-    ns = parser.parse_args(argv)
+    return _resolve(parser, "sweep", parser.parse_args(argv), SweepConfig)
 
+
+def _resolve(parser: argparse.ArgumentParser, name: str, ns: argparse.Namespace,
+             kind: type[_G]) -> _G:
+    """kind (Grid or SweepConfig) built from the fields that the flags of
+    subcommand name set in ns; a ValueError exits 2 with its message."""
     fields: dict[str, object] = {}
-    for key, flag in _COMMANDS["sweep"].flags.items():
+    for key, flag in _COMMANDS[name].flags.items():
         value = getattr(ns, _dest(key))
         if flag.fields and value is not None:
             fields.update(zip(flag.fields, value if len(flag.fields) > 1 else (value,)))
     try:
-        return SweepConfig(**fields)
+        return kind(**fields)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _parse_axes(name: str, argv: Sequence[str]) -> tuple[argparse.Namespace, Axes]:
+    """The flags of subcommand name, and the axes of the Grid they set."""
+    parser = _parser(name)
+    ns = parser.parse_args(argv)
+    return ns, _resolve(parser, name, ns, Grid).axes
+
+
+def _label(value: float) -> str:
+    """An axis value as the shortest repr that reads back as it, a trailing .0 dropped."""
+    text = repr(value)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _row(est: SerEstimate) -> dict[str, object]:
@@ -245,7 +248,7 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         pt = est.point
         print(
             f"[{done}/{total}] sf={pt.sf} waveform={pt.waveform.kind} "
-            f"delta_s={pt.delta_s:g} snr_db={pt.snr_db:g} "
+            f"delta_s={_label(pt.delta_s)} snr_db={_label(pt.snr_db)} "
             f"ser={est.ser:.3e} errors={est.errors} trials={est.trials}",
             file=sys.stderr,
             flush=True,
@@ -262,10 +265,10 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
 
 
 def _cmd_certify(argv: Sequence[str]) -> int:
-    ns = _parser("certify").parse_args(argv)
+    ns, axes = _parse_axes("certify", argv)
     failures = 0
-    for sf in ns.sf:
-        for wf in ns.waveform:
+    for sf in axes.sf:
+        for wf in axes.waveform:
             # keyed by the waveform so a line does not depend on what else is listed
             key = (sf, WAVEFORM_TOKENS.index(wf.kind))
             rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=key))
@@ -280,18 +283,18 @@ def _cmd_certify(argv: Sequence[str]) -> int:
 
 
 def _cmd_oracle(argv: Sequence[str]) -> int:
-    ns = _parser("oracle").parse_args(argv)
+    _, axes = _parse_axes("oracle", argv)
     print("sf snr_db ser")
-    for sf in ns.sf:
-        for snr in ns.snr:
-            print(f"{sf} {snr:g} {analytical_ser_sync(sf, snr)!r}")
+    for sf in axes.sf:
+        for snr in axes.snr:
+            print(f"{sf} {_label(snr)} {analytical_ser_sync(sf, snr)!r}")
     return 0
 
 
 def _cmd_corr(argv: Sequence[str]) -> int:
-    ns = _parser("corr").parse_args(argv)
+    ns, axes = _parse_axes("corr", argv)
     print("waveform delta overlapping overlapped")
-    for wf in ns.waveform:
+    for wf in axes.waveform:
         for i in range(ns.steps):
             d = i / (ns.steps - 1)
             if ns.quad:
@@ -300,11 +303,18 @@ def _cmd_corr(argv: Sequence[str]) -> int:
             else:
                 keep = autocorr_overlapping(wf, d)
                 spill = autocorr_overlapped(wf, d)
-            print(f"{wf.kind} {d:g} {keep!r} {spill!r}")
+            print(f"{wf.kind} {_label(d)} {keep!r} {spill!r}")
     return 0
 
 
-_NEGATIVE_SNR = "every point in [-300, 300]; give a negative start as --snr=-4:24:2"
+# the grid's axis flags, shared by every subcommand that takes the axis
+_SF = _Flag(_ints, "comma-separated spreading factors", fields=("sf_list",))
+_WAVEFORM = _Flag(_split_list, f"comma-separated chip waveforms: {_ALL_WAVEFORMS}", short="-w",
+                  fields=("waveforms",))
+_DELTA_S = _Flag(_floats, "comma-separated max offsets in [0,1]", fields=("delta_s_list",))
+_SNR = _Flag(_snr_range, "SNR axis in dB as start:stop:step (inclusive stop); every point in "
+             "[-300, 300]; give a negative start as --snr=-4:24:2",
+             fields=("snr_start_db", "snr_stop_db", "snr_step_db"))
 
 _COMMANDS: dict[str, _Command] = {
     "sweep": _Command(
@@ -312,13 +322,10 @@ _COMMANDS: dict[str, _Command] = {
         "Monte-Carlo SER sweep (default when no subcommand is given)",
         "Monte-Carlo SER sweep over (sf, waveform, delta-s, snr).",
         {  # no defaults: a flag that nothing sets keeps its SweepConfig default
-            "sf": _Flag(_ints, "comma-separated spreading factors", fields=("sf_list",)),
-            "waveform": _Flag(_split_list, f"comma-separated chip waveforms: {_ALL_WAVEFORMS}",
-                              short="-w", fields=("waveforms",)),
-            "delta-s": _Flag(_floats, "comma-separated max offsets in [0,1]",
-                             fields=("delta_s_list",)),
-            "snr": _Flag(_snr_range, "SNR axis in dB as start:stop:step (inclusive stop); "
-                         + _NEGATIVE_SNR, fields=("snr_start_db", "snr_stop_db", "snr_step_db")),
+            "sf": _SF,
+            "waveform": _WAVEFORM,
+            "delta-s": _DELTA_S,
+            "snr": _SNR,
             "trials-max": _Flag(int, "max trials per grid point", fields=("trials_max",)),
             "min-errors": _Flag(int, "early-stop error count (0 disables)",
                                 fields=("min_errors",)),
@@ -339,8 +346,8 @@ _COMMANDS: dict[str, _Command] = {
         "continuous-time model certification report",
         "Certify the chip-rate model against the continuous-time reference.",
         {
-            "sf": _Flag(_sf_list, "comma-separated spreading factors", "4"),
-            "waveform": _Flag(_waveform_list, "comma-separated waveforms", _ALL_WAVEFORMS, "-w"),
+            "sf": _SF._replace(default="4"),
+            "waveform": _WAVEFORM,
             "trials": _Flag(_int("trials", 1), "random realizations per combination", "100"),
             "delta-s": _Flag(lambda text: validate_delta_s(float(text)), "max offset in [0,1]",
                              "1.0"),
@@ -352,20 +359,14 @@ _COMMANDS: dict[str, _Command] = {
         _cmd_oracle,
         "analytical synchronous SER table",
         "Analytical synchronous SER table (noncoherent M-ary orthogonal).",
-        {  # the table defaults to the sweep's default grid
-            "sf": _Flag(_sf_list, "comma-separated spreading factors",
-                        ",".join(map(str, SweepConfig.sf_list))),
-            "snr": _Flag(_snr_list, "SNR axis start:stop:step in dB; " + _NEGATIVE_SNR,
-                         f"{SweepConfig.snr_start_db}:{SweepConfig.snr_stop_db}:"
-                         f"{SweepConfig.snr_step_db}"),
-        },
+        {"sf": _SF, "snr": _SNR},  # the table defaults to the sweep's default grid
     ),
     "corr": _Command(
         _cmd_corr,
         "chip-waveform partial autocorrelation tables",
         "Partial autocorrelation tables R(delta), Rhat(delta).",
         {
-            "waveform": _Flag(_waveform_list, "comma-separated waveforms", _ALL_WAVEFORMS, "-w"),
+            "waveform": _WAVEFORM,
             "steps": _Flag(_int("steps", 2), "number of offsets on [0, 1]", "21"),
             "quad": _Flag(None, "print quadrature reference values instead of closed forms"),
         },

@@ -68,10 +68,10 @@ class ContinuousSignal:
         """Exact s(t) at finite times t (validate_real, arrays too), zero outside the span."""
         m = 1 << self.sf  # checked at construction
         t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
+        inside = (t >= 0.0) & (t < self.span[1])
+        t = np.where(inside, t, 0.0)  # before the cast: a time past int64 has no chip index
         chip = np.floor(t).astype(np.int64)
-        n = chip // m
-        inside = (chip >= 0) & (n < len(self.symbols))
-        sym = np.asarray(self.symbols)[np.where(inside, n, 0)]
+        sym = np.asarray(self.symbols)[chip // m]
         chips = _chip(sym, chip & (m - 1), m) * sample_waveform(self.waveform, t - chip)
         return np.where(inside, chips, 0j)[()]  # a complex scalar for a scalar t
 

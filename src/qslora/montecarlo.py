@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import os
 import time
@@ -61,29 +60,27 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import _coefficients, draw_offset, validate_delta_s, validate_offset, validate_snr
+from .channel import _coefficients, draw_offset, validate_offset
 from .channel import noise_variance  # also in this module's __all__
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
-from .modulation import symbol_cardinality, validate_int, validate_real, validate_sf
+from .grid import Grid, GridPoint
+from .grid import snr_axis  # noqa: F401 -- bench/make_tables.py imports it from here
+from .modulation import symbol_cardinality, validate_int, validate_real
 from .rice import _central_log_cdf, _rice_log_cdf
 from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py imports it from here
-from .waveforms import WAVEFORM_TOKENS, ChipWaveform
 
 __all__ = [
     "STREAM_VERSION",
     "TRIALS_PER_CHUNK",
-    "GridPoint",
     "StoppingRule",
     "SerEstimate",
     "wilson_interval",
     "noise_variance",
     "run_point",
-    "snr_axis",
     "SweepConfig",
     "run_sweep",
 ]
@@ -94,25 +91,6 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # how far _others_reach widens each bound of its bracket, relative to the
 # bound: rice._rice_log_cdf's log F is within about 1e-14 of its own size
 _BAND_MARGIN = 1e-9
-_MAX_SNR_POINTS = 100_000  # the most points snr_axis builds
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One cell of the sweep grid."""
-
-    sf: int
-    waveform: ChipWaveform
-    delta_s: float
-    snr_db: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sf", validate_sf(self.sf))
-        if not isinstance(self.waveform, ChipWaveform):
-            raise ValueError(f"waveform must be a ChipWaveform, got {self.waveform!r}")
-        # canonical floats: 1, 1.0 and np.float64(1.0), or -0.0 and 0.0, share a stream
-        object.__setattr__(self, "delta_s", validate_delta_s(self.delta_s) + 0.0)
-        object.__setattr__(self, "snr_db", validate_snr(self.snr_db) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -489,60 +467,28 @@ def run_point(
         return next(estimates)
 
 
-def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
-    """Inclusive dB grid start, start+step, ..., up to stop when reachable.
-
-    Each point is start + i*step formed exactly from the shortest reprs of
-    the three floats (0.1 is one tenth) and rounded once to a float, so a
-    point's value does not depend on the axis it is listed in: 0.1:0.7:0.2
-    ends on 0.7, as 0.7:0.7:1 does. Every point is an SNR by
-    channel.validate_snr; start and the last point are checked, and the
-    points between lie between them. stop >= start and step > 0 are real
-    numbers by modulation.validate_real, and an axis of more than
-    _MAX_SNR_POINTS points, counted exactly before any is built, is refused.
-    """
-    start_db = validate_snr(start_db)
-    stop_db = validate_real(stop_db, "snr axis stop", start_db)
-    step_db = validate_real(step_db, "snr axis step", 0)
-    if not step_db > 0:
-        raise ValueError(f"snr axis step must be > 0, got {step_db}")
-    start, stop, step = (Fraction(repr(v)) for v in (start_db, stop_db, step_db))
-    count = int((stop - start) // step) + 1
-    if count > _MAX_SNR_POINTS:
-        raise ValueError(f"snr axis has too many points (more than {_MAX_SNR_POINTS})")
-    validate_snr(float(start + (count - 1) * step))
-    return [float(start + i * step) for i in range(count)]
-
-
 @dataclass(frozen=True)
-class SweepConfig:
-    """Fully resolved sweep parameters (defaults span the full grid).
+class SweepConfig(Grid):
+    """Fully resolved sweep parameters: a Grid (whose defaults span the full
+    grid) and how its points are run.
 
     Construction checks every field once, through the type that owns the
-    value: validate_sf, ChipWaveform, validate_delta_s, snr_axis (whose
-    points pass channel.validate_snr), StoppingRule, modulation.validate_int
-    (master_seed >= 0, workers >= 1), channel.validate_offset for
-    fixed_delta and os.fspath; record_timing is read as a truth value. So
-    every number, and each item of a list field, is a scalar by the number
-    rule of qslora.modulation. A bad value or a wrong type raises
-    ValueError whose message starts with the field's config key (sf,
-    waveform, delta-s, snr, trials-max, min-errors, seed, workers,
-    fixed-delta, output, format).
+    value: Grid reads the four axes, then StoppingRule,
+    modulation.validate_int (master_seed >= 0, workers >= 1),
+    channel.validate_offset for fixed_delta and os.fspath check the rest;
+    record_timing is read as a truth value. So every number, and each item
+    of a list field, is a scalar by the number rule of qslora.modulation. A
+    bad value or a wrong type raises ValueError whose message starts with
+    the field's config key (sf, waveform, delta-s, snr, trials-max,
+    min-errors, seed, workers, fixed-delta, output, format).
 
-    What the checks build is kept, out of __init__ and equality: points, the
-    grid ordered by (sf, waveform token, delta_s, snr_db) with one point per
-    distinct coordinate, so output layout is independent of how the axes
-    were listed; stop, the StoppingRule; and fixed_delta, as the float
+    What the checks build is kept, out of __init__ and equality: the
+    Grid's axes and points, so output layout is independent of how the
+    axes were listed; stop, the StoppingRule; and fixed_delta, as the float
     that rule returns. These defaults are the only ones; the CLI
     passes only the fields a flag, the environment or a config file set.
     """
 
-    sf_list: tuple[int, ...] = (4, 5, 6, 7)
-    waveforms: tuple[str, ...] = WAVEFORM_TOKENS
-    delta_s_list: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    snr_start_db: float = -4.0
-    snr_stop_db: float = 24.0
-    snr_step_db: float = 2.0
     trials_max: int = 1_000_000
     min_errors: int = 100
     master_seed: int = 1
@@ -551,15 +497,11 @@ class SweepConfig:
     output_path: str = "ser_results.csv"
     format: str = "csv"
     record_timing: bool = False
-    points: tuple[GridPoint, ...] = field(init=False, compare=False, repr=False)
     stop: StoppingRule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         checks = (
-            ("sf", lambda: [validate_sf(sf) for sf in self.sf_list]),
-            ("waveform", lambda: [ChipWaveform(tok) for tok in self.waveforms]),
-            ("delta-s", lambda: [validate_delta_s(ds) for ds in self.delta_s_list]),
-            ("snr", lambda: snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)),
             ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
             ("min-errors", lambda: StoppingRule(self.trials_max, self.min_errors)),
             ("seed", lambda: validate_int(self.master_seed, "master_seed", 0)),
@@ -574,16 +516,8 @@ class SweepConfig:
                 built[key] = check()
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
-            if key in ("sf", "waveform", "delta-s") and not built[key]:
-                raise ValueError(f"{key} list is empty")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format: expected csv or json, got {self.format!r}")
-        grid = itertools.product(*(built[key] for key in ("sf", "waveform", "delta-s", "snr")))
-        points = sorted(
-            {GridPoint(*coords) for coords in grid},
-            key=lambda p: (p.sf, p.waveform.kind, p.delta_s, p.snr_db),
-        )
-        object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "stop", built["min-errors"])
         object.__setattr__(self, "fixed_delta", built["fixed-delta"])
 

@@ -22,7 +22,8 @@ from qslora.cli import main
 from qslora.continuous_time import certify_discrete_model
 from qslora.channel import analytic_decision_statistic
 from qslora.modulation import despread, envelope_matrix, symbol_cardinality
-from qslora.montecarlo import GridPoint, StoppingRule, run_point, snr_axis
+from qslora.grid import GridPoint, snr_axis
+from qslora.montecarlo import StoppingRule, run_point
 from qslora.rice import analytical_ser_sync
 from qslora.waveforms import (
     WAVEFORM_TOKENS,

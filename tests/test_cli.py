@@ -17,7 +17,8 @@ import pytest
 import qslora
 
 from qslora.cli import SweepConfig, main, parse_config, write_results
-from qslora.montecarlo import GridPoint, SerEstimate, run_sweep, snr_axis, wilson_interval
+from qslora.grid import GridPoint, snr_axis
+from qslora.montecarlo import SerEstimate, run_sweep, wilson_interval
 from qslora.rice import analytical_ser_sync
 from qslora.waveforms import ChipWaveform
 
@@ -437,6 +438,18 @@ class TestMain:
             (["oracle", "--snr=-4000:-4000:1"], "snr"),
             (["certify", "--sf", "2", "--trials", "1", "--tolerance", "inf"], "tolerance"),
             (["oracle", "--snr", "0:300:1e-300"], "too many points"),
+            # every axis flag, on every subcommand that takes it
+            (["sweep", "--sf", "13"], "sf"),
+            (["sweep", "--sf", ","], "sf"),
+            (["sweep", "-w", "sinc"], "waveform"),
+            (["sweep", "-w", ","], "waveform"),
+            (["sweep", "--delta-s", "1.5"], "delta-s"),
+            (["sweep", "--delta-s", ","], "delta-s"),
+            (["sweep", "--snr", "12:8:2"], "snr"),
+            (["oracle", "--snr", "12:8:2"], "snr"),
+            (["certify", "--sf", "13"], "sf"),
+            (["certify", "--sf", "x"], "sf"),
+            (["corr", "-w", "sinc"], "waveform"),
         ],
     )
     def test_subcommand_bad_input_exits_2(self, argv, needle, capsys):
@@ -487,13 +500,13 @@ class TestMain:
 
     def test_certify_line_independent_of_other_waveforms(self, capsys):
         # each waveform's stream is keyed by the waveform itself, so the rc
-        # line is the same whether rc is listed alone or after rect
+        # line is the same whether rc is listed alone or with rect
         assert main(["certify", "--sf", "4", "-w", "rc", "--trials", "3"]) == 0
         alone = capsys.readouterr().out.splitlines()
         assert main(["certify", "--sf", "4", "-w", "rect,rc", "--trials", "3"]) == 0
         listed = capsys.readouterr().out.splitlines()
         assert len(alone) == 1 and len(listed) == 2
-        assert listed[1] == alone[0]
+        assert listed[0] == alone[0]
 
     @pytest.mark.parametrize(
         "repeated,once",
@@ -503,10 +516,18 @@ class TestMain:
                 ["certify", "--sf", "4,4", "-w", "rc,rect,rc", "--trials", "2"],
                 ["certify", "--sf", "4", "-w", "rc,rect", "--trials", "2"],
             ),
+            (["oracle", "--sf", "5,4", "--snr", "0:2:2"], ["oracle", "--sf", "4,5", "--snr", "0:2:2"]),
+            (
+                ["certify", "--sf", "5,4", "-w", "rect", "--trials", "2"],
+                ["certify", "--sf", "4,5", "-w", "rect", "--trials", "2"],
+            ),
+            (["corr", "-w", "rect,rc", "--steps", "3"], ["corr", "-w", "rc,rect", "--steps", "3"]),
         ],
     )
     def test_repeated_values_give_one_line(self, repeated, once, capsys):
-        # repeated --sf and -w values are dropped, first occurrences kept in order
+        # every subcommand reads an axis by one rule: repeated --sf and -w
+        # values are dropped and the rest sorted, so neither repeats nor the
+        # listed order change the output
         assert main(repeated) == 0
         got = capsys.readouterr().out
         assert main(once) == 0
@@ -518,6 +539,25 @@ class TestMain:
         assert lines[0] == "sf snr_db ser"
         assert len(lines) == 4
         assert lines[1] == f"4 0 {analytical_ser_sync(4, 0.0)!r}"
+
+    @pytest.mark.parametrize(
+        "argv,axis",
+        [
+            (["oracle", "--sf", "4", "--snr", "1.0000001:1.0000003:0.0000001"],
+             snr_axis(1.0000001, 1.0000003, 0.0000001)),
+            (["oracle", "--sf", "4", "--snr=-4:24:2"], snr_axis(-4.0, 24.0, 2.0)),
+            (["oracle", "--sf", "4", "--snr", "0.1:0.7:0.2"], snr_axis(0.1, 0.7, 0.2)),
+            (["corr", "-w", "rc", "--steps", "7"], [i / 6 for i in range(7)]),
+            (["corr", "-w", "rc", "--steps", "21"], [i / 20 for i in range(21)]),
+        ],
+    )
+    def test_axis_labels_read_back_as_their_points(self, argv, axis, capsys):
+        # oracle's snr_db and corr's delta column are the shortest repr of
+        # each axis point, so no two rows share a label
+        assert main(argv) == 0
+        labels = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(label) for label in labels] == axis
+        assert len(set(labels)) == len(axis) == len(set(axis))
 
     def test_snr_domain_edges_accepted(self, capsys):
         # sweep and oracle share one SNR domain, [-300, 300] dB
@@ -532,7 +572,7 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "waveform delta overlapping overlapped"
         assert len(lines) == 7
-        assert lines[2] == "rect 0.5 0.5 0.5"
+        assert lines[5] == "rect 0.5 0.5 0.5"
 
     def test_corr_quad_matches_closed_form(self, capsys):
         assert main(["corr", "-w", "rc", "--steps", "3", "--quad"]) == 0
@@ -581,7 +621,7 @@ class TestMain:
 def test_cli_runs_on_numpy_alone():
     # the README and pyproject.toml name numpy as the only runtime
     # dependency; scipy, mpmath and hypothesis are test-only references, so
-    # neither the import nor an oracle or certify run may load them
+    # neither the import nor an oracle, certify or corr run may load them
     src = os.path.dirname(os.path.dirname(os.path.abspath(qslora.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -590,6 +630,7 @@ def test_cli_runs_on_numpy_alone():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert qslora.cli.main(['oracle', '--sf', '4', '--snr', '10:10:1']) == 0\n"
         "    assert qslora.cli.main(['certify', '--sf', '4', '--trials', '2']) == 0\n"
+        "    assert qslora.cli.main(['corr', '--steps', '3']) == 0\n"
         "print(sorted({'hypothesis', 'mpmath', 'scipy'} & set(sys.modules)))"
     )
     out = subprocess.run(

@@ -2,6 +2,7 @@
 the chip-rate decomposition."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ class TestSynthesize:
         sig = synthesize((9,), rect, 4)
         assert sig.value_at(-0.5) == 0.0
         assert sig.value_at(16.01) == 0.0
+
+    def test_zero_far_outside_span_without_a_warning(self, rect):
+        # times past the int64 range have no chip index; they are masked
+        # before the cast, so they read 0 and raise no RuntimeWarning
+        sig = synthesize((1, 2, 3), rect, 4)
+        far = [1e19, -1e19, 2.0**63, -(2.0**63)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in far:
+                assert sig.value_at(t) == 0.0
+            got = sig.value_at(np.array([*far, 0.5]))
+        np.testing.assert_array_equal(got[:-1], 0.0)
+        assert got[-1] == sig.value_at(0.5) != 0.0
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_symbol_energy_is_unit(self, token):

@@ -19,16 +19,15 @@ from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
 from qslora.cli import main
 from qslora.modulation import despread, envelope_matrix
+from qslora.grid import GridPoint, snr_axis
 from qslora.montecarlo import (
     TRIALS_PER_CHUNK,
-    GridPoint,
     SerEstimate,
     StoppingRule,
     SweepConfig,
     noise_variance,
     run_point,
     run_sweep,
-    snr_axis,
     wilson_interval,
 )
 from qslora.rice import analytical_ser_sync

@@ -40,13 +40,12 @@ from qslora.modulation import (
     validate_int,
     validate_sf,
 )
+from qslora.grid import GridPoint, snr_axis
 from qslora.montecarlo import (
-    GridPoint,
     SerEstimate,
     StoppingRule,
     SweepConfig,
     run_point,
-    snr_axis,
     wilson_interval,
 )
 from qslora.quadrature import integrate
