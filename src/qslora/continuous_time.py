@@ -16,12 +16,17 @@ each piece's integrand is then a constant (rect) or a trig polynomial (rc)
 on at most one chip, which the rule integrates exactly to rounding. The
 integrand is evaluated exactly from the generating symbols, each chip read
 from modulation's one chip formula, so neither a sampled copy of s(t) nor a
-chip matrix is kept. matched_filter_chip takes an array of chip indices
-and integrates the pieces of all their windows in one batched quadrature
-call, through one integrand: the filter of the window starting at
-K + delta is psi(t - K - delta), and K = floor(t - delta) at every node
-inside it. certify_discrete_model makes one such call per trial, for all
-M chips.
+chip matrix is kept.
+
+One unchecked core serves a batch of signals of equal length, an int64
+(B, L) array of symbols, each on its own time axis from t = 0: _value
+evaluates s(t) of a named row, and _matched_filter integrates any number
+of windows, each naming its row, symbol n, chip k and offset delta, in one
+quadrature call through one integrand: the filter of the window starting
+at K + delta is psi(t - K - delta), and K = floor(t - delta) at every node
+inside it. ContinuousSignal.value_at and matched_filter_chip are its
+one-signal case, behind the number rule; certify_discrete_model calls it
+once per block of trials (see there).
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ from .quadrature import integrate
 from .waveforms import ChipWaveform, sample_waveform
 
 __all__ = ["ContinuousSignal", "synthesize", "matched_filter_chip", "certify_discrete_model"]
+
+# windows per matched-filter call in certify_discrete_model: a block of
+# whole trials holds at most this many, or one trial where M is larger
+_BLOCK_WINDOWS = 256
 
 
 @dataclass(frozen=True)
@@ -66,14 +75,68 @@ class ContinuousSignal:
 
     def value_at(self, t: np.ndarray | float) -> np.ndarray:
         """Exact s(t) at finite times t (validate_real, arrays too), zero outside the span."""
-        m = 1 << self.sf  # checked at construction
         t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
-        inside = (t >= 0.0) & (t < self.span[1])
-        t = np.where(inside, t, 0.0)  # before the cast: a time past int64 has no chip index
-        chip = np.floor(t).astype(np.int64)
-        sym = np.asarray(self.symbols)[chip // m]
-        chips = _chip(sym, chip & (m - 1), m) * sample_waveform(self.waveform, t - chip)
-        return np.where(inside, chips, 0j)[()]  # a complex scalar for a scalar t
+        # a complex scalar for a scalar t
+        return _value(np.array([self.symbols]), 1 << self.sf, self.waveform, 0, t)[()]
+
+
+def _value(symbols: np.ndarray, m: int, waveform: ChipWaveform, row, t: np.ndarray) -> np.ndarray:
+    """s(t) of signal row of a batch, zero outside [0, L*M); row broadcasts with t.
+
+    Unchecked: symbols is an int64 (B, L) array of symbols in [0, m), row
+    indexes its rows and t is finite.
+    """
+    inside = (t >= 0.0) & (t < symbols.shape[1] * m)
+    t = np.where(inside, t, 0.0)  # before the cast: a time past int64 has no chip index
+    chip = np.floor(t).astype(np.int64)
+    chips = _chip(symbols[row, chip // m], chip & (m - 1), m) * sample_waveform(waveform, t - chip)
+    return np.where(inside, chips, 0j)
+
+
+def _matched_filter(
+    symbols: np.ndarray,
+    m: int,
+    waveform: ChipWaveform,
+    row,
+    n,
+    k,
+    delta,
+) -> np.ndarray:
+    """Matched-filter output of each window (row, n, k, delta) of a batch of signals.
+
+    The window of chip k of symbol n at offset delta on signal row spans
+    [n*M + k + delta, n*M + k + 1 + delta] of that row's own time axis.
+    row, n, k and delta broadcast together, and every window's pieces go
+    to one quadrature call; the result is a complex array of their shape.
+    Each window's value depends on its own row only. Unchecked: the
+    windows must lie inside [0, L*M) and delta be finite.
+    """
+    shape = np.broadcast_shapes(np.shape(row), np.shape(n), np.shape(k), np.shape(delta))
+    a = np.broadcast_to(n * m + k + delta, shape).ravel()
+    row, delta = (np.broadcast_to(v, shape).ravel() for v in (row, delta))
+    b = a + 1.0
+    # Split at the signal's chip boundary: a unit window holds at most one
+    # integer strictly inside it.
+    eps = 1e-12
+    c = np.floor(a) + 1.0
+    split = (a + eps < c) & (c < b - eps)
+    piece_row = np.concatenate((row, row[split]))[:, None]
+    piece_delta = np.concatenate((delta, delta[split]))[:, None]
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        # a node strictly inside the window starting at K + delta has
+        # floor(t - delta) = K, so one integrand serves every window
+        shift = t - (np.floor(t - piece_delta) + piece_delta)
+        return _value(symbols, m, waveform, piece_row, t) * sample_waveform(waveform, shift)
+
+    pieces = integrate(
+        integrand,
+        np.concatenate((a, c[split])),
+        np.concatenate((np.where(split, c, b), b[split])),
+    )
+    total = np.zeros(a.size, dtype=complex) + pieces[: a.size]
+    total[split] += pieces[a.size :]
+    return total.reshape(shape)
 
 
 def synthesize(
@@ -105,32 +168,12 @@ def matched_filter_chip(
     n = validate_int(n, "symbol index", 0, len(sig.symbols) - 1)
     chips = np.asarray(validate_int(k, "chip index", 0, m - 1, array=True))
     delta = validate_offset(delta)
-    a = np.ravel(n * m + chips + delta)
-    b = a + 1.0
     lo, hi = sig.span
-    if a.min() < lo - 1e-9 or b.max() > hi + 1e-9:
-        raise ValueError(
-            f"filter window [{a.min()}, {b.max()}] outside synthesized span [{lo}, {hi}]"
-        )
-    # Split at the signal's chip boundary: a unit window holds at most one
-    # integer strictly inside it.
-    eps = 1e-12
-    c = np.floor(a) + 1.0
-    split = (a + eps < c) & (c < b - eps)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        # a node strictly inside the window starting at K + delta has
-        # floor(t - delta) = K, so one integrand serves every window
-        return sig.value_at(t) * sample_waveform(sig.waveform, t - (np.floor(t - delta) + delta))
-
-    pieces = integrate(
-        integrand,
-        np.concatenate((a, c[split])),
-        np.concatenate((np.where(split, c, b), b[split])),
-    )
-    total = np.zeros(a.size, dtype=complex) + pieces[: a.size]
-    total[split] += pieces[a.size :]
-    return complex(total[0]) if chips.ndim == 0 else total.reshape(chips.shape)
+    a, b = n * m + chips.min() + delta, n * m + chips.max() + delta + 1.0
+    if a < lo - 1e-9 or b > hi + 1e-9:
+        raise ValueError(f"filter window [{a}, {b}] outside synthesized span [{lo}, {hi}]")
+    total = _matched_filter(np.array([sig.symbols]), m, sig.waveform, 0, n, chips, delta)
+    return complex(total) if chips.ndim == 0 else total
 
 
 def certify_discrete_model(
@@ -149,15 +192,31 @@ def certify_discrete_model(
     symbol and the chip model is given only the previous and the current
     one, so this check (acceptance criterion 3) is also the independent
     evidence that the next symbol is invisible to the receiver.
+
+    Trials are drawn one at a time, the symbols and then the offset, and
+    computed in blocks of whole trials with at most _BLOCK_WINDOWS windows
+    (one trial per block from sf 8 up, so memory does not grow with the
+    trial count): one synthesize_chip_rows call, one matched-filter call for
+    all M chips of every trial of the block, one max. Each trial keeps its
+    own time axis, [0, 3M), so every node, integrand value and chip sum is
+    the one a single-trial call computes and the result does not depend on
+    the block size. Laying the trials end to end on one long signal would
+    put nodes at t up to 3*B*M, where the fixed absolute rounding of each
+    node costs relative precision in the short chip pieces.
     """
     validate_int(trials, "trials", 1)
     m = symbol_cardinality(sf)
+    per_block = max(1, _BLOCK_WINDOWS // m)
     worst = 0.0
-    for _ in range(trials):
-        x = rng.integers(0, m, size=3)
-        delta = draw_offset(delta_s, rng, 1)
-        sig = synthesize(tuple(x), waveform, sf)
-        reference = synthesize_chip_rows(x[:1], x[1:2], delta, waveform, sf)[0]
-        diff = matched_filter_chip(sig, 1, np.arange(m), float(delta[0])) - reference
+    for start in range(0, trials, per_block):
+        size = min(per_block, trials - start)
+        x = np.empty((size, 3), dtype=np.int64)
+        delta = np.empty(size)
+        for i in range(size):
+            x[i] = rng.integers(0, m, size=3)
+            delta[i] = draw_offset(delta_s, rng, 1)[0]
+        reference = synthesize_chip_rows(x[:, 0], x[:, 1], delta, waveform, sf)
+        rows = np.arange(size)[:, None]
+        diff = _matched_filter(x, m, waveform, rows, 1, np.arange(m), delta[:, None]) - reference
         worst = max(worst, float(np.hypot(diff.real, diff.imag).max()))
     return worst

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qslora import continuous_time
 from qslora.channel import synthesize_chip_rows
 from qslora.continuous_time import (
     ContinuousSignal,
@@ -83,7 +84,6 @@ class TestSynthesize:
             integrate(lambda t: np.abs(sig.value_at(t)) ** 2, k, k + 1.0) for k in range(16)
         )
         assert total == pytest.approx(1.0, abs=1e-6)
-
 
 
 class TestMatchedFilterChip:
@@ -169,6 +169,67 @@ class TestMatchedFilterChip:
             assert a == pytest.approx(b, abs=1e-9)
 
 
+def _per_trial(x, delta, wf, sf):
+    """Every chip of the middle symbol of one trial, by the public one-signal call."""
+    return matched_filter_chip(synthesize(tuple(x), wf, sf), 1, np.arange(2**sf), float(delta))
+
+
+class TestBlockCore:
+    @pytest.mark.parametrize("sf", range(2, 9))
+    @pytest.mark.parametrize("token", ["rect", "rc"])
+    @pytest.mark.parametrize("delta_s", [1.0, 0.0])
+    def test_certify_blocks_equal_per_trial_calls(self, monkeypatch, sf, token, delta_s):
+        # certify's own blocks, caught on their way out of the core; the
+        # trial count leaves a short last block wherever a block holds more
+        # than one trial, and every chip must equal the single-trial call
+        # bit for bit, not approximately
+        wf = ChipWaveform(token)
+        m = 2**sf
+        per_block = max(1, continuous_time._BLOCK_WINDOWS // m)
+        trials = per_block + per_block // 2 + 1
+        core = continuous_time._matched_filter
+        blocks = []
+
+        def spy(symbols, *args):
+            out = core(symbols, *args)
+            blocks.append((symbols.copy(), np.ravel(args[-1]).copy(), out))
+            return out
+
+        monkeypatch.setattr(continuous_time, "_matched_filter", spy)
+        certify_discrete_model(sf, wf, trials, np.random.default_rng(sf), delta_s=delta_s)
+        monkeypatch.undo()
+        sizes = [len(x) for x, _, _ in blocks]
+        assert sum(sizes) == trials and set(sizes[:-1]) <= {per_block}
+        assert sizes[-1] == (trials - 1) % per_block + 1
+        signs = set()
+        for x, delta, out in blocks:
+            assert out.shape == (len(x), m)
+            for row in range(len(x)):
+                np.testing.assert_array_equal(out[row], _per_trial(x[row], delta[row], wf, sf))
+                signs.add(np.sign(delta[row]))
+        assert signs == ({0.0} if delta_s == 0.0 else {-1.0, 1.0})
+
+    @pytest.mark.parametrize("sf", range(2, 9))
+    @pytest.mark.parametrize("token", ["rect", "rc"])
+    def test_edge_offsets_in_one_block(self, sf, token):
+        # the offset bound, zero and both signs, side by side in one call
+        wf = ChipWaveform(token)
+        m = 2**sf
+        delta = np.array([-0.5, -0.31, 0.0, 0.27, 0.5])
+        x = np.random.default_rng(40 + sf).integers(0, m, (delta.size, 3))
+        rows = np.arange(delta.size)[:, None]
+        out = continuous_time._matched_filter(x, m, wf, rows, 1, np.arange(m), delta[:, None])
+        for row in range(delta.size):
+            np.testing.assert_array_equal(out[row], _per_trial(x[row], delta[row], wf, sf))
+
+    def test_value_at_is_one_row_of_the_core(self, rc):
+        x = np.array([[5, 9, 2], [7, 0, 15]])
+        t = np.linspace(-1.0, 49.0, 301)
+        got = continuous_time._value(x, 16, rc, np.array([[0], [1]]), t)
+        for row in range(2):
+            np.testing.assert_array_equal(got[row], synthesize(tuple(x[row]), rc, 4).value_at(t))
+
+
 class TestCertifyDiscreteModel:
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_random_offsets_agree(self, token):
@@ -204,3 +265,16 @@ class TestCertifyDiscreteModel:
             tracemalloc.stop()
         assert envelope_matrix.cache_info().currsize == 0
         assert peak < 64 * 2**20
+
+    def test_memory_does_not_grow_with_trials(self, rc):
+        # trials are computed in blocks of a fixed window budget, so 100
+        # times the trials take no more than the peak of one full block
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                certify_discrete_model(4, rc, trials, np.random.default_rng(35))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 1.5 * peak(20)

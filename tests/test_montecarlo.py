@@ -898,6 +898,10 @@ def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
 # the sweep of its sf10-w1 argv, four full chunks at sf 10; a sweep at the
 # bottom of the SNR domain and in its N0 > 1 part, 24 points; and the default
 # oracle table, 60 lines.
+# The certify rows pin every line the continuous-time reference prints: the
+# benchmark's certify argv (several trials per block at sf 4 and 5), the
+# default, sf 2-9 (blocks of 64 trials down to one trial, and short last
+# blocks), sf 12 (one trial per block) and the synchronous path.
 OUTPUT_PINS = {
     "grid-w2": (
         "sweep --sf 4,5,6,7 --waveform rect,rc --delta-s 0,0.2,0.4,0.6,0.8,1 --snr 4:16:12 "
@@ -917,6 +921,26 @@ OUTPUT_PINS = {
     "oracle": (
         "oracle",
         "e2968af3d2aa537dca8b0b83cf1802dfffcd4e5f9c69a624d78d0f96cac04a29",
+    ),
+    "certify-bench": (
+        "certify --sf 4,5 --waveform rect,rc --trials 50 --seed 1",
+        "8cd5c1eba1597dc6a8ce1b4cacde8757207e484b6bc35ce6bd567a6a99b7d241",
+    ),
+    "certify": (
+        "certify",
+        "1a737d826e81386649f18cd7d022b4b93880ca220f218e56d25c47361fc1d345",
+    ),
+    "certify-sf2-9": (
+        "certify --sf 2,3,6,7,8,9 --trials 40 --seed 9",
+        "c39ebb0c2ea3279d49df4b0def3b2a92444081e168c2deb7d3dc62580e846f92",
+    ),
+    "certify-sf12": (
+        "certify --sf 12 --trials 2",
+        "8a685338f63fbaf9739743c5444c8381e71418a045912b003d8b92b9c73fdaab",
+    ),
+    "certify-sync": (
+        "certify --delta-s 0 --trials 30",
+        "ca305a49aab29ca1d2399da7dc6782b7be0d6e023597222c53212b6e6735893a",
     ),
 }
 
