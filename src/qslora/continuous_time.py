@@ -94,13 +94,7 @@ def _value(symbols: np.ndarray, m: int, waveform: ChipWaveform, row, t: np.ndarr
 
 
 def _matched_filter(
-    symbols: np.ndarray,
-    m: int,
-    waveform: ChipWaveform,
-    row,
-    n,
-    k,
-    delta,
+    symbols: np.ndarray, m: int, waveform: ChipWaveform, row, n, k, delta
 ) -> np.ndarray:
     """Matched-filter output of each window (row, n, k, delta) of a batch of signals.
 
@@ -193,16 +187,14 @@ def certify_discrete_model(
     one, so this check (acceptance criterion 3) is also the independent
     evidence that the next symbol is invisible to the receiver.
 
-    Trials are drawn one at a time, the symbols and then the offset, and
-    computed in blocks of whole trials with at most _BLOCK_WINDOWS windows
-    (one trial per block from sf 8 up, so memory does not grow with the
-    trial count): one synthesize_chip_rows call, one matched-filter call for
-    all M chips of every trial of the block, one max. Each trial keeps its
-    own time axis, [0, 3M), so every node, integrand value and chip sum is
-    the one a single-trial call computes and the result does not depend on
-    the block size. Laying the trials end to end on one long signal would
-    put nodes at t up to 3*B*M, where the fixed absolute rounding of each
-    node costs relative precision in the short chip pieces.
+    Trials are drawn one at a time, symbols then offset, and computed in
+    blocks of whole trials of at most _BLOCK_WINDOWS windows (one trial
+    from sf 8 up), so memory does not grow with the trial count: per block
+    one synthesize_chip_rows call, one matched-filter call and one max.
+    Each trial keeps its own time axis, [0, 3M), so every node, integrand
+    value and chip sum is the one a single-trial call computes, whatever
+    the block size. Trials laid end to end would put nodes at t up to
+    3*B*M, where rounding of order t * 2**-52 costs precision.
     """
     validate_int(trials, "trials", 1)
     m = symbol_cardinality(sf)

@@ -86,6 +86,7 @@ class TestSynthesize:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+
 class TestMatchedFilterChip:
     def test_synchronous_recovers_envelope(self, rect, rc):
         for wf in (rect, rc):
