@@ -5,62 +5,32 @@ bounded fractional-chip timing error, validates the discrete model against
 an exact continuous-time matched-filter oracle, and estimates symbol error
 rates over a (spreading factor, chip waveform, offset bound, SNR) grid with
 deterministic, worker-count-independent Monte-Carlo.
+
+The top level holds the model; the reference layers' helpers stay in their
+own modules (qslora.continuous_time, qslora.modulation, qslora.quadrature,
+qslora.waveforms, qslora.channel).
 """
 
 __version__ = "0.1.0"
 
-from .channel import analytic_decision_statistic, draw_offset
-from .continuous_time import (
-    ContinuousSignal,
-    certify_discrete_model,
-    matched_filter_chip,
-    synthesize,
-)
+from .channel import analytic_decision_statistic
+from .continuous_time import certify_discrete_model
 from .grid import GridPoint
-from .modulation import despread, envelope_matrix, symbol_cardinality
-from .montecarlo import (
-    SerEstimate,
-    StoppingRule,
-    run_point,
-    run_sweep,
-    wilson_interval,
-)
-from .quadrature import integrate
+from .montecarlo import SerEstimate, StoppingRule, run_point, run_sweep, wilson_interval
 from .rice import analytical_ser_sync
-from .waveforms import (
-    ChipWaveform,
-    autocorr_overlapped,
-    autocorr_overlapping,
-    energy,
-    raised_cosine,
-    rectangular,
-    sample_waveform,
-)
+from .waveforms import ChipWaveform, autocorr
 
 __all__ = [
     "__version__",
     "ChipWaveform",
-    "ContinuousSignal",
+    "autocorr",
     "GridPoint",
-    "SerEstimate",
     "StoppingRule",
-    "analytic_decision_statistic",
-    "analytical_ser_sync",
-    "autocorr_overlapped",
-    "autocorr_overlapping",
-    "certify_discrete_model",
-    "despread",
-    "draw_offset",
-    "energy",
-    "envelope_matrix",
-    "integrate",
-    "matched_filter_chip",
-    "raised_cosine",
-    "rectangular",
+    "SerEstimate",
+    "wilson_interval",
     "run_point",
     "run_sweep",
-    "sample_waveform",
-    "symbol_cardinality",
-    "synthesize",
-    "wilson_interval",
+    "analytical_ser_sync",
+    "analytic_decision_statistic",
+    "certify_discrete_model",
 ]

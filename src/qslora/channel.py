@@ -7,15 +7,15 @@ k-th matched-filter window then sees
     r[k] = env(x_cur)[k] * R(delta) + env(x_src)[k + s] * Rhat(delta) + noise[k]
 
 with s = sign(delta) and the pulse's partial autocorrelations
-R = autocorr_overlapping(delta) and Rhat = autocorr_overlapped(delta): the
-window also covers a sliver of the chip one step ahead (delta > 0) or behind
-(delta < 0). That chip belongs to the current symbol except at the boundary
-window. For delta < 0 that is window 0, which reads the last chip of the
-previous symbol. For delta > 0 it is window M-1, which reads chip 0 of the
-next symbol; chip 0 of every symbol is 1/sqrt(M), the same as the current
-symbol's own chip 0, so the next symbol is not observable. The chip formula,
-modulation._chip, depends on k only mod M, and synthesize_chip_rows reads
-every other spill as chip k + s of the current symbol.
+(R, Rhat) = waveforms.autocorr(delta): the window also covers a sliver of
+the chip one step ahead (delta > 0) or behind (delta < 0). That chip
+belongs to the current symbol except at the boundary window. For delta < 0
+that is window 0, which reads the last chip of the previous symbol. For
+delta > 0 it is window M-1, which reads chip 0 of the next symbol; chip 0 of
+every symbol is 1/sqrt(M), the same as the current symbol's own chip 0, so
+the next symbol is not observable. The chip formula, modulation._chip,
+depends on k only mod M, and synthesize_chip_rows reads every other spill
+as chip k + s of the current symbol.
 
 Symbol x has chips env(x)[k] = w**(k*(x+k)) / sqrt(M) with w = exp(2j*pi/M),
 so a chirp shifted by one chip is another chirp times a phase:
@@ -55,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from .modulation import _chip, _roots, symbol_cardinality, validate_int, validate_real
-from .waveforms import ChipWaveform, _autocorr_pair, autocorr_overlapped, autocorr_overlapping
+from .waveforms import ChipWaveform, _autocorr_pair, autocorr
 
 __all__ = [
     "validate_snr",
@@ -115,14 +115,13 @@ def synthesize_chip_rows(
     Window k reads chip k of x_cur and, weighted by Rhat, chip k + s of
     x_cur, except window 0 at delta < 0, which reads x_prev's last chip.
     The inputs broadcast together, and rows add a last axis of length M.
-    Symbols are checked by modulation.validate_int (arrays and lists too),
-    offsets through the autocorrelations (real numbers, |delta| <= 1).
+    Symbols are checked by modulation.validate_int and offsets by
+    waveforms.autocorr (real numbers, |delta| <= 1), arrays and lists too.
     """
     m = symbol_cardinality(sf)
     x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1, array=True))[..., None]
     x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1, array=True))[..., None]
-    keep = np.asarray(autocorr_overlapping(waveform, delta))[..., None]
-    spill = np.asarray(autocorr_overlapped(waveform, delta))[..., None]
+    keep, spill = (np.asarray(r)[..., None] for r in autocorr(waveform, delta))
     back = np.asarray(delta)[..., None] < 0
     k = np.arange(m)
     src = np.where(back & (k == 0), x_prev, x_cur)

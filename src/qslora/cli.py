@@ -29,13 +29,7 @@ from .grid import Axes, Grid
 from .modulation import validate_int
 from .montecarlo import SerEstimate, SweepConfig, run_sweep
 from .rice import analytical_ser_sync
-from .waveforms import (
-    WAVEFORM_TOKENS,
-    autocorr_overlapped,
-    autocorr_overlapped_quad,
-    autocorr_overlapping,
-    autocorr_overlapping_quad,
-)
+from .waveforms import WAVEFORM_TOKENS, autocorr, autocorr_quad
 
 __all__ = ["SweepConfig", "parse_config", "write_results", "main"]
 
@@ -297,12 +291,7 @@ def _cmd_corr(argv: Sequence[str]) -> int:
     for wf in axes.waveform:
         for i in range(ns.steps):
             d = i / (ns.steps - 1)
-            if ns.quad:
-                keep = autocorr_overlapping_quad(wf, d)
-                spill = autocorr_overlapped_quad(wf, d)
-            else:
-                keep = autocorr_overlapping(wf, d)
-                spill = autocorr_overlapped(wf, d)
+            keep, spill = (autocorr_quad if ns.quad else autocorr)(wf, d)
             print(f"{wf.kind} {_label(d)} {keep!r} {spill!r}")
     return 0
 

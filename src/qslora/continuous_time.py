@@ -109,11 +109,10 @@ def _matched_filter(
     a = np.broadcast_to(n * m + k + delta, shape).ravel()
     row, delta = (np.broadcast_to(v, shape).ravel() for v in (row, delta))
     b = a + 1.0
-    # Split at the signal's chip boundary: a unit window holds at most one
-    # integer strictly inside it.
-    eps = 1e-12
+    # Split at the signal's chip boundary: a unit window that does not start
+    # on one holds exactly one, c.
     c = np.floor(a) + 1.0
-    split = (a + eps < c) & (c < b - eps)
+    split = c < b
     piece_row = np.concatenate((row, row[split]))[:, None]
     piece_delta = np.concatenate((delta, delta[split]))[:, None]
 
@@ -128,7 +127,7 @@ def _matched_filter(
         np.concatenate((a, c[split])),
         np.concatenate((np.where(split, c, b), b[split])),
     )
-    total = np.zeros(a.size, dtype=complex) + pieces[: a.size]
+    total = pieces[: a.size]
     total[split] += pieces[a.size :]
     return total.reshape(shape)
 

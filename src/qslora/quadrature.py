@@ -7,8 +7,8 @@ the signal's chip boundaries; the 20-node rule integrates those exactly to
 rounding, so there is no refinement and no tolerance. One call integrates
 one interval or a whole array of intervals and evaluates the integrand once,
 on an (intervals, 20) array of abscissae. Integrands must therefore accept a
-numpy array of abscissae of any shape and return values of the same shape
-(real or complex).
+numpy array of abscissae of any shape and return values of the same shape,
+real or complex; the integral has their type.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ def integrate(
     intervals in the call. Ends are finite reals (modulation.validate_real);
     raises ValueError for any other end or a reversed interval.
 
-    Scalar ends return a float, or a complex when the imaginary part is
-    nonzero; array ends return an array of the broadcast shape, real when
-    every imaginary part is zero.
+    The result has the integrand's type: scalar ends return a Python float
+    or complex, array ends an array of the broadcast shape.
     """
     a = validate_real(a, "a", -np.inf, np.inf, array=True)
     b = validate_real(b, "b", -np.inf, np.inf, array=True)
@@ -74,7 +73,4 @@ def integrate(
     # how the others are blocked
     total = half * np.sum(values * _WEIGHTS, axis=-1)
     total[half == 0.0] = 0.0
-    real = bool(np.all(total.imag == 0.0))
-    if not shape:
-        return float(total[0].real) if real else complex(total[0])
-    return (total.real if real else total).reshape(shape)
+    return total.reshape(shape) if shape else total[0].item()

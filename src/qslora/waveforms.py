@@ -13,7 +13,9 @@ aligned to the shifted chip grid sees two pieces of the incoming signal:
 
 R weights the chip the filter mostly covers, Rhat weights the sliver of the
 neighbouring chip that spills into the window. Both are even in delta and
-satisfy R(0) = 1, Rhat(0) = 0, R(+-1) = 0, Rhat(+-1) = 1.
+satisfy R(0) = 1, Rhat(0) = 0, R(+-1) = 0, Rhat(+-1) = 1. The model sees a
+pulse only through this pair: autocorr returns both from their closed forms
+in one checked call, and autocorr_quad, the reference, integrates them.
 """
 
 from __future__ import annotations
@@ -28,14 +30,11 @@ from .quadrature import integrate
 __all__ = [
     "ChipWaveform",
     "rectangular",
-    "raised_cosine",
     "WAVEFORM_TOKENS",
     "sample_waveform",
     "energy",
-    "autocorr_overlapping",
-    "autocorr_overlapped",
-    "autocorr_overlapping_quad",
-    "autocorr_overlapped_quad",
+    "autocorr",
+    "autocorr_quad",
 ]
 
 _RC_AMP = np.sqrt(2.0 / 3.0)
@@ -55,12 +54,9 @@ class ChipWaveform:
             )
 
 
+# kept only because bench/tests/test_bench.py imports it from here
 def rectangular() -> ChipWaveform:
     return ChipWaveform("rect")
-
-
-def raised_cosine() -> ChipWaveform:
-    return ChipWaveform("rc")
 
 
 def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
@@ -96,35 +92,25 @@ def _autocorr_pair(w: ChipWaveform, d: np.ndarray):
     return (2.0 / 3.0) * ((1.0 - d) * half + slope), (2.0 / 3.0) * (d * half - slope)
 
 
-def autocorr_overlapping(w: ChipWaveform, delta: np.ndarray | float):
-    """R(delta): correlation with the chip the filter window mostly covers.
+def autocorr(w: ChipWaveform, delta: np.ndarray | float):
+    """(R(delta), Rhat(delta)), the overlapping and the overlapped correlation.
 
     Closed forms (d = |delta|):
-        rect: 1 - d
-        rc:   (2/3) * ((1-d) * (1 + cos(2*pi*d)/2) + (3/(4*pi)) * sin(2*pi*d))
+        rect: R = 1 - d,  Rhat = d
+        rc:   R    = (2/3) * ((1-d) * (1 + cos(2*pi*d)/2) + (3/(4*pi)) * sin(2*pi*d))
+              Rhat = (2/3) * (d * (1 + cos(2*pi*d)/2) - (3/(4*pi)) * sin(2*pi*d))
+    delta is a real number of magnitude <= 1 (validate_real, arrays too); a
+    scalar gives two floats, an array two arrays of its shape.
     """
-    out = _autocorr_pair(w, np.abs(validate_real(delta, "delta", -1, 1, array=True)))[0]
-    return out if out.ndim else float(out)
+    d = np.abs(validate_real(delta, "delta", -1, 1, array=True))
+    keep, spill = _autocorr_pair(w, d)
+    return (keep, spill) if keep.ndim else (float(keep), float(spill))
 
 
-def autocorr_overlapped(w: ChipWaveform, delta: np.ndarray | float):
-    """Rhat(delta): correlation with the neighbouring chip's spill-over.
-
-    Closed forms (d = |delta|):
-        rect: d
-        rc:   (2/3) * (d * (1 + cos(2*pi*d)/2) - (3/(4*pi)) * sin(2*pi*d))
-    """
-    out = _autocorr_pair(w, np.abs(validate_real(delta, "delta", -1, 1, array=True)))[1]
-    return out if out.ndim else float(out)
-
-
-def autocorr_overlapping_quad(w: ChipWaveform, delta: float) -> float:
-    """Quadrature reference for autocorr_overlapping (scalar delta)."""
+def autocorr_quad(w: ChipWaveform, delta: float) -> tuple[float, float]:
+    """Quadrature reference for autocorr (scalar delta)."""
     d = abs(validate_real(delta, "delta", -1, 1))
-    return integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0)
-
-
-def autocorr_overlapped_quad(w: ChipWaveform, delta: float) -> float:
-    """Quadrature reference for autocorr_overlapped (scalar delta)."""
-    d = abs(validate_real(delta, "delta", -1, 1))
-    return integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d)
+    return (
+        integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0),
+        integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u + 1.0 - d), 0.0, d),
+    )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qslora import raised_cosine, rectangular
+from qslora.waveforms import ChipWaveform, rectangular
 
 
 @pytest.fixture
@@ -11,7 +11,7 @@ def rect():
 
 @pytest.fixture
 def rc():
-    return raised_cosine()
+    return ChipWaveform("rc")
 
 
 @pytest.fixture

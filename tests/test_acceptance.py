@@ -28,10 +28,8 @@ from qslora.rice import analytical_ser_sync
 from qslora.waveforms import (
     WAVEFORM_TOKENS,
     ChipWaveform,
-    autocorr_overlapped,
-    autocorr_overlapped_quad,
-    autocorr_overlapping,
-    autocorr_overlapping_quad,
+    autocorr,
+    autocorr_quad,
     energy,
 )
 
@@ -83,18 +81,14 @@ def test_criterion_02_correlation_closed_forms():
     offsets = np.linspace(0.0, 1.0, 1000)
     worst_rect = 0.0
     for d in offsets:
-        assert autocorr_overlapping(rect, d) == pytest.approx(1.0 - d, abs=1e-12)
-        assert autocorr_overlapped(rect, d) == pytest.approx(d, abs=1e-12)
-        worst_rect = max(
-            worst_rect,
-            abs(autocorr_overlapping(rect, d) - autocorr_overlapping_quad(rect, d)),
-            abs(autocorr_overlapped(rect, d) - autocorr_overlapped_quad(rect, d)),
-        )
+        closed, quad = autocorr(rect, d), autocorr_quad(rect, d)
+        assert closed == pytest.approx((1.0 - d, d), abs=1e-12)
+        worst_rect = max(worst_rect, *(abs(c - q) for c, q in zip(closed, quad)))
     assert worst_rect < 1e-9
     energy_err = abs(energy(rc) - 1.0)
     assert energy_err < 1e-9
-    half_closed = abs(autocorr_overlapping(rc, 0.5) - 1.0 / 6.0)
-    half_quad = abs(autocorr_overlapping_quad(rc, 0.5) - 1.0 / 6.0)
+    half_closed = abs(autocorr(rc, 0.5)[0] - 1.0 / 6.0)
+    half_quad = abs(autocorr_quad(rc, 0.5)[0] - 1.0 / 6.0)
     assert half_closed < 1e-8
     assert half_quad < 1e-8
     print(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qslora.channel import draw_offset, synthesize_chip_rows, validate_offset
 from qslora.modulation import envelope_matrix, symbol_cardinality
-from qslora.waveforms import autocorr_overlapped, autocorr_overlapping, rectangular
+from qslora.waveforms import autocorr, rectangular
 
 
 def _chips(x_prev, x_cur, delta, waveform, sf=4):
@@ -79,14 +79,14 @@ class TestOverlapIndices:
     def test_positive_offset_boundary_wraps_forward(self, rect):
         env = envelope_matrix(4)
         chips = _chips(2, 11, 0.3, rect)  # chip 0 of any next symbol, here 5
-        keep, spill = autocorr_overlapping(rect, 0.3), autocorr_overlapped(rect, 0.3)
+        keep, spill = autocorr(rect, 0.3)
         assert chips[15] == pytest.approx(keep * env[11, 15] + spill * env[5, 0], abs=1e-15)
         assert chips[7] == pytest.approx(keep * env[11, 7] + spill * env[11, 8], abs=1e-15)
 
     def test_negative_offset_boundary_reaches_back(self, rect):
         env = envelope_matrix(4)
         chips = _chips(2, 11, -0.3, rect)
-        keep, spill = autocorr_overlapping(rect, 0.3), autocorr_overlapped(rect, 0.3)
+        keep, spill = autocorr(rect, 0.3)
         assert chips[0] == pytest.approx(keep * env[11, 0] + spill * env[2, 15], abs=1e-15)
         assert chips[7] == pytest.approx(keep * env[11, 7] + spill * env[11, 6], abs=1e-15)
 
@@ -101,7 +101,7 @@ class TestOverlapIndices:
         env = envelope_matrix(sf)
         x_prev, x_cur, x_next = 1, 2, 3
         s = 1 if delta > 0 else -1
-        keep, spill = autocorr_overlapping(rc, delta), autocorr_overlapped(rc, delta)
+        keep, spill = autocorr(rc, delta)
         expected = np.empty(cap, dtype=complex)
         boundary = []
         for k in range(cap):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
 from qslora.modulation import despread, symbol_cardinality
-from qslora.waveforms import ChipWaveform, autocorr_overlapped, raised_cosine, rectangular
+from qslora.waveforms import ChipWaveform, autocorr, rectangular
 
 
 class TestAnalyticDecisionStatistic:
@@ -52,7 +52,7 @@ class TestAnalyticDecisionStatistic:
         # every bin: the offsets 0 and +-0.5 for both waveforms, then 100
         # random trials over both waveforms, all despread in one batch
         cap = symbol_cardinality(sf)
-        waveforms = [rectangular(), raised_cosine()]
+        waveforms = [rectangular(), ChipWaveform("rc")]
         cases = [(d, wf) for d in (0.0, 0.5, -0.5) for wf in waveforms]
         cases += [
             (float(rng.uniform(-0.5, 0.5)), waveforms[int(rng.integers(2))])
@@ -114,6 +114,6 @@ class TestAnalyticDecisionStatistic:
         rest = np.delete(stats, [x_cur, (x_cur - 2) % cap])
         c = rest[0]
         np.testing.assert_array_equal(rest, c)
-        assert abs(c) <= 2.0 * autocorr_overlapped(wf, delta) / cap + 1e-15
+        assert abs(c) <= 2.0 * autocorr(wf, delta)[1] / cap + 1e-15
         same = analytic_decision_statistic(x_cur, x_cur, delta, wf, sf)
         assert np.all(np.delete(same, [x_cur, (x_cur - 2) % cap]) == 0.0)

@@ -17,7 +17,7 @@ from qslora.continuous_time import (
 )
 from qslora.modulation import envelope_matrix
 from qslora.quadrature import integrate
-from qslora.waveforms import ChipWaveform, autocorr_overlapped, autocorr_overlapping
+from qslora.waveforms import ChipWaveform, autocorr
 
 
 class TestSynthesize:
@@ -105,8 +105,7 @@ class TestMatchedFilterChip:
     def test_rc_half_chip_interior(self, rc):
         sig = synthesize((5, 9, 2), rc, 4)
         env = envelope_matrix(4)[9]
-        keep = autocorr_overlapping(rc, 0.5)
-        spill = autocorr_overlapped(rc, 0.5)
+        keep, spill = autocorr(rc, 0.5)
         got = matched_filter_chip(sig, 1, 3, 0.5)
         assert got == pytest.approx(keep * env[3] + spill * env[4], abs=1e-6)
 

@@ -22,3 +22,22 @@ EXPORTS = [
 @pytest.mark.parametrize("module,name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
 def test_exported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_top_level_holds_the_model():
+    # the reference layers' helpers stay importable from their own modules
+    assert set(qslora.__all__) == {
+        "__version__",
+        "ChipWaveform",
+        "autocorr",
+        "GridPoint",
+        "StoppingRule",
+        "SerEstimate",
+        "wilson_interval",
+        "run_point",
+        "run_sweep",
+        "analytical_ser_sync",
+        "analytic_decision_statistic",
+        "certify_discrete_model",
+    }
+    assert len(qslora.__all__) == 12

@@ -942,6 +942,22 @@ OUTPUT_PINS = {
         "certify --delta-s 0 --trials 30",
         "ca305a49aab29ca1d2399da7dc6782b7be0d6e023597222c53212b6e6735893a",
     ),
+    "corr": (
+        "corr",
+        "bdff31ff1a80a7d42378138aa723098d2a987512c5d585465df99571fc62088e",
+    ),
+    "corr-quad": (
+        "corr --quad",
+        "b5d38b30ad74c4e1d6092f5cebeb71fa35aa18db7a168aeb210f227545024582",
+    ),
+    "corr-101": (
+        "corr --steps 101",
+        "400cc1e7a8a25fcfc63220f87e3ffee08f844618951a84270b18f832aeaae291",
+    ),
+    "corr-101-quad": (
+        "corr --steps 101 --quad",
+        "637dfdc68f59881869cedcf53ad002e27297e786970c1441e311240d335fa506",
+    ),
 }
 
 

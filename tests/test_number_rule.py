@@ -50,18 +50,10 @@ from qslora.montecarlo import (
 )
 from qslora.quadrature import integrate
 from qslora.rice import analytical_ser_sync
-from qslora.waveforms import (
-    autocorr_overlapped,
-    autocorr_overlapped_quad,
-    autocorr_overlapping,
-    autocorr_overlapping_quad,
-    raised_cosine,
-    rectangular,
-    sample_waveform,
-)
+from qslora.waveforms import ChipWaveform, autocorr, autocorr_quad, rectangular, sample_waveform
 
 RECT = rectangular()
-RC = raised_cosine()
+RC = ChipWaveform("rc")
 POINT = GridPoint(sf=4, waveform=RECT, delta_s=0.4, snr_db=8.0)
 ONE_CHUNK = StoppingRule(max_trials=4096, min_errors=0)
 SIGNAL = synthesize((5, 9, 2), RECT, 4)
@@ -139,6 +131,12 @@ PARAMS = {
     "synthesize_chip_rows.x_cur": _int(
         lambda v: synthesize_chip_rows(1, v, -0.3, RECT, 4), "x_cur", 0, 15, 2, array=True
     ),
+    "synthesize_chip_rows.delta": _real(
+        lambda v: synthesize_chip_rows(1, 2, v, RECT, 4), "delta", -1, 1, -0.3, array=True
+    ),
+    "synthesize_chip_rows.sf": _int(
+        lambda v: synthesize_chip_rows(1, 2, -0.3, RECT, v), "spreading factor", 2, 12, 4
+    ),
     "integrate.a": _real(
         lambda v: integrate(np.cos, v, 1.0), "a", -math.inf, math.inf, 0.5, array=True
     ),
@@ -151,18 +149,8 @@ PARAMS = {
     "ContinuousSignal.value_at.t": _real(
         SIGNAL.value_at, "t", -math.inf, math.inf, 3.0, array=True
     ),
-    "autocorr_overlapping": _real(
-        lambda v: autocorr_overlapping(RC, v), "delta", -1, 1, 0.3, array=True
-    ),
-    "autocorr_overlapped": _real(
-        lambda v: autocorr_overlapped(RC, v), "delta", -1, 1, 0.3, array=True
-    ),
-    "autocorr_overlapping_quad": _real(
-        lambda v: autocorr_overlapping_quad(RC, v), "delta", -1, 1, 0.3
-    ),
-    "autocorr_overlapped_quad": _real(
-        lambda v: autocorr_overlapped_quad(RC, v), "delta", -1, 1, 0.3
-    ),
+    "autocorr": _real(lambda v: autocorr(RC, v), "delta", -1, 1, 0.3, array=True),
+    "autocorr_quad": _real(lambda v: autocorr_quad(RC, v), "delta", -1, 1, 0.3),
     "ContinuousSignal.symbols": _int(
         lambda v: ContinuousSignal((v,), 4, RECT), "symbol", 0, 15, 3
     ),
@@ -340,7 +328,7 @@ MOTIVATING = {
     "run_point.fixed_delta=False": (
         "fixed_delta", lambda: run_point(POINT, ONE_CHUNK, fixed_delta=False)
     ),
-    "autocorr_overlapping('0.3')": ("delta", lambda: autocorr_overlapping(RC, "0.3")),
+    "autocorr('0.3')": ("delta", lambda: autocorr(RC, "0.3")),
     "analytic_decision_statistic.delta='0.2'": (
         "delta", lambda: analytic_decision_statistic(0, 1, "0.2", RECT, 2)
     ),
@@ -428,14 +416,16 @@ ARRAY_CALLS = {
     "analytic_decision_statistic.delta": (
         lambda v: analytic_decision_statistic(1, 2, v, RC, 4), [-0.5, -0.3, 0.0, 0.5],
     ),
-    "autocorr_overlapping": (lambda v: autocorr_overlapping(RC, v), [-1, -0.3, 0, 0.7, 1]),
-    "autocorr_overlapped": (lambda v: autocorr_overlapped(RC, v), [-1, 0, 1]),
+    "autocorr": (lambda v: np.stack(autocorr(RC, v), axis=-1), [-1, -0.3, 0, 0.7, 1]),
     "matched_filter_chip.k": (lambda v: matched_filter_chip(SIGNAL, 1, v, -0.2), [0, 3, 15]),
     "synthesize_chip_rows.x_prev": (
         lambda v: synthesize_chip_rows(v, 2, -0.3, RC, 4), [0, 7, 15],
     ),
     "synthesize_chip_rows.x_cur": (
         lambda v: synthesize_chip_rows(1, v, 0.3, RC, 4), [0, 7, 15],
+    ),
+    "synthesize_chip_rows.delta": (
+        lambda v: synthesize_chip_rows(1, 2, v, RC, 4), [-1, -0.3, 0, 0.7, 1],
     ),
     "integrate.a": (lambda v: integrate(np.cos, v, 2.0), [-1, 0.5, 2]),
     "integrate.b": (lambda v: integrate(np.cos, -1.0, v), [-1, 0.25, 3.5]),

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from qslora.waveforms import (
     WAVEFORM_TOKENS,
     ChipWaveform,
-    autocorr_overlapped,
-    autocorr_overlapped_quad,
-    autocorr_overlapping,
-    autocorr_overlapping_quad,
+    autocorr,
+    autocorr_quad,
     energy,
     sample_waveform,
 )
@@ -74,12 +72,13 @@ class TestEnergy:
 class TestRectangularClosedForms:
     def test_identities_on_dense_grid(self, rect):
         d = np.linspace(-1.0, 1.0, 1001)
-        np.testing.assert_allclose(autocorr_overlapping(rect, d), 1.0 - np.abs(d), atol=1e-15)
-        np.testing.assert_allclose(autocorr_overlapped(rect, d), np.abs(d), atol=1e-15)
+        keep, spill = autocorr(rect, d)
+        np.testing.assert_allclose(keep, 1.0 - np.abs(d), atol=1e-15)
+        np.testing.assert_allclose(spill, np.abs(d), atol=1e-15)
 
     def test_complementarity(self, rect):
         d = np.linspace(-1.0, 1.0, 201)
-        total = autocorr_overlapping(rect, d) + autocorr_overlapped(rect, d)
+        total = sum(autocorr(rect, d))
         np.testing.assert_allclose(total, np.ones_like(d), atol=1e-15)
 
 
@@ -95,17 +94,16 @@ class TestRaisedCosineClosedForms:
         ],
     )
     def test_frozen_quadrature_values(self, rc, delta, keep, spill):
-        assert autocorr_overlapping(rc, delta) == pytest.approx(keep, abs=1e-12)
-        assert autocorr_overlapped(rc, delta) == pytest.approx(spill, abs=1e-12)
+        assert autocorr(rc, delta) == pytest.approx((keep, spill), abs=1e-12)
 
     def test_half_chip_value_is_one_sixth(self, rc):
         # certified by quadrature: both partial correlations equal 1/6 at
         # half-chip offset (not 0.5)
-        assert abs(autocorr_overlapping(rc, 0.5) - 1.0 / 6.0) < 1e-8
-        assert abs(autocorr_overlapping_quad(rc, 0.5) - 1.0 / 6.0) < 1e-8
+        assert abs(autocorr(rc, 0.5)[0] - 1.0 / 6.0) < 1e-8
+        assert abs(autocorr_quad(rc, 0.5)[0] - 1.0 / 6.0) < 1e-8
 
     def test_no_complementarity(self, rc):
-        total = autocorr_overlapping(rc, 0.25) + autocorr_overlapped(rc, 0.25)
+        total = sum(autocorr(rc, 0.25))
         assert abs(total - 1.0) > 0.1
 
     def test_against_scipy_quadrature(self, rc, rng):
@@ -116,26 +114,22 @@ class TestRaisedCosineClosedForms:
             spill, _ = scipy.integrate.quad(
                 lambda u: sample_waveform(rc, u) * sample_waveform(rc, u + 1.0 - d), 0.0, d
             )
-            assert abs(autocorr_overlapping(rc, d) - keep) < 1e-10
-            assert abs(autocorr_overlapped(rc, d) - spill) < 1e-10
+            assert autocorr(rc, d) == pytest.approx((keep, spill), abs=1e-10)
 
 
 class TestCommonProperties:
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_endpoints(self, token):
         w = ChipWaveform(token)
-        assert autocorr_overlapping(w, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert autocorr_overlapped(w, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert autocorr_overlapping(w, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert autocorr_overlapped(w, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert autocorr(w, 0.0) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert autocorr(w, 1.0) == pytest.approx((0.0, 1.0), abs=1e-12)
 
     @given(delta=st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=80, deadline=None)
     def test_even_in_delta(self, delta):
         for token in ("rect", "rc"):
             w = ChipWaveform(token)
-            assert autocorr_overlapping(w, delta) == autocorr_overlapping(w, -delta)
-            assert autocorr_overlapped(w, delta) == autocorr_overlapped(w, -delta)
+            assert autocorr(w, delta) == autocorr(w, -delta)
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_closed_forms_match_quadrature(self, token, rng):
@@ -143,29 +137,27 @@ class TestCommonProperties:
         w = ChipWaveform(token)
         offsets = rng.uniform(-1.0, 1.0, size=1000)
         for d in offsets:
-            assert abs(autocorr_overlapping(w, d) - autocorr_overlapping_quad(w, d)) < 1e-10
-            assert abs(autocorr_overlapped(w, d) - autocorr_overlapped_quad(w, d)) < 1e-10
+            assert autocorr(w, d) == pytest.approx(autocorr_quad(w, d), abs=1e-10)
 
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_offset_out_of_range_rejected(self, token):
         w = ChipWaveform(token)
         with pytest.raises(ValueError):
-            autocorr_overlapping(w, 1.5)
+            autocorr(w, 1.5)
         with pytest.raises(ValueError):
-            autocorr_overlapped(w, -1.2)
-        for reject in (autocorr_overlapping, autocorr_overlapped, autocorr_overlapping_quad):
+            autocorr(w, -1.2)
+        for reject in (autocorr, autocorr_quad):
             with pytest.raises(ValueError, match=r"must be finite and in \[-1, 1\]"):
                 reject(w, np.nan)
         with pytest.raises(ValueError, match=r"must be finite and in \[-1, 1\]"):
-            autocorr_overlapping(w, np.array([0.5, np.nan]))
+            autocorr(w, np.array([0.5, np.nan]))
 
     def test_quadrature_energy_partition(self, rc):
         # R(d) + Rhat(d) equals the energy of the filter window content
         # only for rect; for rc verify instead that each integral is
         # bounded by the pulse energy
         d = np.linspace(0.0, 1.0, 21)
-        keep = autocorr_overlapping(rc, d)
-        spill = autocorr_overlapped(rc, d)
+        keep, spill = autocorr(rc, d)
         assert np.all(keep <= 1.0 + 1e-12)
         assert np.all(spill <= 1.0 + 1e-12)
         assert np.all(keep >= -1e-12)
