@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
 
-from .channel import validate_delta_s
 from .continuous_time import certify_discrete_model
 from .grid import Axes, Grid
 from .modulation import validate_int
@@ -128,7 +127,7 @@ def _parser(name: str) -> argparse.ArgumentParser:
 def _read_config_file(path: str, error) -> dict[str, str]:
     keys = {key for key, flag in _COMMANDS["sweep"].flags.items() if flag.fields and flag.convert}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         error(f"cannot read config file: {exc}")
@@ -263,16 +262,17 @@ def _cmd_certify(argv: Sequence[str]) -> int:
     failures = 0
     for sf in axes.sf:
         for wf in axes.waveform:
-            # keyed by the waveform so a line does not depend on what else is listed
+            # keyed by (sf, waveform) so a line does not depend on what else is listed
             key = (sf, WAVEFORM_TOKENS.index(wf.kind))
-            rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=key))
-            err = certify_discrete_model(sf, wf, ns.trials, rng, delta_s=ns.delta_s)
-            ok = err < ns.tolerance
-            failures += 0 if ok else 1
-            print(
-                f"sf={sf} waveform={wf.kind} trials={ns.trials} "
-                f"max_abs_error={err:.3e} {'PASS' if ok else 'FAIL'}"
-            )
+            for ds in axes.delta_s:
+                rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=key))
+                err = certify_discrete_model(sf, wf, ns.trials, rng, delta_s=ds)
+                ok = err < ns.tolerance
+                failures += 0 if ok else 1
+                print(
+                    f"sf={sf} waveform={wf.kind} delta_s={_label(ds)} trials={ns.trials} "
+                    f"max_abs_error={err:.3e} {'PASS' if ok else 'FAIL'}"
+                )
     return 0 if failures == 0 else 1
 
 
@@ -338,8 +338,7 @@ _COMMANDS: dict[str, _Command] = {
             "sf": _SF._replace(default="4"),
             "waveform": _WAVEFORM,
             "trials": _Flag(_int("trials", 1), "random realizations per combination", "100"),
-            "delta-s": _Flag(lambda text: validate_delta_s(float(text)), "max offset in [0,1]",
-                             "1.0"),
+            "delta-s": _DELTA_S._replace(default="1"),
             "seed": _Flag(_int("seed", 0), "master seed for the certification streams", "1"),
             "tolerance": _Flag(_tolerance, "pass when max_abs_error is below this", "1e-6"),
         },

@@ -163,7 +163,7 @@ def matched_filter_chip(
     delta = validate_offset(delta)
     lo, hi = sig.span
     a, b = n * m + chips.min() + delta, n * m + chips.max() + delta + 1.0
-    if a < lo - 1e-9 or b > hi + 1e-9:
+    if a < lo or b > hi:
         raise ValueError(f"filter window [{a}, {b}] outside synthesized span [{lo}, {hi}]")
     total = _matched_filter(np.array([sig.symbols]), m, sig.waveform, 0, n, chips, delta)
     return complex(total) if chips.ndim == 0 else total

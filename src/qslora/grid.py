@@ -2,17 +2,16 @@
 
 Every subcommand reads the axes it takes through Grid, so one rule holds
 for all of them: each item is checked by the type or function that owns
-it, repeats are dropped, the rest are sorted (waveforms by token), and an
-empty axis is refused. The grid's points are the product of the sorted
-axes, so a point's place in any output does not depend on how its axes
-were listed.
+it, repeats are dropped, the rest are sorted in their own type's order
+(a ChipWaveform by its token), and an empty axis is refused. The grid's
+points are the product of the sorted axes, so a point's place in any
+output does not depend on how its axes were listed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -85,7 +84,7 @@ class Grid:
     Construction reads each axis once: every item through its owner
     (validate_sf, ChipWaveform, validate_delta_s, snr_axis, whose points
     pass channel.validate_snr), then repeats are dropped and the rest
-    sorted, waveforms by token. An empty list, a bad item or a wrong type
+    sorted in their own order. An empty list, a bad item or a wrong type
     raises ValueError whose message starts with the axis's config key
     (sf, waveform, delta-s, snr). axes keeps what was read, out of
     __init__ and equality; points, the product of the axes in order
@@ -103,23 +102,21 @@ class Grid:
 
     def __post_init__(self) -> None:
         reads = (
-            ("sf", lambda: {validate_sf(sf) for sf in self.sf_list}, None),
-            ("waveform", lambda: {ChipWaveform(tok) for tok in self.waveforms},
-             operator.attrgetter("kind")),
+            ("sf", lambda: {validate_sf(sf) for sf in self.sf_list}),
+            ("waveform", lambda: {ChipWaveform(tok) for tok in self.waveforms}),
             # + 0.0 makes -0.0 the point 0.0, as GridPoint stores it
-            ("delta-s", lambda: {validate_delta_s(ds) + 0.0 for ds in self.delta_s_list}, None),
-            ("snr", lambda: set(snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db)),
-             None),
+            ("delta-s", lambda: {validate_delta_s(ds) + 0.0 for ds in self.delta_s_list}),
+            ("snr", lambda: set(snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db))),
         )
         axes = []
-        for name, read, order in reads:
+        for name, read in reads:
             try:
                 items = read()
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
             if not items:
                 raise ValueError(f"{name} list is empty")
-            axes.append(tuple(sorted(items, key=order)))
+            axes.append(tuple(sorted(items)))
         object.__setattr__(self, "axes", Axes(*axes))
 
     @functools.cached_property

@@ -489,8 +489,8 @@ class SweepConfig(Grid):
     passes only the fields a flag, the environment or a config file set.
     """
 
-    trials_max: int = 1_000_000
-    min_errors: int = 100
+    trials_max: int = StoppingRule.max_trials
+    min_errors: int = StoppingRule.min_errors
     master_seed: int = 1
     workers: int = 1
     fixed_delta: Optional[float] = None

@@ -41,9 +41,9 @@ _RC_AMP = np.sqrt(2.0 / 3.0)
 WAVEFORM_TOKENS = ("rect", "rc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ChipWaveform:
-    """A named unit-energy chip pulse, identified by its kind token."""
+    """A named unit-energy chip pulse, identified and ordered by its kind token."""
 
     kind: str
 

@@ -16,9 +16,10 @@ import pytest
 
 import qslora
 
+from qslora import cli
 from qslora.cli import SweepConfig, main, parse_config, write_results
 from qslora.grid import GridPoint, snr_axis
-from qslora.montecarlo import SerEstimate, run_sweep, wilson_interval
+from qslora.montecarlo import SerEstimate, StoppingRule, run_sweep, wilson_interval
 from qslora.rice import analytical_ser_sync
 from qslora.waveforms import ChipWaveform
 
@@ -57,6 +58,7 @@ class TestParseConfig:
         assert config.output_path == "ser_results.csv"
         assert config.format == "csv"
         assert config.record_timing is False
+        assert config.stop == StoppingRule()
 
     def test_flags_parsed(self):
         config = parse_config(
@@ -207,6 +209,13 @@ class TestParseConfig:
         path.write_text("sf = 6\n", encoding="utf-8")
         config = parse_config(["--config", str(path)])
         assert config.sf_list == (6,)
+
+    def test_config_file_with_utf8_bom_reads_first_key(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+        path = tmp_path / "bom.conf"
+        path.write_bytes(b"\xef\xbb\xbfsf=4\nseed = 5\n")
+        config = parse_config(["--config", str(path)])
+        assert (config.sf_list, config.master_seed) == ((4,), 5)
 
     def test_missing_config_file_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -422,6 +431,7 @@ class TestMain:
             (["certify", "-w", "foo"], "waveform"),
             (["certify", "--trials", "0"], "trials"),
             (["certify", "--delta-s", "2"], "delta-s"),
+            (["certify", "--delta-s", ","], "delta-s"),
             (["corr", "-w", "foo"], "waveform"),
             (["oracle", "--snr", "0:1:1e-320"], "snr"),
             (["oracle", "--snr", "0:1e308:1e-10"], "snr"),
@@ -508,6 +518,33 @@ class TestMain:
         assert len(alone) == 1 and len(listed) == 2
         assert listed[0] == alone[0]
 
+    def test_certify_walks_the_delta_s_axis(self, capsys):
+        # one line per (sf, waveform, delta_s) in grid order; each stream is
+        # keyed by (sf, waveform) alone, so a line at delta_s 1 is the
+        # default run's line
+        assert main(["certify", "--delta-s", "0,1", "--trials", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines] == [
+            ["sf=4", f"waveform={wf}", f"delta_s={ds}"] for wf in ("rc", "rect") for ds in (0, 1)
+        ]
+        assert main(["certify", "--trials", "5"]) == 0
+        assert [line for line in lines if " delta_s=1 " in line] == (
+            capsys.readouterr().out.splitlines()
+        )
+
+    def test_every_axis_flag_is_the_shared_one(self):
+        # one definition per axis flag: a subcommand may change only its default
+        shared = {"sf": cli._SF, "waveform": cli._WAVEFORM, "delta-s": cli._DELTA_S,
+                  "snr": cli._SNR}
+        axis_fields = {name for flag in shared.values() for name in flag.fields}
+        taken = 0
+        for command, spec in cli._COMMANDS.items():
+            for key, flag in spec.flags.items():
+                if key in shared or axis_fields & set(flag.fields):
+                    assert flag._replace(default=None) == shared.get(key), (command, key)
+                    taken += 1
+        assert taken == 10  # sweep 4, certify 3, oracle 2, corr 1
+
     @pytest.mark.parametrize(
         "repeated,once",
         [
@@ -522,12 +559,14 @@ class TestMain:
                 ["certify", "--sf", "4,5", "-w", "rect", "--trials", "2"],
             ),
             (["corr", "-w", "rect,rc", "--steps", "3"], ["corr", "-w", "rc,rect", "--steps", "3"]),
+            (["certify", "--delta-s", "1,0,1", "--trials", "5"],
+             ["certify", "--delta-s", "0,1", "--trials", "5"]),
         ],
     )
     def test_repeated_values_give_one_line(self, repeated, once, capsys):
-        # every subcommand reads an axis by one rule: repeated --sf and -w
-        # values are dropped and the rest sorted, so neither repeats nor the
-        # listed order change the output
+        # every subcommand reads an axis by one rule: repeated --sf, -w and
+        # --delta-s values are dropped and the rest sorted, so neither
+        # repeats nor the listed order change the output
         assert main(repeated) == 0
         got = capsys.readouterr().out
         assert main(once) == 0

@@ -123,6 +123,13 @@ class TestMatchedFilterChip:
             matched_filter_chip(sig, 0, 0, -0.3)
         with pytest.raises(ValueError):
             matched_filter_chip(sig, 2, 15, 0.3)
+        # no slack past the span: at delta 0 the first and last windows end
+        # exactly on its edges, so any step beyond them is refused
+        for n, k in ((0, 0), (2, 15)):
+            matched_filter_chip(sig, n, k, 0.0)
+        for n, k, delta in ((0, 0, -1e-12), (2, 15, 1e-12)):
+            with pytest.raises(ValueError, match="outside synthesized span"):
+                matched_filter_chip(sig, n, k, delta)
 
     def test_indices_validated(self, rect):
         sig = synthesize((5, 9, 2), rect, 4)

@@ -924,23 +924,23 @@ OUTPUT_PINS = {
     ),
     "certify-bench": (
         "certify --sf 4,5 --waveform rect,rc --trials 50 --seed 1",
-        "8cd5c1eba1597dc6a8ce1b4cacde8757207e484b6bc35ce6bd567a6a99b7d241",
+        "b86665856ff20ee136d5f2ebc728faa94f3238df51a08a109443268bd4a23804",
     ),
     "certify": (
         "certify",
-        "1a737d826e81386649f18cd7d022b4b93880ca220f218e56d25c47361fc1d345",
+        "037e5d996bd6a2b92e6a1f079750da915a510b111fdf0ebbb653eb60be07c0f6",
     ),
     "certify-sf2-9": (
         "certify --sf 2,3,6,7,8,9 --trials 40 --seed 9",
-        "c39ebb0c2ea3279d49df4b0def3b2a92444081e168c2deb7d3dc62580e846f92",
+        "2f98c655e185e5ab7eeca243d7ee6ee42168061ea8776e9277cff124a47d7c6a",
     ),
     "certify-sf12": (
         "certify --sf 12 --trials 2",
-        "8a685338f63fbaf9739743c5444c8381e71418a045912b003d8b92b9c73fdaab",
+        "d1e84382a370eb204f132906c87fac2bfafb762052cb62493d1645c1735f0782",
     ),
     "certify-sync": (
         "certify --delta-s 0 --trials 30",
-        "ca305a49aab29ca1d2399da7dc6782b7be0d6e023597222c53212b6e6735893a",
+        "cf1f558291c2c5966a0ee555164dd5c371e32381ca18caa855d61124b5f5f911",
     ),
     "corr": (
         "corr",
