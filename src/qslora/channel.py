@@ -55,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from .modulation import _chip, _roots, symbol_cardinality, validate_int, validate_real
-from .waveforms import ChipWaveform, _autocorr_pair, autocorr
+from .waveforms import ChipWaveform, _autocorr_pair, autocorr, validate_waveform
 
 __all__ = [
     "validate_snr",
@@ -116,8 +116,10 @@ def synthesize_chip_rows(
     x_cur, except window 0 at delta < 0, which reads x_prev's last chip.
     The inputs broadcast together, and rows add a last axis of length M.
     Symbols are checked by modulation.validate_int and offsets by
-    waveforms.autocorr (real numbers, |delta| <= 1), arrays and lists too.
+    waveforms.autocorr (real numbers, |delta| <= 1), arrays and lists too;
+    waveform by waveforms.validate_waveform.
     """
+    validate_waveform(waveform)
     m = symbol_cardinality(sf)
     x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1, array=True))[..., None]
     x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1, array=True))[..., None]
@@ -161,8 +163,10 @@ def analytic_decision_statistic(
     (see the module docstring). Each may be a number, an ndarray or a list.
     Raises ValueError for a symbol that is not an integer in [0, M) by
     modulation.validate_int (a bool or float is not) or an offset that is
-    not a real number of magnitude <= 0.5 (validate_offset).
+    not a real number of magnitude <= 0.5 (validate_offset), and for a
+    waveform that is not a ChipWaveform (waveforms.validate_waveform).
     """
+    validate_waveform(waveform)
     m = symbol_cardinality(sf)
     x_prev = np.asarray(validate_int(x_prev, "x_prev", 0, m - 1, array=True))
     x_cur = np.asarray(validate_int(x_cur, "x_cur", 0, m - 1, array=True))

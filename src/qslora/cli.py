@@ -24,13 +24,13 @@ from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
 import numpy as np
 
 from .continuous_time import certify_discrete_model
-from .grid import Axes, Grid
+from .grid import Grid
 from .modulation import validate_int
 from .montecarlo import SerEstimate, SweepConfig, run_sweep
 from .rice import analytical_ser_sync
-from .waveforms import WAVEFORM_TOKENS, autocorr, autocorr_quad
+from .waveforms import WAVEFORM_TOKENS, ChipWaveform, autocorr, autocorr_quad
 
-__all__ = ["SweepConfig", "parse_config", "write_results", "main"]
+__all__ = ["parse_config", "write_results", "main"]
 
 WORKERS_ENV_VAR = "QSLORA_WORKERS"
 _ALL_WAVEFORMS = ",".join(WAVEFORM_TOKENS)
@@ -181,11 +181,11 @@ def _resolve(parser: argparse.ArgumentParser, name: str, ns: argparse.Namespace,
         parser.error(str(exc))
 
 
-def _parse_axes(name: str, argv: Sequence[str]) -> tuple[argparse.Namespace, Axes]:
-    """The flags of subcommand name, and the axes of the Grid they set."""
+def _parse_axes(name: str, argv: Sequence[str]) -> tuple[argparse.Namespace, Grid]:
+    """The flags of subcommand name, and the Grid they set."""
     parser = _parser(name)
     ns = parser.parse_args(argv)
-    return ns, _resolve(parser, name, ns, Grid).axes
+    return ns, _resolve(parser, name, ns, Grid)
 
 
 def _label(value: float) -> str:
@@ -258,41 +258,41 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
 
 
 def _cmd_certify(argv: Sequence[str]) -> int:
-    ns, axes = _parse_axes("certify", argv)
+    ns, grid = _parse_axes("certify", argv)
     failures = 0
-    for sf in axes.sf:
-        for wf in axes.waveform:
+    for sf in grid.sf_list:
+        for token in grid.waveforms:
             # keyed by (sf, waveform) so a line does not depend on what else is listed
-            key = (sf, WAVEFORM_TOKENS.index(wf.kind))
-            for ds in axes.delta_s:
+            key = (sf, WAVEFORM_TOKENS.index(token))
+            for ds in grid.delta_s_list:
                 rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=key))
-                err = certify_discrete_model(sf, wf, ns.trials, rng, delta_s=ds)
+                err = certify_discrete_model(sf, ChipWaveform(token), ns.trials, rng, delta_s=ds)
                 ok = err < ns.tolerance
                 failures += 0 if ok else 1
                 print(
-                    f"sf={sf} waveform={wf.kind} delta_s={_label(ds)} trials={ns.trials} "
+                    f"sf={sf} waveform={token} delta_s={_label(ds)} trials={ns.trials} "
                     f"max_abs_error={err:.3e} {'PASS' if ok else 'FAIL'}"
                 )
     return 0 if failures == 0 else 1
 
 
 def _cmd_oracle(argv: Sequence[str]) -> int:
-    _, axes = _parse_axes("oracle", argv)
+    _, grid = _parse_axes("oracle", argv)
     print("sf snr_db ser")
-    for sf in axes.sf:
-        for snr in axes.snr:
+    for sf in grid.sf_list:
+        for snr in grid.snr_db_list:
             print(f"{sf} {_label(snr)} {analytical_ser_sync(sf, snr)!r}")
     return 0
 
 
 def _cmd_corr(argv: Sequence[str]) -> int:
-    ns, axes = _parse_axes("corr", argv)
+    ns, grid = _parse_axes("corr", argv)
     print("waveform delta overlapping overlapped")
-    for wf in axes.waveform:
+    for token in grid.waveforms:
         for i in range(ns.steps):
             d = i / (ns.steps - 1)
-            keep, spill = (autocorr_quad if ns.quad else autocorr)(wf, d)
-            print(f"{wf.kind} {_label(d)} {keep!r} {spill!r}")
+            keep, spill = (autocorr_quad if ns.quad else autocorr)(ChipWaveform(token), d)
+            print(f"{token} {_label(d)} {keep!r} {spill!r}")
     return 0
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .channel import draw_offset, synthesize_chip_rows, validate_offset
 from .modulation import _chip, symbol_cardinality, validate_int, validate_real, validate_sf
 from .quadrature import integrate
-from .waveforms import ChipWaveform, sample_waveform
+from .waveforms import ChipWaveform, sample_waveform, validate_waveform
 
 __all__ = ["ContinuousSignal", "synthesize", "matched_filter_chip", "certify_discrete_model"]
 
@@ -54,7 +54,8 @@ class ContinuousSignal:
     The generating metadata allows exact evaluation at arbitrary instants
     via value_at. Construction checks sf and every symbol by the integer
     rule (modulation.validate_int): at least one symbol, each an integer in
-    [0, M), never a bool or a float; both are stored as ints.
+    [0, M), never a bool or a float; both are stored as ints. waveform is
+    a ChipWaveform (waveforms.validate_waveform).
     """
 
     symbols: tuple[int, ...]
@@ -62,6 +63,7 @@ class ContinuousSignal:
     waveform: ChipWaveform
 
     def __post_init__(self) -> None:
+        validate_waveform(self.waveform)
         object.__setattr__(self, "sf", validate_sf(self.sf))
         if len(self.symbols) == 0:
             raise ValueError("need at least one symbol")
@@ -193,8 +195,10 @@ def certify_discrete_model(
     Each trial keeps its own time axis, [0, 3M), so every node, integrand
     value and chip sum is the one a single-trial call computes, whatever
     the block size. Trials laid end to end would put nodes at t up to
-    3*B*M, where rounding of order t * 2**-52 costs precision.
+    3*B*M, where rounding of order t * 2**-52 costs precision. waveform is
+    checked by waveforms.validate_waveform before any trial is drawn.
     """
+    validate_waveform(waveform)
     validate_int(trials, "trials", 1)
     m = symbol_cardinality(sf)
     per_block = max(1, _BLOCK_WINDOWS // m)

@@ -3,9 +3,10 @@
 Every subcommand reads the axes it takes through Grid, so one rule holds
 for all of them: each item is checked by the type or function that owns
 it, repeats are dropped, the rest are sorted in their own type's order
-(a ChipWaveform by its token), and an empty axis is refused. The grid's
-points are the product of the sorted axes, so a point's place in any
-output does not depend on how its axes were listed.
+(a ChipWaveform by its token), and an empty axis is refused. A Grid keeps
+each axis only as read, and its points are the product of those sorted
+axes, so a point's place in any output does not depend on how its axes
+were listed.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .channel import validate_delta_s, validate_snr
 from .modulation import validate_real, validate_sf
-from .waveforms import WAVEFORM_TOKENS, ChipWaveform
+from .waveforms import WAVEFORM_TOKENS, ChipWaveform, validate_waveform
 
-__all__ = ["GridPoint", "snr_axis", "Axes", "Grid"]
+__all__ = ["GridPoint", "snr_axis", "Grid"]
 
 _MAX_SNR_POINTS = 100_000  # the most points snr_axis builds
 
@@ -36,8 +36,7 @@ class GridPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sf", validate_sf(self.sf))
-        if not isinstance(self.waveform, ChipWaveform):
-            raise ValueError(f"waveform must be a ChipWaveform, got {self.waveform!r}")
+        validate_waveform(self.waveform)
         # canonical floats: 1, 1.0 and np.float64(1.0), or -0.0 and 0.0, share a stream
         object.__setattr__(self, "delta_s", validate_delta_s(self.delta_s) + 0.0)
         object.__setattr__(self, "snr_db", validate_snr(self.snr_db) + 0.0)
@@ -68,28 +67,54 @@ def snr_axis(start_db: float, stop_db: float, step_db: float) -> list[float]:
     return [float(start + i * step) for i in range(count)]
 
 
-class Axes(NamedTuple):
-    """The four resolved axes of a Grid, each sorted and free of repeats."""
+def _read_fields(obj, reads) -> None:
+    """Store fields of the frozen dataclass obj as read, in the order of reads.
 
-    sf: tuple[int, ...]
-    waveform: tuple[ChipWaveform, ...]
-    delta_s: tuple[float, ...]
-    snr: tuple[float, ...]
+    reads holds (key, names, read) triples: read() returns the value of the
+    field names, or a tuple of values for a tuple of names. A TypeError or
+    ValueError from read raises ValueError whose message starts with key,
+    the fields' config key; a list read as no items raises "<key> list is
+    empty". Grid and SweepConfig read every field through this loop.
+    """
+    for key, names, read in reads:
+        try:
+            values = read()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        if values == ():
+            raise ValueError(f"{key} list is empty")
+        for name, value in zip(names, values) if isinstance(names, tuple) else [(names, values)]:
+            object.__setattr__(obj, name, value)
+
+
+def _axis(items, read) -> tuple:
+    """The items of a list axis, each read by read, repeats dropped and the rest sorted.
+
+    A str is one value, not a list of its characters, and is refused.
+    """
+    if isinstance(items, str):
+        raise ValueError(f"expected a list, got {items!r}")
+    return tuple(sorted({read(item) for item in items}))
 
 
 @dataclass(frozen=True)
 class Grid:
-    """The axes of a grid as given, and as read by the one axis rule.
+    """The four axes of a grid, each stored as the one axis rule reads it.
 
     Construction reads each axis once: every item through its owner
     (validate_sf, ChipWaveform, validate_delta_s, snr_axis, whose points
     pass channel.validate_snr), then repeats are dropped and the rest
-    sorted in their own order. An empty list, a bad item or a wrong type
-    raises ValueError whose message starts with the axis's config key
-    (sf, waveform, delta-s, snr). axes keeps what was read, out of
-    __init__ and equality; points, the product of the axes in order
-    (sf, waveform token, delta_s, snr_db), is built on first use, so a
-    caller that walks only the axes builds no GridPoint.
+    sorted in their own order. sf_list, waveforms (as tokens, sorted as
+    ChipWaveform sorts them) and delta_s_list keep those tuples, and the
+    three SNR fields the floats that snr_axis checked; snr_db_list holds
+    the axis it built, out of __init__ and equality. So a grid equals,
+    hashes and serializes (dataclasses.asdict) as the points it runs, and
+    reading its fields again reads the same grid. An empty list, a bad
+    item or a wrong type (a str for a list too) raises ValueError whose
+    message starts with the axis's config key (sf, waveform, delta-s,
+    snr). points, the product of the axes in order (sf, waveform token,
+    delta_s, snr_db), is built on first use, so a caller that walks only
+    the axes builds no GridPoint.
     """
 
     sf_list: tuple[int, ...] = (4, 5, 6, 7)
@@ -98,27 +123,24 @@ class Grid:
     snr_start_db: float = -4.0
     snr_stop_db: float = 24.0
     snr_step_db: float = 2.0
-    axes: Axes = field(init=False, compare=False, repr=False)
+    snr_db_list: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        reads = (
-            ("sf", lambda: {validate_sf(sf) for sf in self.sf_list}),
-            ("waveform", lambda: {ChipWaveform(tok) for tok in self.waveforms}),
+        snr = (self.snr_start_db, self.snr_stop_db, self.snr_step_db)
+        _read_fields(self, (
+            ("sf", "sf_list", lambda: _axis(self.sf_list, validate_sf)),
+            ("waveform", "waveforms",
+             lambda: _axis(self.waveforms, lambda tok: ChipWaveform(tok).kind)),
             # + 0.0 makes -0.0 the point 0.0, as GridPoint stores it
-            ("delta-s", lambda: {validate_delta_s(ds) + 0.0 for ds in self.delta_s_list}),
-            ("snr", lambda: set(snr_axis(self.snr_start_db, self.snr_stop_db, self.snr_step_db))),
-        )
-        axes = []
-        for name, read in reads:
-            try:
-                items = read()
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
-            if not items:
-                raise ValueError(f"{name} list is empty")
-            axes.append(tuple(sorted(items)))
-        object.__setattr__(self, "axes", Axes(*axes))
+            ("delta-s", "delta_s_list",
+             lambda: _axis(self.delta_s_list, lambda ds: validate_delta_s(ds) + 0.0)),
+            # snr_axis checks all three before float reads them
+            ("snr", ("snr_db_list", "snr_start_db", "snr_stop_db", "snr_step_db"),
+             lambda: (tuple(snr_axis(*snr)), *map(float, snr))),
+        ))
 
     @functools.cached_property
     def points(self) -> tuple[GridPoint, ...]:
-        return tuple(GridPoint(*coords) for coords in itertools.product(*self.axes))
+        waveforms = map(ChipWaveform, self.waveforms)
+        axes = itertools.product(self.sf_list, waveforms, self.delta_s_list, self.snr_db_list)
+        return tuple(GridPoint(*coords) for coords in axes)

@@ -25,6 +25,7 @@ __all__ = [
     "validate_int",
     "validate_real",
     "validate_sf",
+    "validate_type",
     "symbol_cardinality",
     "envelope_matrix",
     "despread",
@@ -91,6 +92,13 @@ def validate_real(value, name: str, low: float, high: float | None = None, *, ar
 def validate_sf(sf: int) -> int:
     """Check a spreading factor by the integer rule: an integer in [MIN_SF, MAX_SF]."""
     return validate_int(sf, "spreading factor", MIN_SF, MAX_SF)
+
+
+def validate_type(value, kind: type, name: str):
+    """Return value when it is a kind, else raise ValueError naming it (name)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def symbol_cardinality(sf: int) -> int:

@@ -64,12 +64,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import _coefficients, draw_offset, validate_offset
-from .channel import noise_variance  # also in this module's __all__
+from .channel import _coefficients, draw_offset, noise_variance, validate_offset
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
-from .grid import Grid, GridPoint
+from .grid import Grid, GridPoint, _read_fields
 from .grid import snr_axis  # noqa: F401 -- bench/make_tables.py imports it from here
-from .modulation import symbol_cardinality, validate_int, validate_real
+from .modulation import symbol_cardinality, validate_int, validate_real, validate_type
 from .rice import _central_log_cdf, _rice_log_cdf
 from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py imports it from here
 
@@ -79,7 +78,6 @@ __all__ = [
     "StoppingRule",
     "SerEstimate",
     "wilson_interval",
-    "noise_variance",
     "run_point",
     "SweepConfig",
     "run_sweep",
@@ -116,8 +114,9 @@ class SerEstimate:
     chunk to its decision; at workers > 1 the sweep runs points side by
     side, so the elapsed of neighbouring points overlap. It is excluded
     from equality so that estimates from different runs or worker counts
-    compare equal. Construction checks the counts as wilson_interval does,
-    and stores seed (an integer >= 0) and elapsed (a real >= 0) as checked.
+    compare equal. Construction checks that point is a GridPoint and the
+    counts as wilson_interval does, and stores seed (an integer >= 0) and
+    elapsed (a real >= 0) as checked.
     """
 
     point: GridPoint
@@ -127,6 +126,7 @@ class SerEstimate:
     elapsed: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        validate_type(self.point, GridPoint, "point")
         wilson_interval(self.errors, self.trials)  # checks 0 <= errors <= trials, trials >= 1
         object.__setattr__(self, "seed", validate_int(self.seed, "seed", 0))
         object.__setattr__(self, "elapsed", validate_real(self.elapsed, "elapsed", 0))
@@ -455,13 +455,16 @@ def run_point(
     a pool of its own and is left open. fixed_delta, when given, replaces
     the offset draw for every trial: one real |delta| <= 0.5, never an
     array (channel.validate_offset). master_seed >= 0 and workers >= 1 are
-    integers by modulation.validate_int. elapsed runs from the first
+    integers by modulation.validate_int, and point and stop a GridPoint and
+    a StoppingRule (modulation.validate_type); all are checked before any
+    chunk is computed or any pool starts. elapsed runs from the first
     submitted chunk to the decision.
     """
+    validate_type(point, GridPoint, "point")
+    validate_type(stop, StoppingRule, "stop")
     master_seed = validate_int(master_seed, "master_seed", 0)
     workers = validate_int(workers, "workers", 1)
-    if fixed_delta is not None:
-        fixed_delta = validate_offset(fixed_delta, "fixed_delta")
+    fixed_delta = None if fixed_delta is None else validate_offset(fixed_delta, "fixed_delta")
     scheduler = _estimates([point], stop, master_seed, workers, fixed_delta, executor)
     with closing(scheduler) as estimates:
         return next(estimates)
@@ -472,21 +475,21 @@ class SweepConfig(Grid):
     """Fully resolved sweep parameters: a Grid (whose defaults span the full
     grid) and how its points are run.
 
-    Construction checks every field once, through the type that owns the
-    value: Grid reads the four axes, then StoppingRule,
-    modulation.validate_int (master_seed >= 0, workers >= 1),
-    channel.validate_offset for fixed_delta and os.fspath check the rest;
-    record_timing is read as a truth value. So every number, and each item
-    of a list field, is a scalar by the number rule of qslora.modulation. A
-    bad value or a wrong type raises ValueError whose message starts with
-    the field's config key (sf, waveform, delta-s, snr, trials-max,
-    min-errors, seed, workers, fixed-delta, output, format).
-
-    What the checks build is kept, out of __init__ and equality: the
-    Grid's axes and points, so output layout is independent of how the
-    axes were listed; stop, the StoppingRule; and fixed_delta, as the float
-    that rule returns. These defaults are the only ones; the CLI
-    passes only the fields a flag, the environment or a config file set.
+    Construction reads every field once, through the loop Grid reads its
+    axes with and the type that owns the value: StoppingRule for
+    trials_max and min_errors, modulation.validate_int (master_seed >= 0,
+    workers >= 1), channel.validate_offset for fixed_delta and os.fspath
+    for output_path; format is csv or json and record_timing a truth
+    value. Each field keeps what its read returned, so numbers are Python
+    ints and floats by the number rule of qslora.modulation, and the config
+    equals, hashes and serializes (dataclasses.asdict) as the run it
+    describes, however its values were given. A bad value or a wrong type
+    raises ValueError whose message starts with the field's config key
+    (sf, waveform, delta-s, snr, trials-max, min-errors, seed, workers,
+    fixed-delta, output, format, record-timing). stop is the StoppingRule
+    of trials_max and min_errors, and points, which run_sweep runs in
+    order, is the Grid's. These defaults are the only ones; the CLI passes
+    only the fields a flag, the environment or a config file set.
     """
 
     trials_max: int = StoppingRule.max_trials
@@ -497,29 +500,32 @@ class SweepConfig(Grid):
     output_path: str = "ser_results.csv"
     format: str = "csv"
     record_timing: bool = False
-    stop: StoppingRule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        checks = (
-            ("trials-max", lambda: StoppingRule(max_trials=self.trials_max)),
-            ("min-errors", lambda: StoppingRule(self.trials_max, self.min_errors)),
-            ("seed", lambda: validate_int(self.master_seed, "master_seed", 0)),
-            ("workers", lambda: validate_int(self.workers, "workers", 1)),
-            ("fixed-delta", lambda: None if self.fixed_delta is None
+        _read_fields(self, (
+            ("trials-max", "trials_max", lambda: StoppingRule(self.trials_max).max_trials),
+            ("min-errors", "min_errors", lambda: self.stop.min_errors),
+            ("seed", "master_seed", lambda: validate_int(self.master_seed, "master_seed", 0)),
+            ("workers", "workers", lambda: validate_int(self.workers, "workers", 1)),
+            ("fixed-delta", "fixed_delta", lambda: None if self.fixed_delta is None
              else validate_offset(self.fixed_delta, "fixed_delta")),
-            ("output", lambda: os.fspath(self.output_path)),
-        )
-        built = {}
-        for key, check in checks:
-            try:
-                built[key] = check()
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format: expected csv or json, got {self.format!r}")
-        object.__setattr__(self, "stop", built["min-errors"])
-        object.__setattr__(self, "fixed_delta", built["fixed-delta"])
+            ("output", "output_path", lambda: os.fspath(self.output_path)),
+            ("format", "format", lambda: _read_format(self.format)),
+            ("record-timing", "record_timing", lambda: bool(self.record_timing)),
+        ))
+
+    @property
+    def stop(self) -> StoppingRule:
+        """The stopping rule of trials_max and min_errors."""
+        return StoppingRule(self.trials_max, self.min_errors)
+
+
+def _read_format(name: str) -> str:
+    """The output format name, csv or json."""
+    if name not in ("csv", "json"):
+        raise ValueError(f"expected csv or json, got {name!r}")
+    return name
 
 
 def run_sweep(

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import validate_real
+from .modulation import validate_real, validate_type
 from .quadrature import integrate
 
 __all__ = [
     "ChipWaveform",
     "rectangular",
     "WAVEFORM_TOKENS",
+    "validate_waveform",
     "sample_waveform",
     "energy",
     "autocorr",
@@ -54,6 +55,11 @@ class ChipWaveform:
             )
 
 
+def validate_waveform(w) -> ChipWaveform:
+    """The one pulse check: w is a ChipWaveform (a token such as "rc" is not)."""
+    return validate_type(w, ChipWaveform, "waveform")
+
+
 # kept only because bench/tests/test_bench.py imports it from here
 def rectangular() -> ChipWaveform:
     return ChipWaveform("rect")
@@ -61,6 +67,7 @@ def rectangular() -> ChipWaveform:
 
 def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
     """Evaluate psi(t) at finite times t (validate_real, arrays too); zero outside [0, 1)."""
+    validate_waveform(w)
     t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
     inside = (t >= 0.0) & (t < 1.0)
     if w.kind == "rect":
@@ -75,6 +82,7 @@ def energy(w: ChipWaveform) -> float:
     qslora.quadrature integrates exactly, so unit-energy pulses return 1 up
     to rounding.
     """
+    validate_waveform(w)
     return integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0)
 
 
@@ -103,12 +111,13 @@ def autocorr(w: ChipWaveform, delta: np.ndarray | float):
     scalar gives two floats, an array two arrays of its shape.
     """
     d = np.abs(validate_real(delta, "delta", -1, 1, array=True))
-    keep, spill = _autocorr_pair(w, d)
+    keep, spill = _autocorr_pair(validate_waveform(w), d)
     return (keep, spill) if keep.ndim else (float(keep), float(spill))
 
 
 def autocorr_quad(w: ChipWaveform, delta: float) -> tuple[float, float]:
     """Quadrature reference for autocorr (scalar delta)."""
+    validate_waveform(w)
     d = abs(validate_real(delta, "delta", -1, 1))
     return (
         integrate(lambda u: sample_waveform(w, u) * sample_waveform(w, u - d), d, 1.0),

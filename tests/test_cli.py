@@ -43,7 +43,7 @@ class TestParseConfig:
         config = parse_config([])
         assert config == SweepConfig()
         assert config.sf_list == (4, 5, 6, 7)
-        assert config.waveforms == ("rect", "rc")
+        assert config.waveforms == ("rc", "rect")
         assert config.delta_s_list == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         assert (config.snr_start_db, config.snr_stop_db, config.snr_step_db) == (
             -4.0,

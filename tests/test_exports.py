@@ -2,7 +2,9 @@
 __all__ list only attributes that exist, so deleting a function without
 its export fails here rather than at a user's import."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -22,6 +24,25 @@ EXPORTS = [
 @pytest.mark.parametrize("module,name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
 def test_exported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def _defined_names(module) -> set[str]:
+    """The names a module binds at top level by def, class or assignment, not by import."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES[1:])
+def test_submodule_exports_only_its_own_names(module):
+    # a name has one home: a submodule re-exports nothing it imports
+    module = importlib.import_module(module)
+    assert set(module.__all__) <= _defined_names(module)
 
 
 def test_top_level_holds_the_model():

@@ -3,7 +3,9 @@ the analytical synchronous reference of qslora.rice, trial-level
 reproducibility, and the sweep driver."""
 
 import copy
+import dataclasses
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -1125,6 +1127,34 @@ def result_cancel_pools(monkeypatch):
     return pools
 
 
+class TestObjectChecks:
+    """run_point and SerEstimate refuse an object of the wrong type by name,
+    before any chunk is computed or any pool starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the checks")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(montecarlo, "_chunk_errors", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_point_checks_point(self, workers):
+        with pytest.raises(ValueError, match="^point must be a GridPoint, got 'x'$"):
+            run_point("x", workers=workers)
+
+    @pytest.mark.parametrize("stop", [(4096, 0), None, 4096])
+    def test_run_point_checks_stop(self, stop):
+        with pytest.raises(ValueError, match="^stop must be a StoppingRule"):
+            run_point(_point(), stop=stop, workers=2)
+
+    def test_estimate_checks_point(self):
+        with pytest.raises(ValueError, match=r"^point must be a GridPoint, got \(4,\)$"):
+            SerEstimate((4,), 10, 1, 1)
+
+
 class TestSweep:
     def test_noise_variance(self):
         assert noise_variance(8.0) == 10.0 ** (-8.0 / 10.0)
@@ -1224,11 +1254,86 @@ class TestSweep:
             ("output", dict(output_path=5)),
             ("fixed-delta", dict(fixed_delta=[0.1, 0.2])),
             ("fixed-delta", dict(fixed_delta=[0.1])),
+            ("waveform", dict(waveforms="rc")),
+            ("sf", dict(sf_list="45")),
+            ("delta-s", dict(delta_s_list="0.5")),
         ],
     )
     def test_wrong_types_rejected_by_name(self, key, kwargs):
         with pytest.raises(ValueError, match=f"^{key}: "):
             SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "key,field,text",
+        [
+            ("waveform", "waveforms", "rc"),
+            ("sf", "sf_list", "45"),
+            ("delta-s", "delta_s_list", "0.5"),
+        ],
+    )
+    def test_a_str_is_not_a_list(self, key, field, text):
+        # read one character at a time, "rc" would be refused as the kind 'r'
+        with pytest.raises(ValueError, match=f"^{key}: expected a list, got '{text}'$"):
+            SweepConfig(**{field: text})
+
+    @pytest.mark.parametrize(
+        "make",
+        [list, tuple, np.array, lambda items: (item for item in items)],
+        ids=["list", "tuple", "ndarray", "generator"],
+    )
+    def test_config_holds_only_what_it_read(self, make):
+        config = SweepConfig(
+            sf_list=make([5, 4, 5]), waveforms=make(["rect", "rc"]), delta_s_list=make([0.4, 0.0])
+        )
+        assert (config.sf_list, config.waveforms, config.delta_s_list) == (
+            (4, 5), ("rc", "rect"), (0.0, 0.4)
+        )
+        assert hash(config) == hash(SweepConfig(sf_list=(4, 5), delta_s_list=(0.0, 0.4)))
+        assert config == SweepConfig(sf_list=(4, 5), delta_s_list=(0.0, 0.4))
+        # replace reads the stored fields again, and a second read is the same read
+        again = dataclasses.replace(config, workers=2)
+        assert (again.sf_list, again.waveforms, again.delta_s_list) == (
+            config.sf_list, config.waveforms, config.delta_s_list
+        )
+        assert again.points == config.points
+
+    def test_configs_of_the_same_run_are_equal(self):
+        assert SweepConfig(sf_list=(5, 4, 4)) == SweepConfig(sf_list=[4, 5])
+        assert hash(SweepConfig(sf_list=(5, 4, 4))) == hash(SweepConfig(sf_list=[4, 5]))
+        assert SweepConfig(snr_stop_db=24) == SweepConfig(snr_stop_db=np.float64(24.0))
+        assert SweepConfig(workers=2) != SweepConfig(workers=1)
+
+    def test_numpy_inputs_read_back_as_python_numbers(self):
+        config = _config(
+            sf_list=np.array([5, 4]),
+            delta_s_list=(np.float32(0.5), np.float64(0.25)),
+            snr_start_db=np.float32(2.0),
+            snr_stop_db=np.int64(4),
+            snr_step_db=np.float64(2.0),
+            trials_max=np.int64(5000),
+            min_errors=np.int32(7),
+            master_seed=np.int64(3),
+            workers=np.uint8(2),
+            fixed_delta=np.float64(-0.25),
+            record_timing=np.bool_(True),
+        )
+        numbers = (
+            *config.sf_list, config.trials_max, config.min_errors, config.master_seed,
+            config.workers,
+        )
+        assert all(type(n) is int for n in numbers)
+        reals = (
+            *config.delta_s_list, *config.snr_db_list, config.snr_start_db, config.snr_stop_db,
+            config.snr_step_db, config.fixed_delta,
+        )
+        assert all(type(x) is float for x in reals)
+        assert config.record_timing is True
+        assert config.master_seed == 3 and config.snr_db_list == (2.0, 4.0)
+        # the resolved config serializes as it is
+        resolved = json.loads(json.dumps(dataclasses.asdict(config)))
+        assert resolved["sf_list"] == [4, 5]
+        assert resolved["delta_s_list"] == [0.25, 0.5]
+        assert resolved["master_seed"] == 3
 
     def test_config_keeps_what_its_checks_build(self):
         config = _config(

@@ -11,6 +11,9 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qslora.channel import analytic_decision_statistic, synthesize_chip_rows
+from qslora.continuous_time import certify_discrete_model, synthesize
+from qslora.grid import GridPoint
 from qslora.waveforms import (
     WAVEFORM_TOKENS,
     ChipWaveform,
@@ -162,3 +165,28 @@ class TestCommonProperties:
         assert np.all(spill <= 1.0 + 1e-12)
         assert np.all(keep >= -1e-12)
         assert np.all(spill >= -1e-12)
+
+
+# every checked entry that takes a pulse, called with it and otherwise valid arguments
+PULSE_ENTRIES = {
+    "autocorr": lambda w: autocorr(w, 0.5),
+    "autocorr_quad": lambda w: autocorr_quad(w, 0.5),
+    "sample_waveform": lambda w: sample_waveform(w, 0.5),
+    "energy": energy,
+    "synthesize_chip_rows": lambda w: synthesize_chip_rows(0, 1, 0.25, w, 4),
+    "analytic_decision_statistic": lambda w: analytic_decision_statistic(0, 1, 0.25, w, 4),
+    "certify_discrete_model": lambda w: certify_discrete_model(4, w, 1, np.random.default_rng(1)),
+    "synthesize": lambda w: synthesize((1, 2), w, 4),
+}
+
+
+@pytest.mark.parametrize("bad", ["rc", None, ("rc",)], ids=["token", "None", "tuple"])
+@pytest.mark.parametrize("entry", list(PULSE_ENTRIES))
+def test_every_pulse_entry_refuses_a_non_waveform(entry, bad):
+    with pytest.raises(ValueError, match="^waveform must be a ChipWaveform, got "):
+        PULSE_ENTRIES[entry](bad)
+
+
+def test_grid_point_keeps_its_waveform_message():
+    with pytest.raises(ValueError, match=r"^waveform must be a ChipWaveform, got 'rc'$"):
+        GridPoint(4, "rc", 0.0, 0.0)
