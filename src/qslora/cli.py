@@ -2,10 +2,15 @@
 
 Each subcommand and each of its flags is declared once, in _COMMANDS; the
 parsers, `qslora --help` and the dispatch in main are built from that
-table. sweep is the default subcommand. The grid's axis flags (--sf, -w,
---delta-s, --snr) are declared once and shared by every subcommand that
-takes them, and each subcommand reads them through qslora.grid.Grid, so
-every subcommand checks, deduplicates and sorts an axis by one rule.
+table. sweep is the default subcommand. One parse (_parse) serves every
+subcommand: it returns the flags and the Grid or SweepConfig they set,
+with the config file and the environment applied where the command takes
+--config. The grid's axis flags (--sf, -w, --delta-s, --snr) are declared
+once and shared by every subcommand that takes them, and each subcommand
+reads them through qslora.grid.Grid, so every subcommand checks,
+deduplicates and sorts an axis by one rule. The sweep's output flags (-o,
+--format, --record-timing) belong to the command, not to the SweepConfig
+it runs, and every output format is one entry of _WRITERS.
 
 Exit status: 0 success, 1 runtime/I-O failure, 2 usage error.
 """
@@ -19,7 +24,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -34,7 +39,6 @@ __all__ = ["parse_config", "write_results", "main"]
 
 WORKERS_ENV_VAR = "QSLORA_WORKERS"
 _ALL_WAVEFORMS = ",".join(WAVEFORM_TOKENS)
-_G = TypeVar("_G", bound=Grid)
 
 
 def _split_list(text: str) -> tuple[str, ...]:
@@ -74,8 +78,8 @@ class _Flag(NamedTuple):
     for a string default alike; None makes a switch that takes no value.
     default is the value as typed (None: unset), short an optional
     one-letter alias, and fields the Grid or SweepConfig fields the flag
-    sets. A sweep flag that takes a value and sets fields is also a config
-    key.
+    sets. In a command that takes --config, every other flag that takes a
+    value is also a config key.
     """
 
     convert: Optional[Callable[[str], object]]
@@ -87,12 +91,14 @@ class _Flag(NamedTuple):
 
 class _Command(NamedTuple):
     """One subcommand: its entry point, its line in `qslora --help`, its
-    parser's description and its flags, in help order."""
+    parser's description, its flags, in help order, and the type (Grid or
+    SweepConfig) that its flags' fields build."""
 
     run: Callable[[Sequence[str]], int]
     summary: str
     description: str
     flags: dict[str, _Flag]
+    settings: type[Grid] = Grid
 
 
 def _dest(key: str) -> str:
@@ -124,8 +130,7 @@ def _parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str, error) -> dict[str, str]:
-    keys = {key for key, flag in _COMMANDS["sweep"].flags.items() if flag.fields and flag.convert}
+def _read_config_file(path: str, keys: set[str], error) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -146,46 +151,48 @@ def _read_config_file(path: str, error) -> dict[str, str]:
     return values
 
 
-def parse_config(argv: Sequence[str]) -> SweepConfig:
-    """Resolve a SweepConfig from flags, environment, and config file.
+def _parse(name: str, argv: Sequence[str]) -> tuple[argparse.Namespace, Grid]:
+    """The flags of subcommand name, and the Grid or SweepConfig they set.
 
-    Precedence: CLI flags > QSLORA_WORKERS (workers only; empty counts as
-    unset) > the file named by --config > SweepConfig's defaults. The
-    environment and the file become the parser's string defaults, so
-    argparse converts each value that no flag overrides, and only the keys
-    one of the first three sets are passed on. Strings are only converted
-    here; SweepConfig checks the values, and either failure exits 2 with a
-    message naming the flag or field.
+    Where the command takes --config, precedence is: flags >
+    QSLORA_WORKERS (workers only; empty counts as unset) > the file named
+    by --config > the defaults. The environment and the file become the
+    parser's string defaults, so argparse converts each value that no flag
+    overrides. Only the fields that a flag, the environment or the file
+    set are passed on, so the others keep their Grid or SweepConfig
+    default. Strings are only converted here; Grid and SweepConfig check
+    the values, and either failure exits 2 with a message naming the flag
+    or field.
     """
-    parser = _parser("sweep")
-    path = parser.parse_args(argv).config
-    defaults = _read_config_file(path, parser.error) if path else {}
-    if os.environ.get(WORKERS_ENV_VAR):
-        defaults["workers"] = os.environ[WORKERS_ENV_VAR]
-    parser.set_defaults(**{_dest(key): value for key, value in defaults.items()})
-    return _resolve(parser, "sweep", parser.parse_args(argv), SweepConfig)
-
-
-def _resolve(parser: argparse.ArgumentParser, name: str, ns: argparse.Namespace,
-             kind: type[_G]) -> _G:
-    """kind (Grid or SweepConfig) built from the fields that the flags of
-    subcommand name set in ns; a ValueError exits 2 with its message."""
+    command = _COMMANDS[name]
+    parser = _parser(name)
+    if "config" in command.flags:
+        path = parser.parse_args(argv).config
+        keys = {key for key, flag in command.flags.items() if flag.convert and key != "config"}
+        defaults = _read_config_file(path, keys, parser.error) if path else {}
+        if os.environ.get(WORKERS_ENV_VAR):
+            defaults["workers"] = os.environ[WORKERS_ENV_VAR]
+        parser.set_defaults(**{_dest(key): value for key, value in defaults.items()})
+    ns = parser.parse_args(argv)
     fields: dict[str, object] = {}
-    for key, flag in _COMMANDS[name].flags.items():
+    for key, flag in command.flags.items():
         value = getattr(ns, _dest(key))
         if flag.fields and value is not None:
             fields.update(zip(flag.fields, value if len(flag.fields) > 1 else (value,)))
     try:
-        return kind(**fields)
+        return ns, command.settings(**fields)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _parse_axes(name: str, argv: Sequence[str]) -> tuple[argparse.Namespace, Grid]:
-    """The flags of subcommand name, and the Grid they set."""
-    parser = _parser(name)
-    ns = parser.parse_args(argv)
-    return ns, _resolve(parser, name, ns, Grid)
+def parse_config(argv: Sequence[str]) -> SweepConfig:
+    """The SweepConfig of a sweep command line (argv without the subcommand).
+
+    It is _parse's SweepConfig: flags, QSLORA_WORKERS, the --config file
+    and SweepConfig's defaults, in that order. The output flags are parsed
+    and checked too, but they are not part of the run.
+    """
+    return _parse("sweep", argv)[1]
 
 
 def _label(value: float) -> str:
@@ -212,30 +219,47 @@ def _row(est: SerEstimate) -> dict[str, object]:
     }
 
 
-def write_results(estimates: Sequence[SerEstimate], fh: TextIO, format: str = "csv") -> None:
+def _write_csv(rows: list[dict[str, object]], fh: TextIO) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
+
+
+def _write_json(rows: list[dict[str, object]], fh: TextIO) -> None:
+    json.dump(rows, fh, indent=2)
+    fh.write("\n")
+
+
+# every output format: the names --format and the config key format take
+_WRITERS = {"csv": _write_csv, "json": _write_json}
+
+
+def _format(name: str) -> str:
+    """An output format name, one of _WRITERS."""
+    if name not in _WRITERS:
+        raise ValueError(f"expected {' or '.join(_WRITERS)}")
+    return name
+
+
+def write_results(estimates: Iterable[SerEstimate], fh: TextIO, format: str = "csv") -> None:
     """Write estimates to an open text file as CSV (fixed 11-column schema) or a JSON array.
 
     Open fh with newline="" so line endings are written as given. Floats
     are serialized with shortest round-trip precision (csv and json both
     write a float's repr), so parsing a file and re-serializing it
-    reproduces it byte for byte.
+    reproduces it byte for byte. An unknown format or no estimates at all
+    raises ValueError, the format before any estimate is read.
     """
-    if not estimates:
-        raise ValueError("no estimates to write")
-    rows = [_row(est) for est in estimates]
-    if format == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(rows[0])
-        writer.writerows(row.values() for row in rows)
-    elif format == "json":
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
-    else:
+    if format not in _WRITERS:
         raise ValueError(f"unknown output format {format!r}")
+    rows = [_row(est) for est in estimates]
+    if not rows:
+        raise ValueError("no estimates to write")
+    _WRITERS[format](rows, fh)
 
 
 def _cmd_sweep(argv: Sequence[str]) -> int:
-    config = parse_config(argv)
+    ns, config = _parse("sweep", argv)
 
     def progress(done: int, total: int, est: SerEstimate) -> None:
         pt = est.point
@@ -248,17 +272,17 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         )
 
     # open the output first so a bad path fails before any point is computed
-    with open(config.output_path, "w", newline="", encoding="utf-8") as fh:
+    with open(ns.output, "w", newline="", encoding="utf-8") as fh:
         estimates = run_sweep(config, progress=progress)
-        if not config.record_timing:
+        if not ns.record_timing:
             estimates = [dataclasses.replace(est, elapsed=0.0) for est in estimates]
-        write_results(estimates, fh, config.format)
-    print(f"wrote {len(estimates)} records to {config.output_path}", file=sys.stderr)
+        write_results(estimates, fh, ns.format)
+    print(f"wrote {len(estimates)} records to {ns.output}", file=sys.stderr)
     return 0
 
 
 def _cmd_certify(argv: Sequence[str]) -> int:
-    ns, grid = _parse_axes("certify", argv)
+    ns, grid = _parse("certify", argv)
     failures = 0
     for sf in grid.sf_list:
         for token in grid.waveforms:
@@ -277,7 +301,7 @@ def _cmd_certify(argv: Sequence[str]) -> int:
 
 
 def _cmd_oracle(argv: Sequence[str]) -> int:
-    _, grid = _parse_axes("oracle", argv)
+    _, grid = _parse("oracle", argv)
     print("sf snr_db ser")
     for sf in grid.sf_list:
         for snr in grid.snr_db_list:
@@ -286,7 +310,7 @@ def _cmd_oracle(argv: Sequence[str]) -> int:
 
 
 def _cmd_corr(argv: Sequence[str]) -> int:
-    ns, grid = _parse_axes("corr", argv)
+    ns, grid = _parse("corr", argv)
     print("waveform delta overlapping overlapped")
     for token in grid.waveforms:
         for i in range(ns.steps):
@@ -310,7 +334,7 @@ _COMMANDS: dict[str, _Command] = {
         _cmd_sweep,
         "Monte-Carlo SER sweep (default when no subcommand is given)",
         "Monte-Carlo SER sweep over (sf, waveform, delta-s, snr).",
-        {  # no defaults: a flag that nothing sets keeps its SweepConfig default
+        {  # a run flag that nothing sets keeps its SweepConfig default
             "sf": _SF,
             "waveform": _WAVEFORM,
             "delta-s": _DELTA_S,
@@ -323,12 +347,13 @@ _COMMANDS: dict[str, _Command] = {
                              "overrides config file)", fields=("workers",)),
             "fixed-delta": _Flag(float, "pin the per-trial offset, |delta| <= 0.5",
                                  fields=("fixed_delta",)),
-            "output": _Flag(str, "output file path", short="-o", fields=("output_path",)),
-            "format": _Flag(str, "output format: csv or json", fields=("format",)),
+            "output": _Flag(str, "output file path", "ser_results.csv", "-o"),
+            "format": _Flag(_format, f"output format: {' or '.join(_WRITERS)}", "csv"),
             "config": _Flag(str, "key=value config file ('#' comments allowed)"),
             "record-timing": _Flag(None, "write wall-clock elapsed_s (off by default to keep "
-                                   "output deterministic)", fields=("record_timing",)),
+                                   "output deterministic)"),
         },
+        SweepConfig,
     ),
     "certify": _Command(
         _cmd_certify,

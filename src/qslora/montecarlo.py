@@ -473,23 +473,23 @@ def run_point(
 @dataclass(frozen=True)
 class SweepConfig(Grid):
     """Fully resolved sweep parameters: a Grid (whose defaults span the full
-    grid) and how its points are run.
+    grid) and how its points are run, and nothing else.
 
     Construction reads every field once, through the loop Grid reads its
     axes with and the type that owns the value: StoppingRule for
     trials_max and min_errors, modulation.validate_int (master_seed >= 0,
-    workers >= 1), channel.validate_offset for fixed_delta and os.fspath
-    for output_path; format is csv or json and record_timing a truth
-    value. Each field keeps what its read returned, so numbers are Python
-    ints and floats by the number rule of qslora.modulation, and the config
-    equals, hashes and serializes (dataclasses.asdict) as the run it
-    describes, however its values were given. A bad value or a wrong type
+    workers >= 1) and channel.validate_offset for fixed_delta. Each field
+    keeps what its read returned, so numbers are Python ints and floats by
+    the number rule of qslora.modulation, and the config equals, hashes
+    and serializes (dataclasses.asdict) as the run it describes, however
+    its values were given. Where the results go is not part of the run:
+    the command line keeps its output flags. A bad value or a wrong type
     raises ValueError whose message starts with the field's config key
     (sf, waveform, delta-s, snr, trials-max, min-errors, seed, workers,
-    fixed-delta, output, format, record-timing). stop is the StoppingRule
-    of trials_max and min_errors, and points, which run_sweep runs in
-    order, is the Grid's. These defaults are the only ones; the CLI passes
-    only the fields a flag, the environment or a config file set.
+    fixed-delta). stop is the StoppingRule of trials_max and min_errors,
+    and points, which run_sweep runs in order, is the Grid's. These
+    defaults are the only run defaults; the CLI passes only the fields a
+    flag, the environment or a config file set.
     """
 
     trials_max: int = StoppingRule.max_trials
@@ -497,9 +497,6 @@ class SweepConfig(Grid):
     master_seed: int = 1
     workers: int = 1
     fixed_delta: Optional[float] = None
-    output_path: str = "ser_results.csv"
-    format: str = "csv"
-    record_timing: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -510,22 +507,12 @@ class SweepConfig(Grid):
             ("workers", "workers", lambda: validate_int(self.workers, "workers", 1)),
             ("fixed-delta", "fixed_delta", lambda: None if self.fixed_delta is None
              else validate_offset(self.fixed_delta, "fixed_delta")),
-            ("output", "output_path", lambda: os.fspath(self.output_path)),
-            ("format", "format", lambda: _read_format(self.format)),
-            ("record-timing", "record_timing", lambda: bool(self.record_timing)),
         ))
 
     @property
     def stop(self) -> StoppingRule:
         """The stopping rule of trials_max and min_errors."""
         return StoppingRule(self.trials_max, self.min_errors)
-
-
-def _read_format(name: str) -> str:
-    """The output format name, csv or json."""
-    if name not in ("csv", "json"):
-        raise ValueError(f"expected csv or json, got {name!r}")
-    return name
 
 
 def run_sweep(

@@ -59,6 +59,26 @@ def test_parse_config_gives_the_sweep_axes():
     assert (config.snr_start_db, config.snr_stop_db, config.snr_step_db) == (4.0, 16.0, 12.0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # bench/workloads.py's GRID_SWEEP and SF10_SWEEP, as bench/child.py's
+        # setup probe passes them: without "sweep", plus --seed N -o PATH
+        ["--sf", "4,5,6,7", "--waveform", "rect,rc", "--delta-s", "0,0.2,0.4,0.6,0.8,1",
+         "--snr", "4:16:12", "--trials-max", "5000", "--min-errors", "100", "--workers", "2",
+         "--seed", "1", "-o", "grid-w2.csv"],
+        ["--sf", "10", "--waveform", "rect,rc", "--delta-s", "0,1", "--snr", "11:11:1",
+         "--trials-max", "4096", "--min-errors", "0", "--workers", "1",
+         "--seed", "2", "-o", "sf10-w1.csv"],
+    ],
+    ids=["grid-w2", "sf10-w1"],
+)
+def test_parse_config_takes_the_benchmark_sweeps(argv):
+    config = cli.parse_config(argv)
+    assert isinstance(config, montecarlo.SweepConfig)
+    assert config.trials_max == int(argv[argv.index("--trials-max") + 1])
+
+
 def test_envelope_matrix_is_cached():
     assert hasattr(modulation.envelope_matrix, "cache_info")
 

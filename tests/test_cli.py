@@ -2,6 +2,7 @@
 entry point."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -55,28 +56,29 @@ class TestParseConfig:
         assert config.master_seed == 1
         assert config.workers == 1
         assert config.fixed_delta is None
-        assert config.output_path == "ser_results.csv"
-        assert config.format == "csv"
-        assert config.record_timing is False
+        ns = cli._parse("sweep", [])[0]
+        assert ns.output == "ser_results.csv"
+        assert ns.format == "csv"
+        assert ns.record_timing is False
         assert config.stop == StoppingRule()
 
     def test_flags_parsed(self):
-        config = parse_config(
-            [
-                "--sf", "4,6",
-                "--waveform", "rc",
-                "--delta-s", "0,0.4",
-                "--snr", "8:12:2",
-                "--trials-max", "5000",
-                "--min-errors", "0",
-                "--seed", "7",
-                "--workers", "3",
-                "--fixed-delta=-0.25",
-                "-o", "out.json",
-                "--format", "json",
-                "--record-timing",
-            ]
-        )
+        argv = [
+            "--sf", "4,6",
+            "--waveform", "rc",
+            "--delta-s", "0,0.4",
+            "--snr", "8:12:2",
+            "--trials-max", "5000",
+            "--min-errors", "0",
+            "--seed", "7",
+            "--workers", "3",
+            "--fixed-delta=-0.25",
+            "-o", "out.json",
+            "--format", "json",
+            "--record-timing",
+        ]
+        ns, config = cli._parse("sweep", argv)
+        assert config == parse_config(argv)
         assert config.sf_list == (4, 6)
         assert config.waveforms == ("rc",)
         assert config.delta_s_list == (0.0, 0.4)
@@ -90,9 +92,32 @@ class TestParseConfig:
         assert config.master_seed == 7
         assert config.workers == 3
         assert config.fixed_delta == -0.25
-        assert config.output_path == "out.json"
-        assert config.format == "json"
-        assert config.record_timing is True
+        assert ns.output == "out.json"
+        assert ns.format == "json"
+        assert ns.record_timing is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-o", "b.csv"], ["--output", "b.csv"], ["--format", "json"], ["--record-timing"],
+         ["-o", "b.json", "--format", "json", "--record-timing"]],
+    )
+    def test_output_flags_are_not_part_of_the_run(self, argv):
+        # where the rows go and how they are written does not change a trial
+        base = parse_config(["--sf", "4", "-o", "a.csv"])
+        config = parse_config(["--sf", "4", *argv])
+        assert config == base
+        assert hash(config) == hash(base)
+
+    def test_resolved_config_is_the_run_alone(self, tmp_path):
+        argv = ["-o", "x.json", "--format", "json", "--record-timing"]
+        fields = dataclasses.asdict(parse_config(argv))
+        assert set(fields) == {
+            "sf_list", "waveforms", "delta_s_list", "snr_start_db", "snr_stop_db",
+            "snr_step_db", "snr_db_list", "trials_max", "min_errors", "master_seed", "workers", "fixed_delta",
+        }
+        # a config file's output keys leave the run alone as well
+        from_file = parse_config(_config_file(tmp_path, "output = y.json\nformat = json\n"))
+        assert dataclasses.asdict(from_file) == fields
 
     @pytest.mark.parametrize(
         "argv,needle",
@@ -247,9 +272,38 @@ class TestWriteResults:
         with pytest.raises(ValueError):
             write_results([], io.StringIO())
 
+    @pytest.mark.parametrize(
+        "empty", [iter([]), (est for est in []), ()], ids=["iterator", "generator", "tuple"]
+    )
+    def test_empty_iterable_rejected(self, empty):
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="^no estimates to write$"):
+            write_results(empty, fh)
+        assert fh.getvalue() == ""
+
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
             write_results([_estimate()], io.StringIO(), format="xml")
+
+    def test_estimates_may_be_a_generator(self):
+        fh = io.StringIO()
+        write_results((est for est in [_estimate(), _estimate(delta_s=0.6)]), fh)
+        assert len(fh.getvalue().splitlines()) == 3
+
+    def test_a_format_is_added_in_one_place(self, monkeypatch, tmp_path):
+        # one table serves write_results, --format and the config key format
+        def write_lines(rows, fh):
+            fh.writelines(f"{row['sf']} {row['errors']}\n" for row in rows)
+
+        monkeypatch.setitem(cli._WRITERS, "lines", write_lines)
+        fh = io.StringIO()
+        write_results([_estimate()], fh, format="lines")
+        assert fh.getvalue() == "4 123\n"
+        assert parse_config(["--format", "lines"]) == parse_config([])
+        path = tmp_path / "out.txt"
+        assert main([*TINY_SWEEP, *_config_file(tmp_path, "format = lines\n"),
+                     "-o", str(path)]) == 0
+        assert path.read_text(encoding="utf-8").splitlines()[0].startswith("4 ")
 
     def test_csv_schema_and_values(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -413,6 +467,37 @@ class TestMain:
             rows.append(path.read_text(encoding="utf-8").splitlines()[-1])
         assert rows[0] == rows[1]
         assert rows[0].startswith("4,rect,0.4,0.7,4096,")
+
+    def test_config_file_picks_the_output_and_its_format(self, tmp_path, capsys):
+        path = tmp_path / "from_file.json"
+        text = f"output = {path}\nformat = json\n"
+        assert main([*TINY_SWEEP, *_config_file(tmp_path, text)]) == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert [row["snr_db"] for row in payload] == [8.0, 10.0]
+        assert f"wrote 2 records to {path}" in capsys.readouterr().err
+        # the same rows as the flags give
+        flagged = tmp_path / "flagged.json"
+        assert main([*TINY_SWEEP, "-o", str(flagged), "--format", "json"]) == 0
+        assert flagged.read_bytes() == path.read_bytes()
+
+    def test_output_flag_beats_the_config_file(self, tmp_path):
+        from_file = tmp_path / "from_file.csv"
+        flagged = tmp_path / "flagged.csv"
+        conf = _config_file(tmp_path, f"output = {from_file}\n")
+        assert main([*TINY_SWEEP, *conf, "-o", str(flagged)]) == 0
+        assert flagged.read_text(encoding="utf-8").startswith(EXPECTED_HEADER)
+        assert not from_file.exists()
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_bad_format_exits_2_before_the_output_is_created(self, where, tmp_path, capsys):
+        path = tmp_path / "out.xml"
+        text = f"output = {path}\n" + ("format = xml\n" if where == "file" else "")
+        argv = [*TINY_SWEEP, *_config_file(tmp_path, text)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv if where == "file" else [*argv, "--format", "xml"])
+        assert exc.value.code == 2
+        assert "format" in capsys.readouterr().err.splitlines()[-1]
+        assert not path.exists()
 
     def test_output_io_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "missing_dir" / "out.csv"

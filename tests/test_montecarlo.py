@@ -1251,7 +1251,6 @@ class TestSweep:
             ("sf", dict(sf_list=4)),
             ("delta-s", dict(delta_s_list=("0.5",))),
             ("snr", dict(snr_start_db="1")),
-            ("output", dict(output_path=5)),
             ("fixed-delta", dict(fixed_delta=[0.1, 0.2])),
             ("fixed-delta", dict(fixed_delta=[0.1])),
             ("waveform", dict(waveforms="rc")),
@@ -1315,7 +1314,6 @@ class TestSweep:
             master_seed=np.int64(3),
             workers=np.uint8(2),
             fixed_delta=np.float64(-0.25),
-            record_timing=np.bool_(True),
         )
         numbers = (
             *config.sf_list, config.trials_max, config.min_errors, config.master_seed,
@@ -1327,7 +1325,6 @@ class TestSweep:
             config.snr_step_db, config.fixed_delta,
         )
         assert all(type(x) is float for x in reals)
-        assert config.record_timing is True
         assert config.master_seed == 3 and config.snr_db_list == (2.0, 4.0)
         # the resolved config serializes as it is
         resolved = json.loads(json.dumps(dataclasses.asdict(config)))
