@@ -32,11 +32,12 @@ distinct values:
 
 R(0) = 1 and Rhat(0) = 0 make delta = 0 the Kronecker delta at x_cur; the
 boundary term c is the previous symbol's last chip replacing the current
-symbol's. _coefficients computes the three values; it checks nothing, and
-the Monte-Carlo kernel (qslora.montecarlo) calls it on symbols and offsets
-it has just drawn in range. analytic_decision_statistic, the checked entry,
-spreads them over the M-vector, which the chip rows and the continuous-time
-matched filter are tested against.
+symbol's. _coefficients computes the three values and checks nothing.
+analytic_decision_statistic, the checked entry, spreads them over the
+M-vector, which the chip rows and the continuous-time matched filter are
+tested against. The Monte-Carlo kernel (qslora.montecarlo) needs only the
+moduli of the three values, which it computes from their closed forms;
+those are tested against the moduli of this M-vector.
 
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
 i.i.d. circularly-symmetric complex Gaussian with total variance

@@ -2,25 +2,36 @@
 
 Reproducibility contract: every trial outcome is a pure function of
 (master_seed, grid point, trial_index). Trials are grouped into fixed-size
-chunks; each chunk gets an independent counter-based stream seeded by
-SeedSequence(master_seed, spawn_key=(point_hash..., chunk_index)) where
-point_hash is derived from the point's own coordinates. A chunk always
-draws full-size arrays in a fixed order, so truncating at max_trials or
-stopping early never shifts the stream, and results are identical for any
-worker count. Adding or removing other grid points cannot change a point's
-estimate because nothing but the point's coordinates enters its seed
-derivation.
+chunks; each chunk gets an independent stream, an SFC64 bit generator seeded
+by SeedSequence(master_seed, spawn_key=(point_hash..., chunk_index)) where
+point_hash is derived from the point's own coordinates. SFC64 is not
+counter-based: no chunk skips ahead in a shared stream, and each chunk's
+stream is a function of its seed alone. A chunk always draws full-size
+arrays in a fixed order, so truncating at max_trials or stopping early never
+shifts the stream, and results are identical for any worker count. Adding
+or removing other grid points cannot change a point's estimate because
+nothing but the point's coordinates enters its seed derivation.
 
-The random stream's version is STREAM_VERSION (4): a change to the trial
-outcomes that a seed gives comes with a new version. Stream v4: a trial's
-despread vector holds at most three distinct noise-free values (the closed
-form in qslora.channel): a = R + c in bin x_cur, b = Rhat * phase + c in the
-spill bin x_cur + 2*sign(delta), and the boundary term c in the M - 2
-others (c = 0 unless delta < 0). Despreading is unitary,
-so white chip noise is white bin noise of the same N0, and no chips are
-synthesized. The kernel draws its symbols and offsets in range, so it takes
-the coefficients from the closed form's unchecked core. A chunk of n trials
-draws, in this order:
+The random stream's version is STREAM_VERSION (5): a change to the trial
+outcomes that a seed gives comes with a new version. A trial's despread
+vector holds at most three distinct noise-free values (the closed form in
+qslora.channel): a = R + c in bin x_cur, b = Rhat * phase + c in the spill
+bin x_cur + 2*sign(delta), and the boundary term c in the M - 2 others
+(c = 0 unless delta < 0). Despreading is unitary, so white chip noise is
+white bin noise of the same N0, and no chips are synthesized. That noise is
+circular and independent across bins, so the decision's law depends only
+on the moduli |a|, |b| and |c|, and stream v5 works with those alone
+(_amplitudes): for delta >= 0 they are R, Rhat and 0; for delta < 0, with
+d = x_cur - x_prev mod M,
+
+    |c| = (2 Rhat / M) |sin(pi d / M)|,   |b| = Rhat |1 + (w**d - 1) / M|,
+    |a|**2 = R**2 + 2 R Re c + |c|**2,
+    Re c = (Rhat / M) (cos(2 pi (1 - x_prev) / M) - cos(2 pi (1 - x_cur) / M)),
+
+read from per-M tables. A bin of modulus r and noise (n_re, n_im) has the
+energy (r + n_re)**2 + n_im**2. The kernel draws its symbols and offsets in
+range, so it computes the moduli unchecked. A chunk of n trials draws, in
+this order:
 
 1. the previous symbols (n) and the current symbols (n),
 2. the offsets through channel.draw_offset (none at delta_s = 0 or under
@@ -64,13 +75,14 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import _coefficients, draw_offset, noise_variance, validate_offset
+from .channel import draw_offset, noise_variance, validate_offset
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
 from .grid import Grid, GridPoint, _read_fields
 from .grid import snr_axis  # noqa: F401 -- bench/make_tables.py imports it from here
-from .modulation import symbol_cardinality, validate_int, validate_real, validate_type
+from .modulation import _roots, symbol_cardinality, validate_int, validate_real, validate_type
 from .rice import _central_log_cdf, _rice_log_cdf
 from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py imports it from here
+from .waveforms import _autocorr_pair
 
 __all__ = [
     "STREAM_VERSION",
@@ -83,9 +95,17 @@ __all__ = [
     "run_sweep",
 ]
 
-STREAM_VERSION = 4  # the random stream of the module docstring
+STREAM_VERSION = 5  # the random stream of the module docstring
 TRIALS_PER_CHUNK = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# chunks in flight per worker that certain chunks may fill (_estimates);
+# speculative ones stop at 2 per worker. A chunk waits about 2 ms from
+# submission to start and takes about 0.85 ms on the benchmark's grid-w2
+# sweep, so at 2 per worker each worker idled about half the time. At 4,
+# about 3 chunks queue behind the one a worker runs, which covers that wait;
+# 8 and 16 measured the same within noise on grid-w2 at 2 workers, so 4 is
+# the smallest depth that keeps the gain.
+_CERTAIN_PER_WORKER = 4
 # how far _others_reach widens each bound of its bracket, relative to the
 # bound: rice._rice_log_cdf's log F is within about 1e-14 of its own size
 _BAND_MARGIN = 1e-9
@@ -180,7 +200,51 @@ def _chunk_rng(point: GridPoint, master_seed: int, chunk_index: int) -> np.rando
     seq = np.random.SeedSequence(
         master_seed, spawn_key=_point_spawn_key(point) + (chunk_index,)
     )
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
+
+
+@functools.lru_cache(maxsize=None)
+def _amplitude_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-M tables of a negative offset's bins, read-only.
+
+    cos[p] = cos(2 pi p / M), so Re c = (Rhat / M) * (cos[1 - x_prev] -
+    cos[1 - x_cur]); and by d = x_cur - x_prev mod M, |c| = Rhat * boundary[d]
+    with boundary[d] = |w**d - 1| / M, and |b| = Rhat * spill[d] with
+    spill[d] = |1 + (w**d - 1) / M|.
+    """
+    roots = _roots(m)
+    step = (roots - 1.0) / m
+    tables = (roots.real.copy(), np.abs(step), np.abs(1.0 + step))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _amplitudes(x_prev, x_cur, delta, waveform, m: int):
+    """(|a|, |b|, |c|) of flat trial arrays: the moduli of channel._coefficients'
+    bins, a = R + c in bin x_cur, b = Rhat * phase + c in the spill bin and c
+    in the others.
+
+    For delta >= 0 they are R, Rhat and 0. For delta < 0 they come from
+    _amplitude_tables, with |a|**2 = R**2 + 2 R Re c + |c|**2. Unchecked, as
+    _coefficients is: symbols are integer arrays in [0, m) and offsets a
+    float array in [-0.5, 0.5].
+    """
+    amp_a, amp_b = _autocorr_pair(waveform, np.abs(delta))
+    amp_c = np.zeros(delta.shape)
+    neg = np.flatnonzero(delta < 0.0)
+    if neg.size:
+        cos, boundary, spill = _amplitude_tables(m)
+        wrap = m - 1  # m is a power of two: p & wrap is p mod m
+        prev, cur = x_prev[neg], x_cur[neg]
+        r, r_spill = amp_a[neg], amp_b[neg]
+        d = (cur - prev) & wrap
+        c = r_spill * boundary[d]
+        re_c = r_spill / m * (cos[(1 - prev) & wrap] - cos[(1 - cur) & wrap])
+        amp_a[neg] = np.sqrt(r * r + 2.0 * r * re_c + c * c)
+        amp_b[neg] = r_spill * spill[d]
+        amp_c[neg] = c
+    return amp_a, amp_b, amp_c
 
 
 def _bin_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
@@ -193,10 +257,12 @@ def _bin_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
     return noise
 
 
-def _noisy_energy(mean: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """|mean + real + 1j*imag|**2, formed in place in real (imag is overwritten)."""
-    real += mean.real
-    imag += mean.imag
+def _noisy_energy(amp: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """(amp + real)**2 + imag**2, formed in place in real (imag is overwritten).
+
+    The noise is circular, so the energy of a bin of modulus amp has this law
+    whatever the bin's phase."""
+    real += amp
     np.square(real, out=real)
     np.square(imag, out=imag)
     real += imag
@@ -204,14 +270,14 @@ def _noisy_energy(mean: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.nd
 
 
 def _others_reach(
-    energy_a: np.ndarray, c: np.ndarray, n0: float, log_u: np.ndarray, count: int
+    energy_a: np.ndarray, amp_c: np.ndarray, n0: float, log_u: np.ndarray, count: int
 ) -> np.ndarray:
     """Whether the largest of count other bins' energies reaches energy_a, at log U.
 
-    Each other bin holds c plus noise of variance n0, so its energy over n0
-    is Rice with mu = |c|**2 / n0, and the largest of count of them has the
-    CDF F(x; mu)**count at x = energy_a / n0. Drawn by inversion at U, it
-    reaches x exactly when log U >= count * log F(x; mu).
+    Each other bin holds c, of modulus amp_c, plus noise of variance n0, so
+    its energy over n0 is Rice with mu = amp_c**2 / n0, and the largest of
+    count of them has the CDF F(x; mu)**count at x = energy_a / n0. Drawn by
+    inversion at U, it reaches x exactly when log U >= count * log F(x; mu).
 
     A bracket of log F settles most trials without evaluating F. F is the
     Poisson mixture sum_j Pois(j; mu) P(Gamma(j + 1) <= x): its j = 0 term
@@ -231,12 +297,11 @@ def _others_reach(
     the Chernoff bound lies far from the exact value. Only a log U inside the
     bracket goes to rice._rice_log_cdf, whose work does not depend on mu, so
     the bracket changes the work and never an outcome. It takes the
-    amplitudes r = sqrt(energy_a) / sqrt(n0) and s = sqrt(|c|**2) / sqrt(n0),
-    and r = s exactly where d = 0.
+    amplitudes r = sqrt(energy_a) / sqrt(n0) and s = amp_c / sqrt(n0), and
+    r = s exactly where d = 0.
     """
-    energy_c = c.real**2 + c.imag**2
+    energy_c = np.square(amp_c)
     root_n0 = math.sqrt(n0)
-    amp_c = np.sqrt(energy_c)
     d = np.sqrt(energy_a)
     d -= amp_c
     d /= root_n0
@@ -269,7 +334,7 @@ def _chunk_error_flags(
     chunk_index: int,
     fixed_delta: Optional[float] = None,
 ) -> np.ndarray:
-    """Detection-error flags for one full chunk of trials (stream v4, vectorized)."""
+    """Detection-error flags for one full chunk of trials (stream v5, vectorized)."""
     rng = _chunk_rng(point, master_seed, chunk_index)
     m = symbol_cardinality(point.sf)
     n = TRIALS_PER_CHUNK
@@ -279,14 +344,14 @@ def _chunk_error_flags(
         delta = np.full(n, fixed_delta)
     else:
         delta = draw_offset(point.delta_s, rng, n)
-    wanted, spill, c = _coefficients(x_prev, x_cur, delta, point.waveform, m)
+    amp_a, amp_b, amp_c = _amplitudes(x_prev, x_cur, delta, point.waveform, m)
     n0 = noise_variance(point.snr_db)
     noise = _bin_noise(rng, math.sqrt(n0 / 2.0), n)
-    energy_a = _noisy_energy(wanted + c, noise[0], noise[1])
-    energy_b = _noisy_energy(spill + c, noise[2], noise[3])
+    energy_a = _noisy_energy(amp_a, noise[0], noise[1])
+    energy_b = _noisy_energy(amp_b, noise[2], noise[3])
     with np.errstate(divide="ignore"):  # U = 0
         log_u = np.log(rng.random(n))
-    return (energy_b >= energy_a) | _others_reach(energy_a, c, n0, log_u, m - 2)
+    return (energy_b >= energy_a) | _others_reach(energy_a, amp_c, n0, log_u, m - 2)
 
 
 def _chunk_errors(
@@ -369,8 +434,8 @@ def _estimates(
     """Yield one SerEstimate per point, in the order of points.
 
     With one worker and no executor, each chunk is computed here when it is
-    needed. Otherwise at most 2 * workers chunk futures are in flight across
-    the whole grid, and a free slot takes, in this order:
+    needed. Otherwise chunks are submitted, across the whole grid, in this
+    order of preference:
 
     1. the next chunk of an unfinished point with nothing in flight, which
        is certain to be consumed;
@@ -378,6 +443,12 @@ def _estimates(
     3. only when neither exists, a speculative next chunk of the earliest
        unfinished point, so that one long point still keeps every worker
        busy.
+
+    Certain chunks (1 and 2) are submitted while fewer than
+    _CERTAIN_PER_WORKER * workers futures are in flight, and a speculative
+    one (3) only while fewer than 2 * workers are. So a speculative chunk
+    never waits ahead of a certain one, and a lone point, whose certain
+    chunks find nothing in flight, never has more than 2 * workers.
 
     A chunk comes back as the error count of the trials its point takes of
     it (_chunk_errors), fixed when it is submitted. Futures are read with a
@@ -405,13 +476,15 @@ def _estimates(
     yielded = 0
     try:
         while yielded < len(runs):
-            while len(flight) < 2 * workers:
-                run = next((r for r in unfinished if r.submitted == r.added), None)
-                if run is None and started < len(runs):
-                    run = runs[started]
-                    unfinished.append(run)
-                    started += 1
-                if run is None:
+            while True:
+                run = None
+                if len(flight) < _CERTAIN_PER_WORKER * workers:
+                    run = next((r for r in unfinished if r.submitted == r.added), None)
+                    if run is None and started < len(runs):
+                        run = runs[started]
+                        unfinished.append(run)
+                        started += 1
+                if run is None and len(flight) < 2 * workers:
                     run = next((r for r in unfinished if r.more()), None)
                 if run is None:
                     break

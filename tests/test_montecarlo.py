@@ -11,7 +11,7 @@ import multiprocessing
 import os
 import tracemalloc
 import warnings
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ import pytest
 from qslora import montecarlo, rice
 from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
-from qslora.cli import main
+from qslora.cli import main, parse_config
 from qslora.modulation import despread, envelope_matrix
 from qslora.grid import GridPoint, snr_axis
 from qslora.montecarlo import (
@@ -542,13 +542,13 @@ class TestRunPoint:
 
     @staticmethod
     def _replay(point, fixed_delta, noise_a, noise_b):
-        """Chunk 0's trials by the stream v4 rule, with every trial's largest
+        """Chunk 0's trials by the stream v5 rule, with every trial's largest
         other energy decided by the Rice CDF at the trial's uniform: the flags
-        |b|^2 >= |a|^2 or log U >= (M - 2) log F(x; mu), with a, b and c the
-        bins of analytic_decision_statistic plus the noise the kernel drew,
-        x = |a|^2/N0, mu = |c|^2/N0, and the offsets (unless fixed_delta is
-        given) and U replayed from the chunk's stream. Returns the flags and
-        (x, mu, log U)."""
+        |b|^2 >= |a|^2 or log U >= (M - 2) log F(x; mu), with a and b the
+        moduli of the bins of analytic_decision_statistic plus the complex
+        noise the kernel drew, c the modulus of an other bin, x = |a|^2/N0,
+        mu = c^2/N0, and the offsets (unless fixed_delta is given) and U
+        replayed from the chunk's stream. Returns the flags and (x, mu, log U)."""
         rng = montecarlo._chunk_rng(point, 1, 0)
         n, m = TRIALS_PER_CHUNK, 2**point.sf
         x_prev = rng.integers(0, m, size=n)
@@ -564,11 +564,11 @@ class TestRunPoint:
         stats = analytic_decision_statistic(x_prev, x_cur, delta, point.waveform, point.sf)
         trial = np.arange(n)
         spill = (x_cur + np.where(delta < 0.0, -2, 2)) % m
-        a = stats[trial, x_cur] + noise_a
-        b = stats[trial, spill] + noise_b
-        c = stats[trial, (x_cur + 1) % m]
+        a = np.abs(stats[trial, x_cur]) + noise_a
+        b = np.abs(stats[trial, spill]) + noise_b
+        c = np.abs(stats[trial, (x_cur + 1) % m])
         x = (a.real**2 + a.imag**2) / n0
-        mu = (c.real**2 + c.imag**2) / n0
+        mu = c**2 / n0
         log_cdf = rice._rice_log_cdf(np.sqrt(x), np.sqrt(mu))[0]
         flags = (b.real**2 + b.imag**2 >= a.real**2 + a.imag**2) | (log_u >= (m - 2) * log_cdf)
         return flags, (x, mu, log_u)
@@ -687,7 +687,7 @@ class TestRunPoint:
 
         monkeypatch.setattr(montecarlo, "_rice_log_cdf", seen)
         n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
-        reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0) + 0j, n0, log_u, count)
+        reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0), n0, log_u, count)
         np.testing.assert_array_equal(reach, log_u >= exact)
         # far above the mean, where count * exp(-d**2) < 2**-54, the lower
         # bound lies above every log U < 0, so no row there reaches the
@@ -837,6 +837,34 @@ class TestRunPoint:
         assert sum(sizes) == 0  # no row reaches the series
         assert peak < TRIALS_PER_CHUNK * 2**8
 
+    @pytest.mark.parametrize("waveform", ["rect", "rc"])
+    @pytest.mark.parametrize("sf", range(2, 13))
+    def test_amplitudes_are_the_moduli_of_the_closed_form(self, sf, waveform):
+        # the noise of every bin is circular, so a trial's law depends only on
+        # the moduli of its bins: the kernel's |a|, |b| and |c| must be abs()
+        # of analytic_decision_statistic's bin x_cur, its spill bin
+        # x_cur + 2 sign(delta), and the other bins x_cur - 2 sign(delta)
+        # (the spill bin itself at M = 4) and x_cur + 1
+        m, n = 2**sf, 512
+        rng = np.random.default_rng(sf)
+        wf = ChipWaveform(waveform)
+        trial = np.arange(n)
+        for delta in (-0.5, -0.3, -1e-9, 0.0, 0.3, 0.5):
+            x_prev, x_cur = rng.integers(0, m, (2, n))
+            offsets = np.full(n, delta)
+            amp_a, amp_b, amp_c = montecarlo._amplitudes(x_prev, x_cur, offsets, wf, m)
+            stats = np.abs(analytic_decision_statistic(x_prev, x_cur, offsets, wf, sf))
+            step = -2 if delta < 0.0 else 2
+            for got, bins in (
+                (amp_a, x_cur),
+                (amp_b, x_cur + step),
+                (amp_c, x_cur + 1),
+                (amp_b if m == 4 else amp_c, x_cur - step),
+            ):
+                np.testing.assert_allclose(
+                    got, stats[trial, bins % m], rtol=0, atol=1e-15, err_msg=f"delta {delta}"
+                )
+
     def test_chunk_builds_no_chip_matrix(self):
         # trials are drawn in the bin domain, so even an sf-10 point never
         # builds the 16 MB chip matrix
@@ -845,26 +873,25 @@ class TestRunPoint:
         assert envelope_matrix.cache_info().currsize == 0
 
 
-# (trials, errors) of run_point at master seed 3 under random stream v4,
+# (trials, errors) of run_point at master seed 3 under random stream v5,
 # montecarlo.STREAM_VERSION (see the montecarlo docstring). A change here
 # changes every published estimate, so it may only come with a new
-# STREAM_VERSION recorded in CHANGES.md. v4 changed only the pins with
-# negative offsets; sync-truncated, fixed-pos-half and fixed-pos-at-ds0 keep
-# their v3 values.
+# STREAM_VERSION recorded in CHANGES.md. v5 changed every pin but
+# sync-truncated, which kept its v4 value (5000, 730) by chance.
 STREAM_PINS = [
     # synchronous, truncated last chunk (5000 = 4096 + 904)
     (dict(sf=4, waveform="rect", delta_s=0.0, snr_db=8.0), 5000, 0, None, (5000, 730)),
     # random offsets of both signs, truncated last chunk
-    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2173)),
+    (dict(sf=5, waveform="rc", delta_s=1.0, snr_db=10.0), 5000, 0, None, (5000, 2184)),
     # early stop after two chunks
-    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (8192, 105)),
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=12.0), 100_000, 100, None, (8192, 111)),
     # 25 chunks, the last one truncated (100000 = 24 * 4096 + 1696)
-    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 71)),
+    (dict(sf=4, waveform="rect", delta_s=0.4, snr_db=14.0), 100_000, 100, None, (100000, 77)),
     # fixed offsets of both signs, overriding delta_s
-    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2660)),
-    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3916)),
-    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3620)),
-    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3604)),
+    (dict(sf=6, waveform="rect", delta_s=1.0, snr_db=12.0), 4096, 0, 0.5, (4096, 2636)),
+    (dict(sf=6, waveform="rc", delta_s=1.0, snr_db=12.0), 4096, 0, -0.5, (4096, 3910)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, 0.3, (5000, 3539)),
+    (dict(sf=5, waveform="rect", delta_s=0.0, snr_db=6.0), 5000, 0, -0.3, (5000, 3536)),
 ]
 
 
@@ -883,7 +910,7 @@ STREAM_PINS = [
     ],
 )
 def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
-    assert montecarlo.STREAM_VERSION == 4
+    assert montecarlo.STREAM_VERSION == 5
     point = GridPoint(**{**coords, "waveform": ChipWaveform(coords["waveform"])})
     est = run_point(
         point,
@@ -908,17 +935,17 @@ OUTPUT_PINS = {
     "grid-w2": (
         "sweep --sf 4,5,6,7 --waveform rect,rc --delta-s 0,0.2,0.4,0.6,0.8,1 --snr 4:16:12 "
         "--trials-max 5000 --min-errors 100 --seed 1 --workers 1",
-        "047c9784c51c013109765b0f53a6b6b91bf2cf114fc5aa88d272ffe42740377a",
+        "1fd19ae31eae308f2f99141c51b91a5e757b50585e4db49bd538f3e383e86170",
     ),
     "sf10-w1": (
         "sweep --sf 10 --waveform rect,rc --delta-s 0,1 --snr 11:11:1 "
         "--trials-max 4096 --min-errors 0 --seed 1 --workers 1",
-        "225ec1797b8b3b5ee33c6b40ac21340b09940fd373029154b9f449710f2b26b6",
+        "bb37df8f0b91556d1c21ac675efc7ec7a562a4f28241df5323c87d022efc61c3",
     ),
     "deep-noise": (
         "sweep --sf 4,7 --waveform rect,rc --delta-s 0,1 --snr=-300:-2:149 "
         "--trials-max 4096 --min-errors 0 --seed 1 --workers 1",
-        "2e1713c631dad8fab1fd35359f068464df14f7b4c8ff76d45965f592f9e4adf5",
+        "baf57623d15fe55afab3e166121dc0adea26b5d7e0705f85690f3e826aeb4e72",
     ),
     "oracle": (
         "oracle",
@@ -965,7 +992,7 @@ OUTPUT_PINS = {
 
 @pytest.mark.parametrize("name", OUTPUT_PINS)
 def test_stream_pin_of_a_grid_sweep(name, tmp_path, capsys):
-    assert montecarlo.STREAM_VERSION == 4
+    assert montecarlo.STREAM_VERSION == 5
     argv, expected = OUTPUT_PINS[name]
     argv = argv.split()
     path = tmp_path / "out.csv"
@@ -1111,6 +1138,35 @@ class _ResultCancelFuture:
         if self._open:
             self._settle()
         return True
+
+
+class _LoggingPool(ProcessPoolExecutor):
+    """A process pool that logs, in order, each chunk submitted and each chunk
+    future read or cancelled, as (event, point, chunk index)."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.log = []
+
+    def submit(self, fn, *args):
+        point, _, chunk = args[:3]
+        self.log.append(("submit", point, chunk))
+        return _LoggedFuture(super().submit(fn, *args), self.log, point, chunk)
+
+
+class _LoggedFuture:
+    def __init__(self, future, log, point, chunk):
+        self._future = future
+        self._log = log
+        self._key = (point, chunk)
+
+    def result(self, timeout=None):
+        self._log.append(("read", *self._key))
+        return self._future.result(timeout)
+
+    def cancel(self):
+        self._log.append(("cancel", *self._key))
+        return self._future.cancel()
 
 
 @pytest.fixture
@@ -1446,6 +1502,63 @@ class TestSweep:
         assert est == stopped
         assert single.read == {stopped.point: [0, 1, 2]}
         assert single.peak > 1 and single.in_flight == 0
+
+    @staticmethod
+    def _replay_pool_log(log, estimates, workers):
+        """Replay a _LoggingPool's log of one sweep; returns the most chunks
+        ever in flight and the number of speculative submissions.
+
+        A chunk is certain when its point has nothing in flight (the next
+        chunk of an open point, or chunk 0 of the next point) and speculative
+        otherwise. Asserts that a speculative chunk is submitted only while
+        fewer than 2 * workers chunks are in flight and no certain one waits:
+        every point has started, and every open point has a chunk in flight;
+        and that every consumed chunk is read once."""
+        needed = {e.point: _chunks(e) for e in estimates}
+        flight = dict.fromkeys(needed, 0)
+        read = dict.fromkeys(needed, 0)
+        peak = speculative = 0
+        for event, point, chunk in log:
+            if event != "submit":
+                flight[point] -= 1
+                read[point] += event == "read"
+                continue
+            if flight[point]:
+                speculative += 1
+                assert sum(flight.values()) < 2 * workers, (point, chunk)
+                waiting = [p for p in needed if not flight[p] and read[p] < needed[p]]
+                assert not waiting, (point, chunk, waiting)
+            flight[point] += 1
+            peak = max(peak, sum(flight.values()))
+        assert read == needed and not any(flight.values())
+        return peak, speculative
+
+    def test_certain_chunks_fill_the_pool_before_any_speculation(self, monkeypatch):
+        # the benchmark's grid-w2 sweep at two workers, through a process pool
+        # that logs every chunk: certain chunks fill the pool up to
+        # _CERTAIN_PER_WORKER per worker, and a chunk is speculative only
+        # below 2 per worker and while no certain one waits; the 12-point
+        # mixed grid speculates on its last points by the same rule. The scheduler reads its futures in
+        # submission order, so each log is the same in every run.
+        pools = []
+
+        def make(max_workers):
+            pools.append(_LoggingPool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = OUTPUT_PINS["grid-w2"][0].replace("--workers 1", "--workers 2").split()
+        config = parse_config(argv[1:])
+        assert config.workers == 2
+        estimates = run_sweep(config)
+        assert estimates == run_sweep(dataclasses.replace(config, workers=1))
+        peak, speculative = self._replay_pool_log(pools[-1].log, estimates, 2)
+        assert peak == montecarlo._CERTAIN_PER_WORKER * 2
+        estimates = run_sweep(_mixed_config(workers=2))
+        assert estimates == run_sweep(_mixed_config(workers=1))
+        peak, speculative = self._replay_pool_log(pools[-1].log, estimates, 2)
+        assert peak <= montecarlo._CERTAIN_PER_WORKER * 2 and speculative > 0
 
     @pytest.mark.parametrize("fixed_delta", [None, -0.1])
     def test_sweep_worker_count_invariance(self, fixed_delta):
