@@ -18,15 +18,17 @@ integrand is evaluated exactly from the generating symbols, each chip read
 from modulation's one chip formula, so neither a sampled copy of s(t) nor a
 chip matrix is kept.
 
-One unchecked core serves a batch of signals of equal length, an int64
-(B, L) array of symbols, each on its own time axis from t = 0: _value
-evaluates s(t) of a named row, and _matched_filter integrates any number
-of windows, each naming its row, symbol n, chip k and offset delta, in one
-quadrature call through one integrand: the filter of the window starting
-at K + delta is psi(t - K - delta), and K = floor(t - delta) at every node
-inside it. ContinuousSignal.value_at and matched_filter_chip are its
-one-signal case, behind the number rule; certify_discrete_model calls it
-once per block of trials (see there).
+Two unchecked cores serve a batch of signals of equal length, an int64
+(B, L) array of symbols, each on its own time axis from t = 0. _value
+evaluates s(t) of a named row; ContinuousSignal.value_at is its one-signal
+case. _matched_filter integrates any number of windows, each naming its
+row, symbol n, chip k and offset delta, in one quadrature call. A piece
+lies inside one chip of the signal, the one its start falls in, so each
+piece reads that chip's value once, and its integrand at a node t is that
+value times psi(t - chip) * psi(t - window start): only the pulse is
+evaluated per node. matched_filter_chip is its one-signal case, behind the
+number rule; certify_discrete_model calls it once per block of trials (see
+there).
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_offset, synthesize_chip_rows, validate_offset
+from .channel import synthesize_chip_rows, validate_delta_s, validate_offset
 from .modulation import _chip, symbol_cardinality, validate_int, validate_real, validate_sf
 from .quadrature import integrate
-from .waveforms import ChipWaveform, sample_waveform, validate_waveform
+from .waveforms import ChipWaveform, _pulse, sample_waveform, validate_waveform
 
 __all__ = ["ContinuousSignal", "synthesize", "matched_filter_chip", "certify_discrete_model"]
 
@@ -104,31 +106,32 @@ def _matched_filter(
     [n*M + k + delta, n*M + k + 1 + delta] of that row's own time axis.
     row, n, k and delta broadcast together, and every window's pieces go
     to one quadrature call; the result is a complex array of their shape.
-    Each window's value depends on its own row only. Unchecked: the
-    windows must lie inside [0, L*M) and delta be finite.
+    A piece is the part of a window inside one chip of the signal, chip
+    floor(piece start): its chip value is gathered once, and per node only
+    the pulse psi(t - chip) * psi(t - window start) is evaluated. Each
+    window's value depends on its own row only. Unchecked: the windows must
+    lie inside [0, L*M) and delta be finite.
     """
     shape = np.broadcast_shapes(np.shape(row), np.shape(n), np.shape(k), np.shape(delta))
     a = np.broadcast_to(n * m + k + delta, shape).ravel()
-    row, delta = (np.broadcast_to(v, shape).ravel() for v in (row, delta))
+    row = np.broadcast_to(row, shape).ravel()
     b = a + 1.0
     # Split at the signal's chip boundary: a unit window that does not start
     # on one holds exactly one, c.
     c = np.floor(a) + 1.0
     split = c < b
-    piece_row = np.concatenate((row, row[split]))[:, None]
-    piece_delta = np.concatenate((delta, delta[split]))[:, None]
+    start = np.concatenate((a, c[split]))
+    chip = np.floor(start)
+    index = chip.astype(np.int64)
+    piece_row = np.concatenate((row, row[split]))
+    value = _chip(symbols[piece_row, index // m], index & (m - 1), m)[:, None]
+    chip = chip[:, None]
+    window = np.concatenate((a, a[split]))[:, None]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # a node strictly inside the window starting at K + delta has
-        # floor(t - delta) = K, so one integrand serves every window
-        shift = t - (np.floor(t - piece_delta) + piece_delta)
-        return _value(symbols, m, waveform, piece_row, t) * sample_waveform(waveform, shift)
+        return value * _pulse(waveform, t - chip) * _pulse(waveform, t - window)
 
-    pieces = integrate(
-        integrand,
-        np.concatenate((a, c[split])),
-        np.concatenate((np.where(split, c, b), b[split])),
-    )
+    pieces = integrate(integrand, start, np.concatenate((np.where(split, c, b), b[split])))
     total = pieces[: a.size]
     total[split] += pieces[a.size :]
     return total.reshape(shape)
@@ -195,12 +198,15 @@ def certify_discrete_model(
     Each trial keeps its own time axis, [0, 3M), so every node, integrand
     value and chip sum is the one a single-trial call computes, whatever
     the block size. Trials laid end to end would put nodes at t up to
-    3*B*M, where rounding of order t * 2**-52 costs precision. waveform is
-    checked by waveforms.validate_waveform before any trial is drawn.
+    3*B*M, where rounding of order t * 2**-52 costs precision. waveform
+    (waveforms.validate_waveform) and delta_s (channel.validate_delta_s)
+    are checked once, before any trial is drawn; each offset is then one
+    scalar draw, the double channel.draw_offset(delta_s, rng, 1) gives.
     """
     validate_waveform(waveform)
     validate_int(trials, "trials", 1)
     m = symbol_cardinality(sf)
+    delta_s = validate_delta_s(delta_s)
     per_block = max(1, _BLOCK_WINDOWS // m)
     worst = 0.0
     for start in range(0, trials, per_block):
@@ -209,7 +215,8 @@ def certify_discrete_model(
         delta = np.empty(size)
         for i in range(size):
             x[i] = rng.integers(0, m, size=3)
-            delta[i] = draw_offset(delta_s, rng, 1)[0]
+            # like draw_offset, delta_s = 0 consumes nothing
+            delta[i] = rng.uniform(-0.5 * delta_s, 0.5 * delta_s) if delta_s else 0.0
         reference = synthesize_chip_rows(x[:, 0], x[:, 1], delta, waveform, sf)
         rows = np.arange(size)[:, None]
         diff = _matched_filter(x, m, waveform, rows, 1, np.arange(m), delta[:, None]) - reference

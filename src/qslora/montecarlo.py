@@ -7,10 +7,12 @@ by SeedSequence(master_seed, spawn_key=(point_hash..., chunk_index)) where
 point_hash is derived from the point's own coordinates. SFC64 is not
 counter-based: no chunk skips ahead in a shared stream, and each chunk's
 stream is a function of its seed alone. A chunk always draws full-size
-arrays in a fixed order, so truncating at max_trials or stopping early never
-shifts the stream, and results are identical for any worker count. Adding
-or removing other grid points cannot change a point's estimate because
-nothing but the point's coordinates enters its seed derivation.
+arrays in a fixed order and decides only the trials it keeps (all of them,
+or what is left of max_trials in the last chunk), so truncating at
+max_trials or stopping early never shifts the stream, and results are
+identical for any worker count. Adding or removing other grid points
+cannot change a point's estimate because nothing but the point's
+coordinates enters its seed derivation.
 
 The random stream's version is STREAM_VERSION (5): a change to the trial
 outcomes that a seed gives comes with a new version. A trial's despread
@@ -33,7 +35,8 @@ energy (r + n_re)**2 + n_im**2. The kernel draws its symbols and offsets in
 range, so it computes the moduli unchecked. A chunk of n trials draws, in
 this order:
 
-1. the previous symbols (n) and the current symbols (n),
+1. the previous symbols (n) and the current symbols (n), as one (2, n)
+   draw, which gives the same numbers as two draws of n,
 2. the offsets through channel.draw_offset (none at delta_s = 0 or under
    fixed_delta),
 3. the noise of a and of b: real then imaginary parts, n each, scaled by
@@ -333,24 +336,28 @@ def _chunk_error_flags(
     master_seed: int,
     chunk_index: int,
     fixed_delta: Optional[float] = None,
+    trials: int = TRIALS_PER_CHUNK,
 ) -> np.ndarray:
-    """Detection-error flags for one full chunk of trials (stream v5, vectorized)."""
+    """Detection-error flags of the first trials of one chunk (stream v5, vectorized).
+
+    Every array is drawn at full chunk size, so the stream does not depend
+    on trials; only the kept trials are decided.
+    """
     rng = _chunk_rng(point, master_seed, chunk_index)
     m = symbol_cardinality(point.sf)
     n = TRIALS_PER_CHUNK
-    x_prev = rng.integers(0, m, size=n)
-    x_cur = rng.integers(0, m, size=n)
+    x_prev, x_cur = rng.integers(0, m, size=(2, n))[:, :trials]
     if fixed_delta is not None:
-        delta = np.full(n, fixed_delta)
+        delta = np.full(trials, fixed_delta)
     else:
-        delta = draw_offset(point.delta_s, rng, n)
+        delta = draw_offset(point.delta_s, rng, n)[:trials]
     amp_a, amp_b, amp_c = _amplitudes(x_prev, x_cur, delta, point.waveform, m)
     n0 = noise_variance(point.snr_db)
-    noise = _bin_noise(rng, math.sqrt(n0 / 2.0), n)
+    noise = _bin_noise(rng, math.sqrt(n0 / 2.0), n)[:, :trials]
     energy_a = _noisy_energy(amp_a, noise[0], noise[1])
     energy_b = _noisy_energy(amp_b, noise[2], noise[3])
     with np.errstate(divide="ignore"):  # U = 0
-        log_u = np.log(rng.random(n))
+        log_u = np.log(rng.random(n)[:trials])
     return (energy_b >= energy_a) | _others_reach(energy_a, amp_c, n0, log_u, m - 2)
 
 
@@ -362,8 +369,8 @@ def _chunk_errors(
     fixed_delta: Optional[float],
 ) -> int:
     """Errors among the first trials of one chunk: the count a worker returns."""
-    flags = _chunk_error_flags(point, master_seed, chunk_index, fixed_delta)
-    return int(np.count_nonzero(flags[:trials]))
+    flags = _chunk_error_flags(point, master_seed, chunk_index, fixed_delta, trials)
+    return int(np.count_nonzero(flags))
 
 
 def _pool_size(workers: int) -> int:
@@ -468,6 +475,11 @@ def _estimates(
                 run.add(_chunk_errors(run.point, master_seed, *run.take(), fixed_delta))
             yield run.estimate
         return
+
+    # numpy loads numpy.random on first use; loaded here, before the first
+    # submit forks the workers, each worker inherits it instead of loading
+    # it again before its first chunk
+    import numpy.random  # noqa: F401
 
     pool = executor if executor is not None else ProcessPoolExecutor(max_workers=workers)
     flight: deque = deque()  # (run, future), in submission order

@@ -68,7 +68,11 @@ def rectangular() -> ChipWaveform:
 def sample_waveform(w: ChipWaveform, t: np.ndarray | float) -> np.ndarray:
     """Evaluate psi(t) at finite times t (validate_real, arrays too); zero outside [0, 1)."""
     validate_waveform(w)
-    t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
+    return _pulse(w, np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True)))
+
+
+def _pulse(w: ChipWaveform, t: np.ndarray) -> np.ndarray:
+    """psi(t), zero outside [0, 1). Unchecked: w is a ChipWaveform and t a float array."""
     inside = (t >= 0.0) & (t < 1.0)
     if w.kind == "rect":
         return np.where(inside, 1.0, 0.0)

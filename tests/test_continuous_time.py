@@ -237,6 +237,22 @@ class TestBlockCore:
             np.testing.assert_array_equal(got[row], synthesize(tuple(x[row]), rc, 4).value_at(t))
 
 
+@pytest.mark.parametrize("sf", range(2, 9))
+@pytest.mark.parametrize("token", ["rect", "rc"])
+def test_tiny_offsets_agree_with_the_chip_rows(sf, token):
+    # a window a hair off the chip grid holds one piece of width |delta|:
+    # its nodes sit a few ulps from a chip boundary, and each piece still
+    # reads the chip it starts in
+    wf = ChipWaveform(token)
+    m = 2**sf
+    delta = np.array([-1e-9, -1e-12, 1e-12, 1e-9])
+    x = np.random.default_rng(60 + sf).integers(0, m, (delta.size, 3))
+    rows = np.arange(delta.size)[:, None]
+    out = continuous_time._matched_filter(x, m, wf, rows, 1, np.arange(m), delta[:, None])
+    reference = synthesize_chip_rows(x[:, 0], x[:, 1], delta, wf, sf)
+    np.testing.assert_allclose(out, reference, rtol=0, atol=1e-13)
+
+
 class TestCertifyDiscreteModel:
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_random_offsets_agree(self, token):
@@ -254,6 +270,12 @@ class TestCertifyDiscreteModel:
             certify_discrete_model(4, rect, 0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trials must be an integer"):
             certify_discrete_model(4, rect, True, np.random.default_rng(0))
+
+    def test_offset_bound_checked_before_any_draw(self, rect):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="delta_s"):
+            certify_discrete_model(4, rect, 5, rng, delta_s=2.0)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_higher_sf_spot_check(self, rc):
         rng = np.random.default_rng(33)

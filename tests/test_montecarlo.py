@@ -394,6 +394,27 @@ class TestRunPoint:
         b = montecarlo._chunk_error_flags(_point(), 2, 0)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "coords,fixed_delta",
+        [
+            (dict(delta_s=0.0), None),
+            (dict(sf=5, waveform=ChipWaveform("rc"), delta_s=1.0, snr_db=10.0), None),
+            (dict(sf=7, delta_s=0.6, snr_db=4.0), None),
+            (dict(sf=10, waveform=ChipWaveform("rc"), delta_s=1.0, snr_db=11.0), None),
+            (dict(sf=6, snr_db=12.0), -0.5),
+            (dict(sf=5, delta_s=0.0, snr_db=6.0), 0.3),
+        ],
+    )
+    def test_truncated_chunk_counts_the_full_chunk_prefix(self, coords, fixed_delta):
+        # a chunk that keeps only its first trials draws the full chunk's
+        # stream and decides those trials as the full chunk does
+        point = _point(**coords)
+        for chunk in (0, 3):
+            full = montecarlo._chunk_error_flags(point, 1, chunk, fixed_delta)
+            for trials in (1, 904, 1696, TRIALS_PER_CHUNK - 1, TRIALS_PER_CHUNK):
+                got = montecarlo._chunk_errors(point, 1, chunk, trials, fixed_delta)
+                assert got == np.count_nonzero(full[:trials]), trials
+
     def test_early_stop_reaches_error_floor(self):
         point = _point(snr_db=0.0)
         rule = StoppingRule(max_trials=10**6, min_errors=100)
