@@ -32,12 +32,31 @@ distinct values:
 
 R(0) = 1 and Rhat(0) = 0 make delta = 0 the Kronecker delta at x_cur; the
 boundary term c is the previous symbol's last chip replacing the current
-symbol's. _coefficients computes the three values and checks nothing.
-analytic_decision_statistic, the checked entry, spreads them over the
-M-vector, which the chip rows and the continuous-time matched filter are
-tested against. The Monte-Carlo kernel (qslora.montecarlo) needs only the
-moduli of the three values, which it computes from their closed forms;
-those are tested against the moduli of this M-vector.
+symbol's. analytic_decision_statistic, the checked entry, spreads the three
+values over the M-vector, which the chip rows and the continuous-time
+matched filter are tested against.
+
+The noise (below) is circular and independent across bins, so a trial's
+law depends only on the moduli of the three values, a = R + c in bin x_cur,
+b = Rhat * phase + c in the spill bin and c in the M - 2 others. For
+delta >= 0 they are R, Rhat and 0. For delta < 0, multiplying by the unit
+phase w**(x_cur-1) gives, with d = x_cur - x_prev mod M,
+
+    |c| = (Rhat/M) |w**d - 1| = (2 Rhat/M) |sin(pi d/M)|,
+    |b| = Rhat |1 + (w**d - 1)/M|,
+    |a|**2 = R**2 + 2 R Re c + |c|**2,
+    Re c = (Rhat/M) (cos(2 pi (1 - x_prev)/M) - cos(2 pi (1 - x_cur)/M)).
+
+_amplitudes computes them from the per-M tables of _amplitude_tables and
+checks nothing; the Monte-Carlo kernel (qslora.montecarlo) draws its
+symbols and offsets in range and calls it, and it is tested against the
+moduli of analytic_decision_statistic's M-vector.
+
+The offset is uniform on [-delta_s/2, +delta_s/2], and delta_s = 0 gives
+exact zeros without consuming the stream. _offsets draws it and checks
+nothing; draw_offset is its checked entry. The Monte-Carlo kernel calls
+_offsets with its grid point's checked delta_s, and certify_discrete_model
+(qslora.continuous_time) with the delta_s it checked, one trial at a time.
 
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
 i.i.d. circularly-symmetric complex Gaussian with total variance
@@ -52,6 +71,8 @@ forms far from overflow.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -97,8 +118,11 @@ def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
 
     delta_s = 0 returns exact zeros without consuming the stream.
     """
-    delta_s = validate_delta_s(delta_s)
-    n = validate_int(n, "n", 0)
+    return _offsets(validate_delta_s(delta_s), rng, validate_int(n, "n", 0))
+
+
+def _offsets(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """draw_offset unchecked: delta_s is a float in [0, 1] and n an int >= 0."""
     if delta_s == 0.0:
         return np.zeros(n)
     return rng.uniform(-0.5 * delta_s, 0.5 * delta_s, size=n)
@@ -131,21 +155,44 @@ def synthesize_chip_rows(
     return keep * _chip(x_cur, k, m) + spill * _chip(src, k + np.where(back, -1, 1), m)
 
 
-def _coefficients(x_prev, x_cur, delta, waveform: ChipWaveform, m: int):
-    """(R, Rhat * w**(s*x_cur + 1), c) of flat trial arrays; s = sign(delta).
+@functools.lru_cache(maxsize=None)
+def _amplitude_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-M tables of a negative offset's bins, read-only.
 
-    Bin x_cur holds R + c, bin x_cur + 2s holds the second value plus c, and
-    every other bin holds c, which is formed on the delta < 0 trials only
-    and is 0 elsewhere. Unchecked: symbols must be integer arrays in [0, m)
-    and offsets a float array in [-0.5, 0.5].
+    cos[p] = cos(2 pi p / M), so Re c = (Rhat / M) * (cos[1 - x_prev] -
+    cos[1 - x_cur]); and by d = x_cur - x_prev mod M, |c| = Rhat * boundary[d]
+    with boundary[d] = |w**d - 1| / M, and |b| = Rhat * spill[d] with
+    spill[d] = |1 + (w**d - 1) / M|.
     """
-    roots, wrap = _roots(m), m - 1  # m is a power of two: p & wrap is p mod m
-    wanted, r_spill = _autocorr_pair(waveform, np.abs(delta))
-    back = delta < 0.0
-    neg = np.flatnonzero(back)
-    c = np.zeros(delta.shape, dtype=complex)
-    c[neg] = r_spill[neg] / m * (roots[(1 - x_prev[neg]) & wrap] - roots[(1 - x_cur[neg]) & wrap])
-    return wanted, r_spill * roots[np.where(back, 1 - x_cur, x_cur + 1) & wrap], c
+    roots = _roots(m)
+    step = (roots - 1.0) / m
+    tables = (roots.real.copy(), np.abs(step), np.abs(1.0 + step))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _amplitudes(x_prev, x_cur, delta, waveform, m: int):
+    """(|a|, |b|, |c|) of flat trial arrays, by the module docstring's closed form.
+
+    Unchecked: symbols are integer arrays in [0, m) and offsets a float
+    array in [-0.5, 0.5].
+    """
+    amp_a, amp_b = _autocorr_pair(waveform, np.abs(delta))
+    amp_c = np.zeros(delta.shape)
+    neg = np.flatnonzero(delta < 0.0)
+    if neg.size:
+        cos, boundary, spill = _amplitude_tables(m)
+        wrap = m - 1  # m is a power of two: p & wrap is p mod m
+        prev, cur = x_prev[neg], x_cur[neg]
+        r, r_spill = amp_a[neg], amp_b[neg]
+        d = (cur - prev) & wrap
+        c = r_spill * boundary[d]
+        re_c = r_spill / m * (cos[(1 - prev) & wrap] - cos[(1 - cur) & wrap])
+        amp_a[neg] = np.sqrt(r * r + 2.0 * r * re_c + c * c)
+        amp_b[neg] = r_spill * spill[d]
+        amp_c[neg] = c
+    return amp_a, amp_b, amp_c
 
 
 def analytic_decision_statistic(
@@ -155,7 +202,7 @@ def analytic_decision_statistic(
     waveform: ChipWaveform,
     sf: int,
 ) -> np.ndarray:
-    """Noise-free despread M-vector of each trial, from the three coefficients.
+    """Noise-free despread M-vector of each trial, from the three values.
 
     x_prev, x_cur and delta broadcast against each other; the result has
     their shape plus a last axis of length M, so scalars give one (M,)
@@ -174,9 +221,15 @@ def analytic_decision_statistic(
     delta = validate_offset(delta, array=True)
     shape = np.broadcast_shapes(x_prev.shape, x_cur.shape, np.shape(delta))
     x_prev, x_cur, delta = (np.broadcast_to(a, shape).ravel() for a in (x_prev, x_cur, delta))
-    wanted, spill, c = _coefficients(x_prev, x_cur, delta, waveform, m)
+    roots, wrap = _roots(m), m - 1  # m is a power of two: p & wrap is p mod m
+    wanted, r_spill = _autocorr_pair(waveform, np.abs(delta))
+    back = delta < 0.0
+    neg = np.flatnonzero(back)
+    c = np.zeros(delta.shape, dtype=complex)  # formed on the delta < 0 trials only
+    c[neg] = r_spill[neg] / m * (roots[(1 - x_prev[neg]) & wrap] - roots[(1 - x_cur[neg]) & wrap])
+    spill = r_spill * roots[np.where(back, 1 - x_cur, x_cur + 1) & wrap]
     stats = np.repeat(c[:, None], m, axis=1)
     trial = np.arange(delta.size)
     stats[trial, x_cur] += wanted
-    stats[trial, (x_cur + np.where(delta < 0.0, -2, 2)) % m] += spill
+    stats[trial, (x_cur + np.where(back, -2, 2)) % m] += spill
     return stats.reshape(shape + (m,))

@@ -18,17 +18,16 @@ integrand is evaluated exactly from the generating symbols, each chip read
 from modulation's one chip formula, so neither a sampled copy of s(t) nor a
 chip matrix is kept.
 
-Two unchecked cores serve a batch of signals of equal length, an int64
-(B, L) array of symbols, each on its own time axis from t = 0. _value
-evaluates s(t) of a named row; ContinuousSignal.value_at is its one-signal
-case. _matched_filter integrates any number of windows, each naming its
-row, symbol n, chip k and offset delta, in one quadrature call. A piece
-lies inside one chip of the signal, the one its start falls in, so each
-piece reads that chip's value once, and its integrand at a node t is that
-value times psi(t - chip) * psi(t - window start): only the pulse is
-evaluated per node. matched_filter_chip is its one-signal case, behind the
-number rule; certify_discrete_model calls it once per block of trials (see
-there).
+ContinuousSignal.value_at evaluates s(t) of its own symbols. One unchecked
+core, _matched_filter, serves a batch of signals of equal length, an int64
+(B, L) array of symbols, each on its own time axis from t = 0: it
+integrates any number of windows, each naming its row, symbol n, chip k
+and offset delta, in one quadrature call. A piece lies inside one chip of
+the signal, the one its start falls in, so each piece reads that chip's
+value once, and its integrand at a node t is that value times
+psi(t - chip) * psi(t - window start): only the pulse is evaluated per
+node. matched_filter_chip is its one-signal case, behind the number rule;
+certify_discrete_model calls it once per block of trials (see there).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import synthesize_chip_rows, validate_delta_s, validate_offset
+from .channel import _offsets, synthesize_chip_rows, validate_delta_s, validate_offset
 from .modulation import _chip, symbol_cardinality, validate_int, validate_real, validate_sf
 from .quadrature import integrate
 from .waveforms import ChipWaveform, _pulse, sample_waveform, validate_waveform
@@ -80,21 +79,13 @@ class ContinuousSignal:
     def value_at(self, t: np.ndarray | float) -> np.ndarray:
         """Exact s(t) at finite times t (validate_real, arrays too), zero outside the span."""
         t = np.asarray(validate_real(t, "t", -np.inf, np.inf, array=True))
-        # a complex scalar for a scalar t
-        return _value(np.array([self.symbols]), 1 << self.sf, self.waveform, 0, t)[()]
-
-
-def _value(symbols: np.ndarray, m: int, waveform: ChipWaveform, row, t: np.ndarray) -> np.ndarray:
-    """s(t) of signal row of a batch, zero outside [0, L*M); row broadcasts with t.
-
-    Unchecked: symbols is an int64 (B, L) array of symbols in [0, m), row
-    indexes its rows and t is finite.
-    """
-    inside = (t >= 0.0) & (t < symbols.shape[1] * m)
-    t = np.where(inside, t, 0.0)  # before the cast: a time past int64 has no chip index
-    chip = np.floor(t).astype(np.int64)
-    chips = _chip(symbols[row, chip // m], chip & (m - 1), m) * sample_waveform(waveform, t - chip)
-    return np.where(inside, chips, 0j)
+        m = 1 << self.sf
+        inside = (t >= 0.0) & (t < len(self.symbols) * m)
+        t = np.where(inside, t, 0.0)  # before the cast: a time past int64 has no chip index
+        chip = np.floor(t).astype(np.int64)
+        symbols = np.array(self.symbols)[chip // m]
+        chips = _chip(symbols, chip & (m - 1), m) * sample_waveform(self.waveform, t - chip)
+        return np.where(inside, chips, 0j)[()]  # a complex scalar for a scalar t
 
 
 def _matched_filter(
@@ -191,17 +182,19 @@ def certify_discrete_model(
     one, so this check (acceptance criterion 3) is also the independent
     evidence that the next symbol is invisible to the receiver.
 
-    Trials are drawn one at a time, symbols then offset, and computed in
-    blocks of whole trials of at most _BLOCK_WINDOWS windows (one trial
-    from sf 8 up), so memory does not grow with the trial count: per block
-    one synthesize_chip_rows call, one matched-filter call and one max.
-    Each trial keeps its own time axis, [0, 3M), so every node, integrand
-    value and chip sum is the one a single-trial call computes, whatever
-    the block size. Trials laid end to end would put nodes at t up to
-    3*B*M, where rounding of order t * 2**-52 costs precision. waveform
-    (waveforms.validate_waveform) and delta_s (channel.validate_delta_s)
-    are checked once, before any trial is drawn; each offset is then one
-    scalar draw, the double channel.draw_offset(delta_s, rng, 1) gives.
+    Trials are drawn one at a time, symbols (rng.integers(0, M, 3)) then
+    offset, and computed in blocks of whole trials of at most
+    _BLOCK_WINDOWS windows (one trial from sf 8 up), so memory does not
+    grow with the trial count: per block one synthesize_chip_rows call, one
+    matched-filter call and one max. Each trial keeps its own time axis,
+    [0, 3M), so every node, integrand value and chip sum is the one a
+    single-trial call computes, whatever the block size. Trials laid end to
+    end would put nodes at t up to 3*B*M, where rounding of order
+    t * 2**-52 costs precision. waveform (waveforms.validate_waveform) and
+    delta_s (channel.validate_delta_s) are checked once, before any trial
+    is drawn; each offset then comes from the trial model's unchecked
+    offset law, channel._offsets(delta_s, rng, 1), which draws nothing at
+    delta_s = 0.
     """
     validate_waveform(waveform)
     validate_int(trials, "trials", 1)
@@ -215,8 +208,7 @@ def certify_discrete_model(
         delta = np.empty(size)
         for i in range(size):
             x[i] = rng.integers(0, m, size=3)
-            # like draw_offset, delta_s = 0 consumes nothing
-            delta[i] = rng.uniform(-0.5 * delta_s, 0.5 * delta_s) if delta_s else 0.0
+            delta[i] = _offsets(delta_s, rng, 1)[0]
         reference = synthesize_chip_rows(x[:, 0], x[:, 1], delta, waveform, sf)
         rows = np.arange(size)[:, None]
         diff = _matched_filter(x, m, waveform, rows, 1, np.arange(m), delta[:, None]) - reference

@@ -17,27 +17,19 @@ coordinates enters its seed derivation.
 The random stream's version is STREAM_VERSION (5): a change to the trial
 outcomes that a seed gives comes with a new version. A trial's despread
 vector holds at most three distinct noise-free values (the closed form in
-qslora.channel): a = R + c in bin x_cur, b = Rhat * phase + c in the spill
-bin x_cur + 2*sign(delta), and the boundary term c in the M - 2 others
-(c = 0 unless delta < 0). Despreading is unitary, so white chip noise is
-white bin noise of the same N0, and no chips are synthesized. That noise is
-circular and independent across bins, so the decision's law depends only
-on the moduli |a|, |b| and |c|, and stream v5 works with those alone
-(_amplitudes): for delta >= 0 they are R, Rhat and 0; for delta < 0, with
-d = x_cur - x_prev mod M,
-
-    |c| = (2 Rhat / M) |sin(pi d / M)|,   |b| = Rhat |1 + (w**d - 1) / M|,
-    |a|**2 = R**2 + 2 R Re c + |c|**2,
-    Re c = (Rhat / M) (cos(2 pi (1 - x_prev) / M) - cos(2 pi (1 - x_cur) / M)),
-
-read from per-M tables. A bin of modulus r and noise (n_re, n_im) has the
-energy (r + n_re)**2 + n_im**2. The kernel draws its symbols and offsets in
-range, so it computes the moduli unchecked. A chunk of n trials draws, in
-this order:
+qslora.channel): a in bin x_cur, b in the spill bin x_cur + 2*sign(delta),
+and the boundary term c in the M - 2 others (c = 0 unless delta < 0).
+Despreading is unitary, so white chip noise is white bin noise of the same
+N0, and no chips are synthesized. That noise is circular and independent
+across bins, so the decision's law depends only on the moduli |a|, |b| and
+|c|, and stream v5 works with those alone, from channel._amplitudes. A bin
+of modulus r and noise (n_re, n_im) has the energy (r + n_re)**2 + n_im**2.
+The kernel draws its symbols and offsets in range, so it calls channel's
+unchecked cores. A chunk of n trials draws, in this order:
 
 1. the previous symbols (n) and the current symbols (n), as one (2, n)
    draw, which gives the same numbers as two draws of n,
-2. the offsets through channel.draw_offset (none at delta_s = 0 or under
+2. the offsets through channel._offsets (none at delta_s = 0 or under
    fixed_delta),
 3. the noise of a and of b: real then imaginary parts, n each, scaled by
    sqrt(N0/2), as one (4, n) draw, which gives the same numbers as four
@@ -78,14 +70,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import draw_offset, noise_variance, validate_offset
+from .channel import _amplitudes, _offsets, noise_variance, validate_offset
 from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wraps this binding
 from .grid import Grid, GridPoint, _read_fields
 from .grid import snr_axis  # noqa: F401 -- bench/make_tables.py imports it from here
-from .modulation import _roots, symbol_cardinality, validate_int, validate_real, validate_type
+from .modulation import symbol_cardinality, validate_int, validate_real, validate_type
 from .rice import _central_log_cdf, _rice_log_cdf
 from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py imports it from here
-from .waveforms import _autocorr_pair
 
 __all__ = [
     "STREAM_VERSION",
@@ -206,50 +197,6 @@ def _chunk_rng(point: GridPoint, master_seed: int, chunk_index: int) -> np.rando
     return np.random.Generator(np.random.SFC64(seq))
 
 
-@functools.lru_cache(maxsize=None)
-def _amplitude_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-M tables of a negative offset's bins, read-only.
-
-    cos[p] = cos(2 pi p / M), so Re c = (Rhat / M) * (cos[1 - x_prev] -
-    cos[1 - x_cur]); and by d = x_cur - x_prev mod M, |c| = Rhat * boundary[d]
-    with boundary[d] = |w**d - 1| / M, and |b| = Rhat * spill[d] with
-    spill[d] = |1 + (w**d - 1) / M|.
-    """
-    roots = _roots(m)
-    step = (roots - 1.0) / m
-    tables = (roots.real.copy(), np.abs(step), np.abs(1.0 + step))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _amplitudes(x_prev, x_cur, delta, waveform, m: int):
-    """(|a|, |b|, |c|) of flat trial arrays: the moduli of channel._coefficients'
-    bins, a = R + c in bin x_cur, b = Rhat * phase + c in the spill bin and c
-    in the others.
-
-    For delta >= 0 they are R, Rhat and 0. For delta < 0 they come from
-    _amplitude_tables, with |a|**2 = R**2 + 2 R Re c + |c|**2. Unchecked, as
-    _coefficients is: symbols are integer arrays in [0, m) and offsets a
-    float array in [-0.5, 0.5].
-    """
-    amp_a, amp_b = _autocorr_pair(waveform, np.abs(delta))
-    amp_c = np.zeros(delta.shape)
-    neg = np.flatnonzero(delta < 0.0)
-    if neg.size:
-        cos, boundary, spill = _amplitude_tables(m)
-        wrap = m - 1  # m is a power of two: p & wrap is p mod m
-        prev, cur = x_prev[neg], x_cur[neg]
-        r, r_spill = amp_a[neg], amp_b[neg]
-        d = (cur - prev) & wrap
-        c = r_spill * boundary[d]
-        re_c = r_spill / m * (cos[(1 - prev) & wrap] - cos[(1 - cur) & wrap])
-        amp_a[neg] = np.sqrt(r * r + 2.0 * r * re_c + c * c)
-        amp_b[neg] = r_spill * spill[d]
-        amp_c[neg] = c
-    return amp_a, amp_b, amp_c
-
-
 def _bin_noise(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
     """The real and imaginary noise of bins a and b, rows in that order, sigma * N(0, 1).
 
@@ -350,7 +297,7 @@ def _chunk_error_flags(
     if fixed_delta is not None:
         delta = np.full(trials, fixed_delta)
     else:
-        delta = draw_offset(point.delta_s, rng, n)[:trials]
+        delta = _offsets(point.delta_s, rng, n)[:trials]
     amp_a, amp_b, amp_c = _amplitudes(x_prev, x_cur, delta, point.waveform, m)
     n0 = noise_variance(point.snr_db)
     noise = _bin_noise(rng, math.sqrt(n0 / 2.0), n)[:, :trials]

@@ -521,9 +521,6 @@ class TestMain:
             (["oracle", "--snr", "0:1:1e-320"], "snr"),
             (["oracle", "--snr", "0:1e308:1e-10"], "snr"),
             (["certify", "--seed", "-1"], "seed"),
-            (["certify", "--tolerance", "nan"], "tolerance"),
-            (["certify", "--tolerance", "0"], "tolerance"),
-            (["certify", "--tolerance", "-1"], "tolerance"),
             (["certify", "--sf", ","], "sf"),
             (["certify", "-w", ","], "waveform"),
             (["oracle", "--sf", ","], "sf"),
@@ -531,7 +528,6 @@ class TestMain:
             (["oracle", "--snr=-300.5:-300.5:1"], "snr"),
             (["oracle", "--snr", "300.5:300.5:1"], "snr"),
             (["oracle", "--snr=-4000:-4000:1"], "snr"),
-            (["certify", "--sf", "2", "--trials", "1", "--tolerance", "inf"], "tolerance"),
             (["oracle", "--snr", "0:300:1e-300"], "too many points"),
             # every axis flag, on every subcommand that takes it
             (["sweep", "--sf", "13"], "sf"),
@@ -592,6 +588,21 @@ class TestMain:
         monkeypatch.setattr("qslora.cli.certify_discrete_model", broken)
         with pytest.raises(ValueError, match="broken model"):
             main(["certify", "--sf", "4", "--waveform", "rect", "--trials", "5"])
+
+    @pytest.mark.parametrize(
+        "err,verdict,status",
+        [(1e-6, "FAIL", 1), (np.nextafter(1e-6, 0.0), "PASS", 0)],
+        ids=["at-threshold", "just-below"],
+    )
+    def test_certify_passes_only_below_the_threshold(
+        self, monkeypatch, capsys, err, verdict, status
+    ):
+        # the threshold is 1e-6 and the comparison strict: an error of
+        # exactly 1e-6 fails the line and the command exits 1
+        monkeypatch.setattr("qslora.cli.certify_discrete_model", lambda *args, **kwargs: err)
+        assert main(["certify", "--sf", "4", "--waveform", "rect", "--trials", "5"]) == status
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.endswith(f" {verdict}")
 
     def test_certify_line_independent_of_other_waveforms(self, capsys):
         # each waveform's stream is keyed by the waveform itself, so the rc

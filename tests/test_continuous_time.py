@@ -229,13 +229,6 @@ class TestBlockCore:
         for row in range(delta.size):
             np.testing.assert_array_equal(out[row], _per_trial(x[row], delta[row], wf, sf))
 
-    def test_value_at_is_one_row_of_the_core(self, rc):
-        x = np.array([[5, 9, 2], [7, 0, 15]])
-        t = np.linspace(-1.0, 49.0, 301)
-        got = continuous_time._value(x, 16, rc, np.array([[0], [1]]), t)
-        for row in range(2):
-            np.testing.assert_array_equal(got[row], synthesize(tuple(x[row]), rc, 4).value_at(t))
-
 
 @pytest.mark.parametrize("sf", range(2, 9))
 @pytest.mark.parametrize("token", ["rect", "rc"])

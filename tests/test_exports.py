@@ -100,3 +100,44 @@ def test_helper_is_exported_by_its_own_module(name):
 def test_deleted_name_is_gone_from_every_module(name):
     for module in MODULES:
         assert not hasattr(importlib.import_module(module), name), module
+
+
+def _imported_names(module) -> set[tuple[str, str]]:
+    """(source module, name) of every from-import in a module, relative ones resolved."""
+    package = module.__name__.rpartition(".")[0]
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            source = f"{package}.{node.module}" if node.level else node.module
+            names.update((source, alias.name) for alias in node.names)
+    return names
+
+
+# the trial model's rules: the bins' moduli and the offset law
+TRIAL_MODEL = {"_amplitude_tables", "_amplitudes", "_offsets"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_trial_model_is_defined_only_in_channel(module):
+    defined = _defined_names(importlib.import_module(module)) & TRIAL_MODEL
+    assert defined == (TRIAL_MODEL if module == "qslora.channel" else set())
+
+
+def test_montecarlo_reads_the_bins_from_channel():
+    # the sampler restates no part of the closed form: no pulse, no roots of unity
+    imported = _imported_names(importlib.import_module("qslora.montecarlo"))
+    assert not {name for source, name in imported if source == "qslora.waveforms"}
+    assert ("qslora.modulation", "_roots") not in imported
+    assert {("qslora.channel", "_amplitudes"), ("qslora.channel", "_offsets")} <= imported
+
+
+def test_continuous_time_draws_no_offset_itself():
+    # certify takes each offset from channel's offset law
+    tree = ast.parse(inspect.getsource(importlib.import_module("qslora.continuous_time")))
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert "uniform" not in called
+    assert "_offsets" in called

@@ -16,7 +16,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from qslora import montecarlo, rice
+from qslora import channel, montecarlo, rice
 from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
 from qslora.cli import main, parse_config
@@ -873,7 +873,7 @@ class TestRunPoint:
         for delta in (-0.5, -0.3, -1e-9, 0.0, 0.3, 0.5):
             x_prev, x_cur = rng.integers(0, m, (2, n))
             offsets = np.full(n, delta)
-            amp_a, amp_b, amp_c = montecarlo._amplitudes(x_prev, x_cur, offsets, wf, m)
+            amp_a, amp_b, amp_c = channel._amplitudes(x_prev, x_cur, offsets, wf, m)
             stats = np.abs(analytic_decision_statistic(x_prev, x_cur, offsets, wf, sf))
             step = -2 if delta < 0.0 else 2
             for got, bins in (
