@@ -56,7 +56,8 @@ The offset is uniform on [-delta_s/2, +delta_s/2], and delta_s = 0 gives
 exact zeros without consuming the stream. _offsets draws it and checks
 nothing; draw_offset is its checked entry. The Monte-Carlo kernel calls
 _offsets with its grid point's checked delta_s, and certify_discrete_model
-(qslora.continuous_time) with the delta_s it checked, one trial at a time.
+(qslora.continuous_time) with the delta_s it checked, once per block of
+trials.
 
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
 i.i.d. circularly-symmetric complex Gaussian with total variance

@@ -24,10 +24,12 @@ core, _matched_filter, serves a batch of signals of equal length, an int64
 integrates any number of windows, each naming its row, symbol n, chip k
 and offset delta, in one quadrature call. A piece lies inside one chip of
 the signal, the one its start falls in, so each piece reads that chip's
-value once, and its integrand at a node t is that value times
-psi(t - chip) * psi(t - window start): only the pulse is evaluated per
-node. matched_filter_chip is its one-signal case, behind the number rule;
-certify_discrete_model calls it once per block of trials (see there).
+value once. On the piece s(t) is that value times psi(t - chip), so the
+piece's integral is the value times the quadrature of the real product
+psi(t - chip) * psi(t - window start): the node grid is float64, and the
+one complex multiply per piece comes after integrate. matched_filter_chip
+is its one-signal case, behind the number rule; certify_discrete_model
+calls it once per block of trials (see there).
 """
 
 from __future__ import annotations
@@ -98,10 +100,12 @@ def _matched_filter(
     row, n, k and delta broadcast together, and every window's pieces go
     to one quadrature call; the result is a complex array of their shape.
     A piece is the part of a window inside one chip of the signal, chip
-    floor(piece start): its chip value is gathered once, and per node only
-    the pulse psi(t - chip) * psi(t - window start) is evaluated. Each
-    window's value depends on its own row only. Unchecked: the windows must
-    lie inside [0, L*M) and delta be finite.
+    floor(piece start), where s(t) = value * psi(t - chip): the integrand
+    is the real pulse product psi(t - chip) * psi(t - window start), and
+    each piece's integral is multiplied by its chip value, gathered once,
+    after integrate returns. Each window's value depends on its own row
+    only. Unchecked: the windows must lie inside [0, L*M) and delta be
+    finite.
     """
     shape = np.broadcast_shapes(np.shape(row), np.shape(n), np.shape(k), np.shape(delta))
     a = np.broadcast_to(n * m + k + delta, shape).ravel()
@@ -115,14 +119,14 @@ def _matched_filter(
     chip = np.floor(start)
     index = chip.astype(np.int64)
     piece_row = np.concatenate((row, row[split]))
-    value = _chip(symbols[piece_row, index // m], index & (m - 1), m)[:, None]
+    value = _chip(symbols[piece_row, index // m], index & (m - 1), m)
     chip = chip[:, None]
     window = np.concatenate((a, a[split]))[:, None]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return value * _pulse(waveform, t - chip) * _pulse(waveform, t - window)
+        return _pulse(waveform, t - chip) * _pulse(waveform, t - window)
 
-    pieces = integrate(integrand, start, np.concatenate((np.where(split, c, b), b[split])))
+    pieces = value * integrate(integrand, start, np.concatenate((np.where(split, c, b), b[split])))
     total = pieces[: a.size]
     total[split] += pieces[a.size :]
     return total.reshape(shape)
@@ -182,19 +186,21 @@ def certify_discrete_model(
     one, so this check (acceptance criterion 3) is also the independent
     evidence that the next symbol is invisible to the receiver.
 
-    Trials are drawn one at a time, symbols (rng.integers(0, M, 3)) then
-    offset, and computed in blocks of whole trials of at most
+    Trials are drawn and computed in blocks of whole trials of at most
     _BLOCK_WINDOWS windows (one trial from sf 8 up), so memory does not
-    grow with the trial count: per block one synthesize_chip_rows call, one
-    matched-filter call and one max. Each trial keeps its own time axis,
+    grow with the trial count. Per block: one draw of every trial's
+    symbols, rng.integers(0, M, (size, 3)), then one of their offsets,
+    channel._offsets(delta_s, rng, size); one synthesize_chip_rows call,
+    one matched-filter call and one max. The block size is thus part of
+    what a seed gives, as montecarlo.TRIALS_PER_CHUNK is for the
+    Monte-Carlo's stream. Each trial keeps its own time axis,
     [0, 3M), so every node, integrand value and chip sum is the one a
     single-trial call computes, whatever the block size. Trials laid end to
     end would put nodes at t up to 3*B*M, where rounding of order
     t * 2**-52 costs precision. waveform (waveforms.validate_waveform) and
     delta_s (channel.validate_delta_s) are checked once, before any trial
-    is drawn; each offset then comes from the trial model's unchecked
-    offset law, channel._offsets(delta_s, rng, 1), which draws nothing at
-    delta_s = 0.
+    is drawn; the offsets then come from the trial model's unchecked
+    offset law, which draws nothing at delta_s = 0.
     """
     validate_waveform(waveform)
     validate_int(trials, "trials", 1)
@@ -204,11 +210,8 @@ def certify_discrete_model(
     worst = 0.0
     for start in range(0, trials, per_block):
         size = min(per_block, trials - start)
-        x = np.empty((size, 3), dtype=np.int64)
-        delta = np.empty(size)
-        for i in range(size):
-            x[i] = rng.integers(0, m, size=3)
-            delta[i] = _offsets(delta_s, rng, 1)[0]
+        x = rng.integers(0, m, size=(size, 3))
+        delta = _offsets(delta_s, rng, size)
         reference = synthesize_chip_rows(x[:, 0], x[:, 1], delta, waveform, sf)
         rows = np.arange(size)[:, None]
         diff = _matched_filter(x, m, waveform, rows, 1, np.arange(m), delta[:, None]) - reference

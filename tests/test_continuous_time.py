@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qslora import continuous_time
-from qslora.channel import synthesize_chip_rows
+from qslora.channel import _offsets, synthesize_chip_rows
 from qslora.continuous_time import (
     ContinuousSignal,
     certify_discrete_model,
@@ -17,7 +17,7 @@ from qslora.continuous_time import (
 )
 from qslora.modulation import envelope_matrix
 from qslora.quadrature import integrate
-from qslora.waveforms import ChipWaveform, autocorr
+from qslora.waveforms import ChipWaveform, autocorr, sample_waveform
 
 
 class TestSynthesize:
@@ -165,6 +165,52 @@ class TestMatchedFilterChip:
         with pytest.raises(ValueError, match="chip index"):
             matched_filter_chip(sig, 1, np.array(chips), 0.1)
 
+    @pytest.mark.parametrize("sf", range(2, 9))
+    @pytest.mark.parametrize("token", ["rect", "rc"])
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+    def test_factored_core_integrates_the_signal(self, sf, token, sign):
+        # the core integrates a real pulse product and multiplies by the
+        # chip value afterwards; s(t) * psi(t - window start), integrated
+        # as it stands over each window split at its chip boundary, is the
+        # independent reference
+        wf = ChipWaveform(token)
+        m = 2**sf
+        rng = np.random.default_rng(70 + sf)
+        sig = synthesize(tuple(int(v) for v in rng.integers(0, m, 3)), wf, sf)
+        delta = sign * rng.uniform(0.01, 0.5)
+        chips = rng.integers(0, m, 8)
+        a = m + chips + delta
+        c = np.minimum(np.floor(a) + 1.0, a + 1.0)
+
+        def product(t):
+            return sig.value_at(t) * sample_waveform(wf, t - a[:, None])
+
+        want = integrate(product, a, c) + integrate(product, c, a + 1.0)
+        got = matched_filter_chip(sig, 1, chips, delta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("token", ["rect", "rc"])
+    def test_nodes_are_real_and_the_output_complex(self, monkeypatch, token):
+        # s(t) on a piece is its chip value times a real pulse, so the
+        # quadrature sees a float64 integrand and the chip value enters
+        # once per piece, after integrate
+        dtypes = []
+        inner = continuous_time.integrate
+
+        def spy(f, *args):
+            def integrand(t):
+                values = f(t)
+                dtypes.append(values.dtype)
+                return values
+
+            return inner(integrand, *args)
+
+        monkeypatch.setattr(continuous_time, "integrate", spy)
+        sig = synthesize((5, 9, 2), ChipWaveform(token), 4)
+        out = matched_filter_chip(sig, 1, np.arange(16), -0.3)
+        assert dtypes == [np.float64]
+        assert out.dtype == np.complex128
+
     def test_time_shift_consistency(self, rc):
         # prepending a symbol shifts the signal by one symbol period, so
         # querying n+1 must reproduce the chip samples
@@ -247,6 +293,29 @@ def test_tiny_offsets_agree_with_the_chip_rows(sf, token):
 
 
 class TestCertifyDiscreteModel:
+    @pytest.mark.parametrize("sf,sizes", [(5, [8, 5]), (8, [1, 1, 1])], ids=["sf5", "sf8"])
+    @pytest.mark.parametrize("delta_s", [0.0, 1.0])
+    def test_each_block_draws_its_symbols_then_its_offsets(self, monkeypatch, sf, sizes, delta_s):
+        # two calls per block of trials, in this order, and no other draw:
+        # at sf 5 a block holds 8 trials, and from sf 8 up one
+        m = 2**sf
+        core = continuous_time._matched_filter
+        blocks = []
+
+        def spy(symbols, *args):
+            blocks.append((symbols.copy(), np.ravel(args[-1]).copy()))
+            return core(symbols, *args)
+
+        monkeypatch.setattr(continuous_time, "_matched_filter", spy)
+        rng = np.random.default_rng(sf)
+        certify_discrete_model(sf, ChipWaveform("rc"), sum(sizes), rng, delta_s=delta_s)
+        replica = np.random.default_rng(sf)
+        assert [len(symbols) for symbols, _ in blocks] == sizes
+        for symbols, delta in blocks:
+            np.testing.assert_array_equal(symbols, replica.integers(0, m, (len(symbols), 3)))
+            np.testing.assert_array_equal(delta, _offsets(delta_s, replica, len(symbols)))
+        assert rng.bit_generator.state == replica.bit_generator.state
+
     @pytest.mark.parametrize("token", ["rect", "rc"])
     def test_random_offsets_agree(self, token):
         rng = np.random.default_rng(31)

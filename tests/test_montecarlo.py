@@ -951,7 +951,10 @@ def test_stream_pin(coords, max_trials, min_errors, fixed_delta, expected):
 # The certify rows pin every line the continuous-time reference prints: the
 # benchmark's certify argv (several trials per block at sf 4 and 5), the
 # default, sf 2-9 (blocks of 64 trials down to one trial, and short last
-# blocks), sf 12 (one trial per block) and the synchronous path.
+# blocks), sf 12 (one trial per block) and the synchronous path. They pin
+# both the trials a seed gives, each block's symbols in one draw and its
+# offsets in one more, and the rounding of the reference, each chip piece's
+# real pulse-product integral times its chip value.
 OUTPUT_PINS = {
     "grid-w2": (
         "sweep --sf 4,5,6,7 --waveform rect,rc --delta-s 0,0.2,0.4,0.6,0.8,1 --snr 4:16:12 "
@@ -974,15 +977,15 @@ OUTPUT_PINS = {
     ),
     "certify-bench": (
         "certify --sf 4,5 --waveform rect,rc --trials 50 --seed 1",
-        "b86665856ff20ee136d5f2ebc728faa94f3238df51a08a109443268bd4a23804",
+        "1a8f8da32789762a0be9b5f42277537a2a1559afb253aa76c13c345b7b9e5687",
     ),
     "certify": (
         "certify",
-        "037e5d996bd6a2b92e6a1f079750da915a510b111fdf0ebbb653eb60be07c0f6",
+        "02a7120dca97ad0b11d0146c55ef1153391fe38d20298e768f672c8c75c02b3e",
     ),
     "certify-sf2-9": (
         "certify --sf 2,3,6,7,8,9 --trials 40 --seed 9",
-        "2f98c655e185e5ab7eeca243d7ee6ee42168061ea8776e9277cff124a47d7c6a",
+        "fac20d8bacad2ca10eae1773e28deb619e076b21630ef1f9b4e3fbff4bf27169",
     ),
     "certify-sf12": (
         "certify --sf 12 --trials 2",
@@ -990,7 +993,7 @@ OUTPUT_PINS = {
     ),
     "certify-sync": (
         "certify --delta-s 0 --trials 30",
-        "cf1f558291c2c5966a0ee555164dd5c371e32381ca18caa855d61124b5f5f911",
+        "8784725bc244a48cd56c9d3b46bfb0d0a187dd6f26e4249c39aa633eef8ebf62",
     ),
     "corr": (
         "corr",
