@@ -54,10 +54,10 @@ moduli of analytic_decision_statistic's M-vector.
 
 The offset is uniform on [-delta_s/2, +delta_s/2], and delta_s = 0 gives
 exact zeros without consuming the stream. _offsets draws it and checks
-nothing; draw_offset is its checked entry. The Monte-Carlo kernel calls
-_offsets with its grid point's checked delta_s, and certify_discrete_model
-(qslora.continuous_time) with the delta_s it checked, once per block of
-trials.
+nothing, and has no checked entry: its callers check delta_s first. The
+Monte-Carlo kernel calls it with its GridPoint's delta_s, and
+certify_discrete_model (qslora.continuous_time) with the delta_s that
+validate_delta_s read, once per block of trials.
 
 Symbols have unit energy, so the SNR Es/N0 enters only through the noise:
 i.i.d. circularly-symmetric complex Gaussian with total variance
@@ -85,7 +85,6 @@ __all__ = [
     "noise_variance",
     "validate_delta_s",
     "validate_offset",
-    "draw_offset",
     "synthesize_chip_rows",
     "analytic_decision_statistic",
 ]
@@ -114,16 +113,12 @@ def validate_offset(delta, name: str = "delta", *, array: bool = False):
     return validate_real(delta, name, -0.5, 0.5, array=array)
 
 
-def draw_offset(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n timing offsets uniformly on [-delta_s/2, +delta_s/2].
-
-    delta_s = 0 returns exact zeros without consuming the stream.
-    """
-    return _offsets(validate_delta_s(delta_s), rng, validate_int(n, "n", 0))
-
-
 def _offsets(delta_s: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """draw_offset unchecked: delta_s is a float in [0, 1] and n an int >= 0."""
+    """n timing offsets drawn uniformly on [-delta_s/2, +delta_s/2], unchecked.
+
+    delta_s is a float in [0, 1] and n an int >= 0; delta_s = 0 returns
+    exact zeros without consuming the stream.
+    """
     if delta_s == 0.0:
         return np.zeros(n)
     return rng.uniform(-0.5 * delta_s, 0.5 * delta_s, size=n)

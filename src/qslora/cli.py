@@ -29,10 +29,10 @@ import numpy as np
 
 from .continuous_time import certify_discrete_model
 from .grid import Grid
-from .modulation import validate_int
+from .modulation import validate_int, validate_type
 from .montecarlo import SerEstimate, SweepConfig, run_sweep
 from .rice import analytical_ser_sync
-from .waveforms import WAVEFORM_TOKENS, ChipWaveform, autocorr, autocorr_quad
+from .waveforms import WAVEFORM_TOKENS, ChipWaveform, autocorr
 
 __all__ = ["parse_config", "write_results", "main"]
 
@@ -241,12 +241,14 @@ def write_results(estimates: Iterable[SerEstimate], fh: TextIO, format: str = "c
     Open fh with newline="" so line endings are written as given. Floats
     are serialized with shortest round-trip precision (csv and json both
     write a float's repr), so parsing a file and re-serializing it
-    reproduces it byte for byte. An unknown format or no estimates at all
-    raises ValueError, the format before any estimate is read.
+    reproduces it byte for byte. An unknown format, an item that is not a
+    SerEstimate (modulation.validate_type) or no estimates at all raises
+    ValueError, the format before any estimate is read, and every item
+    before anything is written.
     """
     if format not in _WRITERS:
         raise ValueError(f"unknown output format {format!r}")
-    rows = [_row(est) for est in estimates]
+    rows = [_row(validate_type(est, SerEstimate, "estimate")) for est in estimates]
     if not rows:
         raise ValueError("no estimates to write")
     _WRITERS[format](rows, fh)
@@ -309,7 +311,7 @@ def _cmd_corr(argv: Sequence[str]) -> int:
     for token in grid.waveforms:
         for i in range(ns.steps):
             d = i / (ns.steps - 1)
-            keep, spill = (autocorr_quad if ns.quad else autocorr)(ChipWaveform(token), d)
+            keep, spill = autocorr(ChipWaveform(token), d)
             print(f"{token} {_label(d)} {keep!r} {spill!r}")
     return 0
 
@@ -374,7 +376,6 @@ _COMMANDS: dict[str, _Command] = {
         {
             "waveform": _WAVEFORM,
             "steps": _Flag(_int("steps", 2), "number of offsets on [0, 1]", "21"),
-            "quad": _Flag(None, "print quadrature reference values instead of closed forms"),
         },
     ),
 }

@@ -39,7 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _offsets, synthesize_chip_rows, validate_delta_s, validate_offset
-from .modulation import _chip, symbol_cardinality, validate_int, validate_real, validate_sf
+from .modulation import (
+    _chip, symbol_cardinality, validate_int, validate_real, validate_sf, validate_type
+)
 from .quadrature import integrate
 from .waveforms import ChipWaveform, _pulse, sample_waveform, validate_waveform
 
@@ -197,15 +199,17 @@ def certify_discrete_model(
     [0, 3M), so every node, integrand value and chip sum is the one a
     single-trial call computes, whatever the block size. Trials laid end to
     end would put nodes at t up to 3*B*M, where rounding of order
-    t * 2**-52 costs precision. waveform (waveforms.validate_waveform) and
-    delta_s (channel.validate_delta_s) are checked once, before any trial
-    is drawn; the offsets then come from the trial model's unchecked
-    offset law, which draws nothing at delta_s = 0.
+    t * 2**-52 costs precision. waveform (waveforms.validate_waveform),
+    delta_s (channel.validate_delta_s) and rng, a numpy Generator
+    (modulation.validate_type), are checked once, before any trial is
+    drawn; the offsets then come from the trial model's unchecked offset
+    law, which draws nothing at delta_s = 0.
     """
     validate_waveform(waveform)
     validate_int(trials, "trials", 1)
     m = symbol_cardinality(sf)
     delta_s = validate_delta_s(delta_s)
+    validate_type(rng, np.random.Generator, "rng")
     per_block = max(1, _BLOCK_WINDOWS // m)
     worst = 0.0
     for start in range(0, trials, per_block):

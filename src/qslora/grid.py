@@ -3,7 +3,7 @@
 Every subcommand reads the axes it takes through Grid, so one rule holds
 for all of them: each item is checked by the type or function that owns
 it, repeats are dropped, the rest are sorted in their own type's order
-(a ChipWaveform by its token), and an empty axis is refused. A Grid keeps
+(a waveform as its token string), and an empty axis is refused. A Grid keeps
 each axis only as read, and its points are the product of those sorted
 axes, so a point's place in any output does not depend on how its axes
 were listed.
@@ -104,8 +104,8 @@ class Grid:
     Construction reads each axis once: every item through its owner
     (validate_sf, ChipWaveform, validate_delta_s, snr_axis, whose points
     pass channel.validate_snr), then repeats are dropped and the rest
-    sorted in their own order. sf_list, waveforms (as tokens, sorted as
-    ChipWaveform sorts them) and delta_s_list keep those tuples, and the
+    sorted in their own order. sf_list, waveforms (as token strings, in
+    string order) and delta_s_list keep those tuples, and the
     three SNR fields the floats that snr_axis checked; snr_db_list holds
     the axis it built, out of __init__ and equality. So a grid equals,
     hashes and serializes (dataclasses.asdict) as the points it runs, and

@@ -36,23 +36,12 @@ unchecked cores. A chunk of n trials draws, in this order:
    draws of n,
 4. one uniform U on [0, 1) per trial (n).
 
-The M - 2 other bins are i.i.d.: each energy over N0 has the Rice CDF
-F(x; mu) with mu = |c|^2/N0 (qslora.rice._rice_log_cdf; for delta >= 0,
-mu = 0 and F = 1 - exp(-x)), so their largest has the CDF F**(M - 2).
-Drawn by inversion at U (order statistics), it reaches the wanted energy
-x = |a|^2/N0 exactly when log U >= (M - 2) log F(x; mu): one forward CDF
-evaluation, so every trial costs O(1) at any spreading factor and never
-builds an M-vector. Each trial's own log U is tested against a bracket of
-(M - 2) log F: F(x; 0) exp(-mu) <= F(x; mu) <= F(x; 0), the first term and
-the largest Gamma CDF of F's Poisson mixture, each tightened by the Chernoff
-bound on its side of the mean (_others_reach). Only a log U inside the
-bracket goes to the Rice CDF itself, a quadrature of the amplitude density
-(qslora.rice), so the bracket changes the work and never an outcome; at
-mu = 0 its bounds meet at the closed form. A trial errs when |b|^2 >= |a|^2
-or when the other bins reach |a|^2: a tie with the wanted bin counts as an
-error. The SNR lies in channel.validate_snr's [-300, 300] dB, so N0 lies in
-[1e-30, 1e30] and every energy, x, mu and d**2 the kernel forms stays below
-about 1e31.
+The M - 2 other bins are decided at U by qslora.rice._others_reach, which
+draws their largest energy by inversion and so costs O(1) per trial at any
+spreading factor. A trial errs when |b|^2 >= |a|^2 or when the other bins
+reach |a|^2: a tie with the wanted bin counts as an error. The SNR lies in
+channel.validate_snr's [-300, 300] dB, so N0 lies in [1e-30, 1e30] and every
+energy the kernel forms stays below about 1e31.
 """
 
 from __future__ import annotations
@@ -75,7 +64,7 @@ from .channel import synthesize_chip_rows  # noqa: F401 -- bench/tracing.py wrap
 from .grid import Grid, GridPoint, _read_fields
 from .grid import snr_axis  # noqa: F401 -- bench/make_tables.py imports it from here
 from .modulation import symbol_cardinality, validate_int, validate_real, validate_type
-from .rice import _central_log_cdf, _rice_log_cdf
+from .rice import _others_reach
 from .rice import analytical_ser_sync  # noqa: F401 -- bench/make_tables.py imports it from here
 
 __all__ = [
@@ -100,9 +89,6 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # 8 and 16 measured the same within noise on grid-w2 at 2 workers, so 4 is
 # the smallest depth that keeps the gain.
 _CERTAIN_PER_WORKER = 4
-# how far _others_reach widens each bound of its bracket, relative to the
-# bound: rice._rice_log_cdf's log F is within about 1e-14 of its own size
-_BAND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -217,65 +203,6 @@ def _noisy_energy(amp: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.nda
     np.square(imag, out=imag)
     real += imag
     return real
-
-
-def _others_reach(
-    energy_a: np.ndarray, amp_c: np.ndarray, n0: float, log_u: np.ndarray, count: int
-) -> np.ndarray:
-    """Whether the largest of count other bins' energies reaches energy_a, at log U.
-
-    Each other bin holds c, of modulus amp_c, plus noise of variance n0, so
-    its energy over n0 is Rice with mu = amp_c**2 / n0, and the largest of
-    count of them has the CDF F(x; mu)**count at x = energy_a / n0. Drawn by
-    inversion at U, it reaches x exactly when log U >= count * log F(x; mu).
-
-    A bracket of log F settles most trials without evaluating F. F is the
-    Poisson mixture sum_j Pois(j; mu) P(Gamma(j + 1) <= x): its j = 0 term
-    gives F >= exp(-mu) F(x; 0), and since each Gamma CDF falls as j grows,
-    F <= F(x; 0), with F(x; 0) = 1 - exp(-x). With d = sqrt(x) - sqrt(mu),
-    the Chernoff bounds 1 - F <= exp(-d**2) above the mean and
-    F <= exp(-d**2) below it tighten the side that the mixture leaves loose.
-    So log F lies between
-
-        lower = max(log F(x; 0) - mu, log(1 - exp(-d**2)) where d > 0),
-        upper = min(log F(x; 0), -d**2 where d <= 0),
-
-    which meet at the exact value when mu = 0. A trial clears when
-    log U < count * lower and reaches when log U >= count * upper, each
-    bound widened by a relative _BAND_MARGIN, far more than the error of
-    log F; where |d| is small enough for d's rounding to exceed the margin,
-    the Chernoff bound lies far from the exact value. Only a log U inside the
-    bracket goes to rice._rice_log_cdf, whose work does not depend on mu, so
-    the bracket changes the work and never an outcome. It takes the
-    amplitudes r = sqrt(energy_a) / sqrt(n0) and s = amp_c / sqrt(n0), and
-    r = s exactly where d = 0.
-    """
-    energy_c = np.square(amp_c)
-    root_n0 = math.sqrt(n0)
-    d = np.sqrt(energy_a)
-    d -= amp_c
-    d /= root_n0
-    below = np.minimum(d, 0.0)
-    np.square(below, out=below)
-    np.negative(below, out=below)  # -d**2 below the mean, -0 above it
-    np.maximum(d, 0.0, out=d)
-    np.square(d, out=d)
-    above = _central_log_cdf(d)  # log(1 - exp(-d**2)) above the mean, -inf below it
-    np.divide(energy_a, n0, out=d)  # x
-    upper = _central_log_cdf(d)  # log F(x; 0)
-    mu = np.divide(energy_c, n0, out=energy_c)
-    lower = np.subtract(upper, mu, out=d)
-    np.maximum(lower, above, out=lower)
-    np.minimum(upper, below, out=upper)
-    del above, below  # free two of the five (n,) arrays before the comparisons
-    lower *= (1.0 + _BAND_MARGIN) * count
-    upper *= (1.0 - _BAND_MARGIN) * count
-    reach = log_u >= upper
-    band = np.flatnonzero(~reach & (log_u >= lower))
-    if band.size:
-        log_cdf = _rice_log_cdf(np.sqrt(energy_a[band]) / root_n0, amp_c[band] / root_n0)[0]
-        reach[band] = log_u[band] >= count * log_cdf
-    return reach
 
 
 def _chunk_error_flags(
@@ -558,8 +485,10 @@ def run_sweep(
     still open, and each estimate's elapsed, from its point's first
     submitted chunk to its decision, may overlap its neighbours'. progress,
     when given, is called with (index from 1, point count, estimate) in
-    grid order as each estimate is yielded.
+    grid order as each estimate is yielded. config must be a SweepConfig
+    (modulation.validate_type), checked before any chunk is computed.
     """
+    validate_type(config, SweepConfig, "config")
     results: list[SerEstimate] = []
     scheduler = _estimates(
         config.points, config.stop, config.master_seed, config.workers, config.fixed_delta, None

@@ -1,6 +1,6 @@
 """Fixed 20-node Gauss-Legendre quadrature for the chip-piece integrands.
 
-Used for waveform energy checks and the continuous-time matched filter.
+Used for the autocorr_quad reference and the continuous-time matched filter.
 Every integrand qslora passes is a constant (rect) or a trig polynomial with
 frequencies up to 4*pi (rc) on an interval at most one chip wide, split at
 the signal's chip boundaries; the 20-node rule integrates those exactly to

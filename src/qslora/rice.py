@@ -1,14 +1,23 @@
-"""The Rice law of a bin energy, and the exact synchronous SER.
+"""The Rice law of a bin energy, the other-bins decision, and the exact synchronous SER.
 
 A bin holding a mean m plus complex white noise of variance N0 has an energy
 over N0 with the Rice law: noncentral chi-square with 2 degrees of freedom
 and mu = |m|^2/N0, the exponential law at mu = 0 (Proakis, Digital
 Communications, noncoherent orthogonal signaling; Marcum's Q). This module
 holds its log-CDF (_central_log_cdf of the energy at mu = 0, and otherwise
-_rice_log_cdf of the amplitude sqrt(x) around sqrt(mu)), which the
-Monte-Carlo kernel in qslora.montecarlo evaluates, and the exact
-SER of synchronous noncoherent M-ary orthogonal signaling
-(analytical_ser_sync), the oracle of every delta_s = 0 estimate.
+_rice_log_cdf of the amplitude sqrt(x) around sqrt(mu)), the decision of a
+trial's other bins that the Monte-Carlo kernel in qslora.montecarlo makes
+with it (_others_reach), and the exact SER of synchronous noncoherent M-ary
+orthogonal signaling (analytical_ser_sync), the oracle of every delta_s = 0
+estimate.
+
+The M - 2 other bins of a trial (qslora.channel) are i.i.d. Rice with
+mu = |c|^2/N0, so their largest, drawn by inversion at the trial's uniform U
+(order statistics), reaches the wanted energy x = |a|^2/N0 exactly when
+log U >= (M - 2) log F(x; mu): one CDF evaluation per trial at any spreading
+factor, and no M-vector. _others_reach decides it; a bracket of log F from
+F's Poisson mixture and the Chernoff bounds settles most trials before F is
+evaluated, so it changes the work and never an outcome (see there).
 
 Numerics, all float64 numpy in log space: each log-CDF forms the smaller of
 F and 1 - F directly and the other through log1p, so neither tail cancels,
@@ -17,7 +26,8 @@ _rice_log_cdf and analytical_ser_sync integrate the Rice amplitude density
 by one composite 16-node Gauss-Legendre rule, so the work of either is
 bounded at any mean and any SNR. The SNR lies in channel.validate_snr's
 [-300, 300] dB, so N0 lies in [1e-30, 1e30] and no amplitude, mean or
-Bessel argument formed here overflows. analytical_ser_sync is within a
+Bessel argument formed here overflows, and every x, mu and d**2 of
+_others_reach stays below about 1e31. analytical_ser_sync is within a
 relative 1e-12 of the exact alternating sum.
 """
 
@@ -68,6 +78,9 @@ _TAIL_FRACTIONS = (
     (np.arange(_TAIL_PANELS)[:, None] + 0.5 * (_RICE_NODES + 1.0)) / _TAIL_PANELS
 ).ravel()
 _TAIL_WEIGHTS = np.tile(_RICE_WEIGHTS, _TAIL_PANELS) / (2.0 * _TAIL_PANELS)
+# how far _others_reach widens each bound of its bracket, relative to the
+# bound: _rice_log_cdf's log F is within about 1e-14 of its own size
+_BAND_MARGIN = 1e-9
 
 
 def _central_log_cdf(x: np.ndarray) -> np.ndarray:
@@ -144,6 +157,65 @@ def _rice_log_cdf(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     log_cdf[rows] = np.where(upper, other, tail)
     log_sf[rows] = np.where(upper, tail, other)
     return log_cdf, log_sf
+
+
+def _others_reach(
+    energy_a: np.ndarray, amp_c: np.ndarray, n0: float, log_u: np.ndarray, count: int
+) -> np.ndarray:
+    """Whether the largest of count other bins' energies reaches energy_a, at log U.
+
+    Each other bin holds c, of modulus amp_c, plus noise of variance n0, so
+    its energy over n0 is Rice with mu = amp_c**2 / n0, and the largest of
+    count of them has the CDF F(x; mu)**count at x = energy_a / n0. Drawn by
+    inversion at U, it reaches x exactly when log U >= count * log F(x; mu).
+
+    A bracket of log F settles most trials without evaluating F. F is the
+    Poisson mixture sum_j Pois(j; mu) P(Gamma(j + 1) <= x): its j = 0 term
+    gives F >= exp(-mu) F(x; 0), and since each Gamma CDF falls as j grows,
+    F <= F(x; 0), with F(x; 0) = 1 - exp(-x). With d = sqrt(x) - sqrt(mu),
+    the Chernoff bounds 1 - F <= exp(-d**2) above the mean and
+    F <= exp(-d**2) below it tighten the side that the mixture leaves loose.
+    So log F lies between
+
+        lower = max(log F(x; 0) - mu, log(1 - exp(-d**2)) where d > 0),
+        upper = min(log F(x; 0), -d**2 where d <= 0),
+
+    which meet at the exact value when mu = 0. A trial clears when
+    log U < count * lower and reaches when log U >= count * upper, each
+    bound widened by a relative _BAND_MARGIN, far more than the error of
+    log F; where |d| is small enough for d's rounding to exceed the margin,
+    the Chernoff bound lies far from the exact value. Only a log U inside the
+    bracket goes to _rice_log_cdf, whose work does not depend on mu, so
+    the bracket changes the work and never an outcome. It takes the
+    amplitudes r = sqrt(energy_a) / sqrt(n0) and s = amp_c / sqrt(n0), and
+    r = s exactly where d = 0.
+    """
+    energy_c = np.square(amp_c)
+    root_n0 = math.sqrt(n0)
+    d = np.sqrt(energy_a)
+    d -= amp_c
+    d /= root_n0
+    below = np.minimum(d, 0.0)
+    np.square(below, out=below)
+    np.negative(below, out=below)  # -d**2 below the mean, -0 above it
+    np.maximum(d, 0.0, out=d)
+    np.square(d, out=d)
+    above = _central_log_cdf(d)  # log(1 - exp(-d**2)) above the mean, -inf below it
+    np.divide(energy_a, n0, out=d)  # x
+    upper = _central_log_cdf(d)  # log F(x; 0)
+    mu = np.divide(energy_c, n0, out=energy_c)
+    lower = np.subtract(upper, mu, out=d)
+    np.maximum(lower, above, out=lower)
+    np.minimum(upper, below, out=upper)
+    del above, below  # free two of the five (n,) arrays before the comparisons
+    lower *= (1.0 + _BAND_MARGIN) * count
+    upper *= (1.0 - _BAND_MARGIN) * count
+    reach = log_u >= upper
+    band = np.flatnonzero(~reach & (log_u >= lower))
+    if band.size:
+        log_cdf = _rice_log_cdf(np.sqrt(energy_a[band]) / root_n0, amp_c[band] / root_n0)[0]
+        reach[band] = log_u[band] >= count * log_cdf
+    return reach
 
 
 def analytical_ser_sync(sf: int, snr_db: float) -> float:

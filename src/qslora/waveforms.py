@@ -15,7 +15,9 @@ R weights the chip the filter mostly covers, Rhat weights the sliver of the
 neighbouring chip that spills into the window. Both are even in delta and
 satisfy R(0) = 1, Rhat(0) = 0, R(+-1) = 0, Rhat(+-1) = 1. The model sees a
 pulse only through this pair: autocorr returns both from their closed forms
-in one checked call, and autocorr_quad, the reference, integrates them.
+in one checked call, and autocorr_quad, the reference, integrates them;
+R(0), which autocorr_quad gives as the integral of psi**2, is the pulse
+energy.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "WAVEFORM_TOKENS",
     "validate_waveform",
     "sample_waveform",
-    "energy",
     "autocorr",
     "autocorr_quad",
 ]
@@ -42,9 +43,9 @@ _RC_AMP = np.sqrt(2.0 / 3.0)
 WAVEFORM_TOKENS = ("rect", "rc")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ChipWaveform:
-    """A named unit-energy chip pulse, identified and ordered by its kind token."""
+    """A named unit-energy chip pulse, identified by its kind token."""
 
     kind: str
 
@@ -77,17 +78,6 @@ def _pulse(w: ChipWaveform, t: np.ndarray) -> np.ndarray:
     if w.kind == "rect":
         return np.where(inside, 1.0, 0.0)
     return np.where(inside, _RC_AMP * (1.0 - np.cos(2.0 * np.pi * t)), 0.0)
-
-
-def energy(w: ChipWaveform) -> float:
-    """Pulse energy integral of psi**2 over one chip, by quadrature.
-
-    psi**2 is a trig polynomial on one chip, which the 20-node rule of
-    qslora.quadrature integrates exactly, so unit-energy pulses return 1 up
-    to rounding.
-    """
-    validate_waveform(w)
-    return integrate(lambda t: sample_waveform(w, t) ** 2, 0.0, 1.0)
 
 
 def _autocorr_pair(w: ChipWaveform, d: np.ndarray):

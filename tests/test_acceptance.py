@@ -30,7 +30,6 @@ from qslora.waveforms import (
     ChipWaveform,
     autocorr,
     autocorr_quad,
-    energy,
 )
 
 MASTER_SEED = 1
@@ -85,7 +84,8 @@ def test_criterion_02_correlation_closed_forms():
         assert closed == pytest.approx((1.0 - d, d), abs=1e-12)
         worst_rect = max(worst_rect, *(abs(c - q) for c, q in zip(closed, quad)))
     assert worst_rect < 1e-9
-    energy_err = abs(energy(rc) - 1.0)
+    # the pulse energy: the overlapping integral at delta = 0, by quadrature
+    energy_err = abs(autocorr_quad(rc, 0.0)[0] - 1.0)
     assert energy_err < 1e-9
     half_closed = abs(autocorr(rc, 0.5)[0] - 1.0 / 6.0)
     half_quad = abs(autocorr_quad(rc, 0.5)[0] - 1.0 / 6.0)

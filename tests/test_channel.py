@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslora.channel import draw_offset, synthesize_chip_rows, validate_offset
+from qslora.channel import _offsets, synthesize_chip_rows, validate_offset
 from qslora.modulation import envelope_matrix, symbol_cardinality
 from qslora.waveforms import autocorr, rectangular
 
@@ -35,29 +35,23 @@ class TestValidateOffset:
                 validate_offset(bad)
 
 
-class TestDrawOffset:
+class TestOffsetLaw:
     def test_zero_bound_returns_exact_zero(self, rng):
         state = rng.bit_generator.state
-        np.testing.assert_array_equal(draw_offset(0.0, rng, 5), np.zeros(5))
+        np.testing.assert_array_equal(_offsets(0.0, rng, 5), np.zeros(5))
         # the stream must not have been consumed
         assert rng.bit_generator.state == state
-
-    def test_out_of_range_bound_rejected(self, rng):
-        with pytest.raises(ValueError):
-            draw_offset(-0.1, rng, 1)
-        with pytest.raises(ValueError):
-            draw_offset(1.2, rng, 1)
 
     @given(delta_s=st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_support_bound(self, delta_s):
         rng = np.random.default_rng(99)
-        assert np.all(np.abs(draw_offset(delta_s, rng, 20)) <= delta_s / 2)
+        assert np.all(np.abs(_offsets(delta_s, rng, 20)) <= delta_s / 2)
 
     def test_uniformity_statistics(self):
         # 10^6 draws at delta_s = 1: mean within 3 sigma of 0, max <= 0.5
         rng = np.random.default_rng(5)
-        draws = draw_offset(1.0, rng, 1_000_000)
+        draws = _offsets(1.0, rng, 1_000_000)
         sigma_mean = (1.0 / math.sqrt(12.0)) / math.sqrt(draws.size)
         assert abs(draws.mean()) < 3 * sigma_mean
         assert draws.max() <= 0.5

@@ -709,17 +709,6 @@ class TestMain:
         assert len(lines) == 7
         assert lines[5] == "rect 0.5 0.5 0.5"
 
-    def test_corr_quad_matches_closed_form(self, capsys):
-        assert main(["corr", "-w", "rc", "--steps", "3", "--quad"]) == 0
-        quad_lines = capsys.readouterr().out.splitlines()[1:]
-        assert main(["corr", "-w", "rc", "--steps", "3"]) == 0
-        closed_lines = capsys.readouterr().out.splitlines()[1:]
-        for quad_row, closed_row in zip(quad_lines, closed_lines):
-            _, _, keep_q, spill_q = quad_row.split()
-            _, _, keep_c, spill_c = closed_row.split()
-            assert float(keep_q) == pytest.approx(float(keep_c), abs=1e-9)
-            assert float(spill_q) == pytest.approx(float(spill_c), abs=1e-9)
-
     def test_readme_command_line_block(self, capsys):
         # every command of the README's "Command line" block must be
         # accepted as written: sweep lines are only parsed, the others run

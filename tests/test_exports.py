@@ -5,6 +5,7 @@ its export fails here rather than at a user's import."""
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -73,18 +74,20 @@ MOVED = {
     "despread": "qslora.modulation",
     "envelope_matrix": "qslora.modulation",
     "symbol_cardinality": "qslora.modulation",
-    "draw_offset": "qslora.channel",
     "sample_waveform": "qslora.waveforms",
-    "energy": "qslora.waveforms",
     "rectangular": "qslora.waveforms",
 }
-# R and Rhat come from autocorr / autocorr_quad; rc from ChipWaveform("rc")
+# R and Rhat come from autocorr / autocorr_quad; rc from ChipWaveform("rc");
+# the pulse energy is autocorr_quad(w, 0.0)[0]; offsets come from
+# channel._offsets behind each caller's own check of delta_s
 DELETED = [
     "raised_cosine",
     "autocorr_overlapping",
     "autocorr_overlapped",
     "autocorr_overlapping_quad",
     "autocorr_overlapped_quad",
+    "energy",
+    "draw_offset",
 ]
 
 
@@ -141,3 +144,60 @@ def test_continuous_time_draws_no_offset_itself():
     }
     assert "uniform" not in called
     assert "_offsets" in called
+
+
+# the Rice law of a bin and the other-bins decision that bounds its CDF
+RICE_LAW = {"_log_i0e", "_central_log_cdf", "_rice_log_cdf", "_others_reach", "_BAND_MARGIN"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_rice_law_is_defined_only_in_rice(module):
+    defined = _defined_names(importlib.import_module(module)) & RICE_LAW
+    assert defined == (RICE_LAW if module == "qslora.rice" else set())
+
+
+def test_montecarlo_imports_no_rice_cdf():
+    # the sampler takes the decision whole from rice and evaluates no CDF itself
+    imported = _imported_names(importlib.import_module("qslora.montecarlo"))
+    assert ("qslora.rice", "_others_reach") in imported
+    assert not {name for _, name in imported if name in RICE_LAW - {"_others_reach"}}
+
+
+ROOT = pathlib.Path(qslora.__file__).resolve().parents[2]
+# exported names that nothing outside tests/ references in code, each with why it stays
+UNREFERENCED = {
+    ("qslora.continuous_time", "synthesize"): "bench/tracing.py spans it by name",
+    ("qslora.continuous_time", "matched_filter_chip"): "bench/tracing.py spans it by name",
+    ("qslora.modulation", "despread"): "the tests' chip-rate reference of the despread vector",
+    ("qslora.waveforms", "autocorr_quad"): "criterion 2 checks autocorr against it",
+    ("qslora.montecarlo", "STREAM_VERSION"): "documented constant: the random stream's version",
+}
+
+
+def _code_references(path: pathlib.Path) -> set[str]:
+    """Every name a file reads in code: loaded names, attributes and imported
+    names. A name that only a docstring, comment or string mentions is not one."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name that only its own tests use is vestigial: delete it, or
+    # say in UNREFERENCED why it stays
+    files = [*(ROOT / "src" / "qslora").glob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    referenced = set().union(*map(_code_references, files))
+    unreferenced = {
+        (module, name)
+        for module in MODULES[1:]
+        for name in importlib.import_module(module).__all__
+        if name not in referenced
+    }
+    assert not unreferenced - UNREFERENCED.keys(), "exported, and no caller outside tests/"
+    assert not UNREFERENCED.keys() - unreferenced, "listed, but a caller outside tests/ exists"

@@ -5,6 +5,7 @@ reproducibility, and the sweep driver."""
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -19,7 +20,8 @@ import pytest
 from qslora import channel, montecarlo, rice
 from qslora.channel import synthesize_chip_rows
 from qslora.channel import analytic_decision_statistic
-from qslora.cli import main, parse_config
+from qslora.continuous_time import certify_discrete_model
+from qslora.cli import main, parse_config, write_results
 from qslora.modulation import despread, envelope_matrix
 from qslora.grid import GridPoint, snr_axis
 from qslora.montecarlo import (
@@ -370,6 +372,9 @@ def _point(**overrides):
 
 
 NO_EARLY_STOP = StoppingRule(max_trials=TRIALS_PER_CHUNK, min_errors=0)
+# bound at import, so that a spy patched onto rice._rice_log_cdf counts only
+# the kernel's calls and not the replay's (TestRunPoint._replay)
+_RICE_LOG_CDF = rice._rice_log_cdf
 
 
 @pytest.fixture
@@ -590,7 +595,7 @@ class TestRunPoint:
         c = np.abs(stats[trial, (x_cur + 1) % m])
         x = (a.real**2 + a.imag**2) / n0
         mu = c**2 / n0
-        log_cdf = rice._rice_log_cdf(np.sqrt(x), np.sqrt(mu))[0]
+        log_cdf = _RICE_LOG_CDF(np.sqrt(x), np.sqrt(mu))[0]
         flags = (b.real**2 + b.imag**2 >= a.real**2 + a.imag**2) | (log_u >= (m - 2) * log_cdf)
         return flags, (x, mu, log_u)
 
@@ -625,13 +630,13 @@ class TestRunPoint:
         # and test_chernoff_shortcuts_decide_as_the_series covers it. The spy
         # counts the mu > 0 rows only: mu = 0 rows take the closed form.
         series_rows = []
-        rice_log_cdf = montecarlo._rice_log_cdf
+        rice_log_cdf = rice._rice_log_cdf
 
         def counted(r, s):
             series_rows.append(int(np.count_nonzero(s > 0.0)))
             return rice_log_cdf(r, s)
 
-        monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
+        monkeypatch.setattr(rice, "_rice_log_cdf", counted)
         taken = dict(above=0, near=0)
         for sf in (4, 7, 10):
             count = 2**sf - 2
@@ -700,15 +705,15 @@ class TestRunPoint:
         inner = log_u > -math.inf
         log_u[inner] = np.clip(log_u[inner], -53.0 * math.log(2.0), -(2.0**-53))
         series_r = []
-        rice_log_cdf = montecarlo._rice_log_cdf
+        rice_log_cdf = rice._rice_log_cdf
 
         def seen(r, s):
             series_r.append(r)
             return rice_log_cdf(r, s)
 
-        monkeypatch.setattr(montecarlo, "_rice_log_cdf", seen)
+        monkeypatch.setattr(rice, "_rice_log_cdf", seen)
         n0 = 0.25  # a power of two: the kernel's x = energy / n0 is the x above
-        reach = montecarlo._others_reach(x * n0, np.sqrt(mu * n0), n0, log_u, count)
+        reach = rice._others_reach(x * n0, np.sqrt(mu * n0), n0, log_u, count)
         np.testing.assert_array_equal(reach, log_u >= exact)
         # far above the mean, where count * exp(-d**2) < 2**-54, the lower
         # bound lies above every log U < 0, so no row there reaches the
@@ -818,13 +823,13 @@ class TestRunPoint:
         # log F(x; 0) - mu <= log F(x; mu) <= log F(x; 0) settle all but a
         # few trials, and every flag stays the full series' at its own U
         series_rows = []
-        rice_log_cdf = montecarlo._rice_log_cdf
+        rice_log_cdf = rice._rice_log_cdf
 
         def counted(r, s):
             series_rows.append(r.size)
             return rice_log_cdf(r, s)
 
-        monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
+        monkeypatch.setattr(rice, "_rice_log_cdf", counted)
         trials = 0
         for sf in (4, 5, 6, 7):
             for waveform in ("rect", "rc"):
@@ -841,13 +846,13 @@ class TestRunPoint:
         # the series would need about 5e3 terms per trial; the Chernoff
         # bounds decide every trial there, so the chunk's peak stays small
         sizes = []
-        rice_log_cdf = montecarlo._rice_log_cdf
+        rice_log_cdf = rice._rice_log_cdf
 
         def counted(r, s):
             sizes.append(r.size)
             return rice_log_cdf(r, s)
 
-        monkeypatch.setattr(montecarlo, "_rice_log_cdf", counted)
+        monkeypatch.setattr(rice, "_rice_log_cdf", counted)
         point = _point(waveform=ChipWaveform("rc"), delta_s=1.0, snr_db=60.0)
         tracemalloc.start()
         try:
@@ -999,17 +1004,9 @@ OUTPUT_PINS = {
         "corr",
         "bdff31ff1a80a7d42378138aa723098d2a987512c5d585465df99571fc62088e",
     ),
-    "corr-quad": (
-        "corr --quad",
-        "b5d38b30ad74c4e1d6092f5cebeb71fa35aa18db7a168aeb210f227545024582",
-    ),
     "corr-101": (
         "corr --steps 101",
         "400cc1e7a8a25fcfc63220f87e3ffee08f844618951a84270b18f832aeaae291",
-    ),
-    "corr-101-quad": (
-        "corr --steps 101 --quad",
-        "637dfdc68f59881869cedcf53ad002e27297e786970c1441e311240d335fa506",
     ),
 }
 
@@ -1208,8 +1205,9 @@ def result_cancel_pools(monkeypatch):
 
 
 class TestObjectChecks:
-    """run_point and SerEstimate refuse an object of the wrong type by name,
-    before any chunk is computed or any pool starts."""
+    """run_point, run_sweep, SerEstimate, certify_discrete_model and
+    write_results refuse an object of the wrong type by name, before any
+    chunk is computed, any pool starts or anything is written."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -1233,6 +1231,20 @@ class TestObjectChecks:
     def test_estimate_checks_point(self):
         with pytest.raises(ValueError, match=r"^point must be a GridPoint, got \(4,\)$"):
             SerEstimate((4,), 10, 1, 1)
+
+    def test_run_sweep_checks_config(self):
+        with pytest.raises(ValueError, match=r"^config must be a SweepConfig, got \{'sf_list'"):
+            run_sweep({"sf_list": (4,)})
+
+    def test_certify_checks_rng(self):
+        with pytest.raises(ValueError, match="^rng must be a Generator, got 42$"):
+            certify_discrete_model(4, ChipWaveform("rect"), 1, 42)
+
+    def test_write_results_checks_every_estimate_first(self):
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="^estimate must be a SerEstimate, got 2$"):
+            write_results([SerEstimate(_point(), 10, 1, 1), 2], fh)
+        assert fh.getvalue() == ""
 
 
 class TestSweep:

@@ -20,7 +20,6 @@ import pytest
 from qslora import modulation
 from qslora.channel import (
     analytic_decision_statistic,
-    draw_offset,
     noise_variance,
     synthesize_chip_rows,
     validate_delta_s,
@@ -102,12 +101,6 @@ PARAMS = {
     "validate_offset": _real(validate_offset, "delta", -0.5, 0.5, 0.25),
     "validate_offset.array": _real(
         lambda v: validate_offset(v, array=True), "delta", -0.5, 0.5, 0.25, array=True
-    ),
-    "draw_offset.delta_s": _real(
-        lambda v: draw_offset(v, np.random.default_rng(0), 3), "delta_s", 0, 1, 0.4
-    ),
-    "draw_offset.n": _int(
-        lambda v: draw_offset(0.4, np.random.default_rng(0), v), "n", 0, None, 3
     ),
     "analytic_decision_statistic.x_prev": _int(
         lambda v: analytic_decision_statistic(v, 2, -0.3, RECT, 4), "x_prev", 0, 15, 1,
@@ -318,9 +311,6 @@ MOTIVATING = {
     "GridPoint.delta_s=True": ("delta_s", lambda: GridPoint(4, RECT, True, 8)),
     "GridPoint.delta_s='0.5'": ("delta_s", lambda: GridPoint(4, RECT, "0.5", 8)),
     "SweepConfig.delta_s_list=(True,)": ("delta-s", lambda: SweepConfig(delta_s_list=(True,))),
-    "draw_offset.delta_s=True": (
-        "delta_s", lambda: draw_offset(True, np.random.default_rng(0), 2)
-    ),
     "validate_offset('0.25')": ("delta", lambda: validate_offset("0.25")),
     "run_point.fixed_delta='0.25'": (
         "fixed_delta", lambda: run_point(POINT, ONE_CHUNK, fixed_delta="0.25")
