@@ -39,7 +39,7 @@ from qslora.modulation import (
     validate_int,
     validate_sf,
 )
-from qslora.grid import GridPoint, snr_axis
+from qslora.grid import Grid, GridPoint, snr_axis
 from qslora.montecarlo import (
     SerEstimate,
     StoppingRule,
@@ -151,6 +151,7 @@ PARAMS = {
         lambda v: ContinuousSignal((1,), v, RECT), "spreading factor", 2, 12, 4
     ),
     "synthesize.symbols": _int(lambda v: synthesize((1, v), RECT, 4), "symbol", 0, 15, 3),
+    "synthesize.sf": _int(lambda v: synthesize((1, 2), RECT, v), "spreading factor", 2, 12, 4),
     "matched_filter_chip.n": _int(
         lambda v: matched_filter_chip(SIGNAL, v, 3, 0.1), "symbol index", 0, 2, 1
     ),
@@ -204,6 +205,21 @@ PARAMS = {
     "snr_axis.start": _real(lambda v: snr_axis(v, 10.0, 2.0), "snr_db", -300, 300, 0.0),
     "snr_axis.stop": _real(lambda v: snr_axis(0.0, v, 2.0), "snr axis stop", 0, None, 10.0),
     "snr_axis.step": _real(lambda v: snr_axis(0.0, 10.0, v), "snr axis step", 0, None, 2.0),
+    "Grid.sf_list": _int(
+        lambda v: Grid(sf_list=(v,)), "spreading factor", 2, 12, 4, prefix=_config("sf")
+    ),
+    "Grid.delta_s_list": _real(
+        lambda v: Grid(delta_s_list=(v,)), "delta_s", 0, 1, 0.4, prefix=_config("delta-s")
+    ),
+    "Grid.snr_start_db": _real(
+        lambda v: Grid(snr_start_db=v), "snr_db", -300, 300, 0.0, prefix=_config("snr")
+    ),
+    "Grid.snr_stop_db": _real(
+        lambda v: Grid(snr_stop_db=v), "snr axis stop", -4, None, 10.0, prefix=_config("snr")
+    ),
+    "Grid.snr_step_db": _real(
+        lambda v: Grid(snr_step_db=v), "snr axis step", 0, None, 2.0, prefix=_config("snr")
+    ),
     "SweepConfig.sf_list": _int(
         lambda v: SweepConfig(sf_list=(v,)), "spreading factor", 2, 12, 4, prefix=_config("sf")
     ),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslora.channel import analytic_decision_statistic, synthesize_chip_rows
-from qslora.continuous_time import certify_discrete_model, synthesize
+from qslora.continuous_time import ContinuousSignal, certify_discrete_model, synthesize
 from qslora.grid import GridPoint
 from qslora.waveforms import (
     WAVEFORM_TOKENS,
@@ -176,6 +176,7 @@ PULSE_ENTRIES = {
     "analytic_decision_statistic": lambda w: analytic_decision_statistic(0, 1, 0.25, w, 4),
     "certify_discrete_model": lambda w: certify_discrete_model(4, w, 1, np.random.default_rng(1)),
     "synthesize": lambda w: synthesize((1, 2), w, 4),
+    "ContinuousSignal": lambda w: ContinuousSignal((1, 2), 4, w),
 }
 
 
