@@ -9,7 +9,26 @@ deterministic, worker-count-independent Monte-Carlo.
 The top level holds the model; the reference layers' helpers stay in their
 own modules (qslora.continuous_time, qslora.modulation, qslora.quadrature,
 qslora.waveforms, qslora.channel).
+
+Importing qslora before numpy sets OPENBLAS_NUM_THREADS=1 unless the
+environment already names a value. qslora gives BLAS no work worth a thread
+(a dot product of a few hundred values and an (rows, 96) @ (96,) product),
+yet numpy's OpenBLAS starts one worker thread per extra CPU at load, and
+that thread spins for about 0.1 s before it sleeps: on a 2-CPU host it took
+about 40% of the CPU of a short sweep process and saved no wall time. To
+give OpenBLAS threads anyway, export OPENBLAS_NUM_THREADS, or import numpy
+before qslora (then qslora leaves the environment alone).
 """
+
+import os as _os
+import sys as _sys
+
+# Must run before the first import below that loads numpy: OpenBLAS reads
+# the variable once, when numpy loads it. On a 2-CPU host the idle OpenBLAS
+# thread used 99 ms of CPU against 136 ms for the main thread of a fresh
+# 4-point sf 10 sweep process (medians of 9 runs).
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -486,9 +486,12 @@ def run_sweep(
     submitted chunk to its decision, may overlap its neighbours'. progress,
     when given, is called with (index from 1, point count, estimate) in
     grid order as each estimate is yielded. config must be a SweepConfig
-    (modulation.validate_type), checked before any chunk is computed.
+    (modulation.validate_type) and progress None or callable, both checked
+    before any chunk is computed.
     """
     validate_type(config, SweepConfig, "config")
+    if progress is not None and not callable(progress):
+        raise ValueError(f"progress must be None or callable, got {progress!r}")
     results: list[SerEstimate] = []
     scheduler = _estimates(
         config.points, config.stop, config.master_seed, config.workers, config.fixed_delta, None

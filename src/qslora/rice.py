@@ -44,9 +44,24 @@ __all__ = ["analytical_ser_sync"]
 
 # log of the smallest subnormal float: a probability below it rounds to 0
 _LOG_TINIEST = math.log(math.ulp(0.0))
-# the 16-node Gauss-Legendre rule of every Rice integral in this module;
-# analytical_ser_sync's panels in u = sqrt(x):
-_RICE_NODES, _RICE_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-node Gauss-Legendre rule of every Rice integral in this module
+# (analytical_ser_sync's panels in u = sqrt(x)): (node, weight) of its
+# positive nodes, the exact bits of numpy.polynomial.legendre.leggauss(16),
+# kept as literals so that importing qslora loads no numpy.polynomial
+_RICE_POSITIVE = np.array(
+    [
+        (0.09501250983763744, 0.18945061045506864),
+        (0.2816035507792589, 0.18260341504492364),
+        (0.45801677765722737, 0.16915651939500265),
+        (0.6178762444026438, 0.1495959888165767),
+        (0.755404408355003, 0.12462897125553407),
+        (0.8656312023878318, 0.0951585116824926),
+        (0.9445750230732326, 0.062253523938647456),
+        (0.9894009349916499, 0.027152459411754176),
+    ]
+)
+_RICE_NODES = np.concatenate((-_RICE_POSITIVE[::-1, 0], _RICE_POSITIVE[:, 0]))
+_RICE_WEIGHTS = np.concatenate((_RICE_POSITIVE[::-1, 1], _RICE_POSITIVE[:, 1]))
 _RICE_PANEL = 0.5
 _RICE_REACH = 12.0  # integrate u over [0, sqrt(gamma) + _RICE_REACH]
 # log I0e(z): np.i0 below _I0_SWITCH, the asymptotic series above, where
@@ -63,7 +78,7 @@ def _log_i0e(z: np.ndarray) -> np.ndarray:
     small = z < _I0_SWITCH
     out[small] = np.log(np.i0(z[small])) - z[small]
     big = z[~small]
-    series = np.polynomial.polynomial.polyval(1.0 / big, _I0_SERIES)
+    series = np.polyval(_I0_SERIES[::-1], 1.0 / big)
     out[~small] = np.log1p(series) - 0.5 * np.log(2.0 * math.pi * big)
     return out
 

@@ -742,13 +742,26 @@ class TestMain:
         assert documented == parsed - {"--help"}
 
 
+def _fresh(code, **env_vars):
+    # stdout of code run in a fresh interpreter that imports qslora from
+    # this tree; an env_vars value of None removes that variable
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qslora.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_cli_runs_on_numpy_alone():
     # the README and pyproject.toml name numpy as the only runtime
     # dependency; scipy, mpmath and hypothesis are test-only references, so
     # neither the import nor an oracle, certify or corr run may load them
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qslora.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import contextlib, io, sys, qslora.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -757,7 +770,40 @@ def test_cli_runs_on_numpy_alone():
         "    assert qslora.cli.main(['corr', '--steps', '3']) == 0\n"
         "print(sorted({'hypothesis', 'mpmath', 'scipy'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh(code) == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # rice's Gauss-Legendre rule and I0 series need no numpy.polynomial
+    code = (
+        "import sys, qslora.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
+
+
+class TestOpenblasThreads:
+    """Importing qslora before numpy sets OPENBLAS_NUM_THREADS=1, unless the
+    environment names a value or numpy is already loaded."""
+
+    SHOW = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def test_unset_becomes_one(self):
+        assert _fresh("import qslora\n" + self.SHOW, OPENBLAS_NUM_THREADS=None) == "1"
+
+    def test_preset_value_is_kept(self):
+        assert _fresh("import qslora\n" + self.SHOW, OPENBLAS_NUM_THREADS="3") == "3"
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        code = "import numpy\nimport qslora\n" + self.SHOW
+        assert _fresh(code, OPENBLAS_NUM_THREADS=None) == "None"
+
+    def test_cli_process_has_one_thread(self):
+        try:  # numpy >= 1.26
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            blas = ""
+        if not os.path.isdir("/proc/self/task") or "openblas" not in blas.lower():
+            pytest.skip("needs /proc/self/task and a numpy built on OpenBLAS")
+        code = "import os, qslora.cli\nprint(len(os.listdir('/proc/self/task')))"
+        assert _fresh(code, OPENBLAS_NUM_THREADS=None) == "1"

@@ -106,6 +106,13 @@ class TestAnalyticalSerSync:
             exact = _exact_ser_sync(sf, snr_db)
             assert analytical_ser_sync(sf, snr_db) == pytest.approx(exact, rel=1e-12, abs=0)
 
+    def test_rice_rule_is_leggauss_bit_for_bit(self):
+        # rice keeps leggauss(16) as literals, so that qslora loads no
+        # numpy.polynomial; the oracle pins rest on these exact bits
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert rice._RICE_NODES.tobytes() == nodes.tobytes()
+        assert rice._RICE_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_log_i0e_against_scipy(self):
         from scipy.special import i0e
 
@@ -1235,6 +1242,18 @@ class TestObjectChecks:
     def test_run_sweep_checks_config(self):
         with pytest.raises(ValueError, match=r"^config must be a SweepConfig, got \{'sf_list'"):
             run_sweep({"sf_list": (4,)})
+
+    @pytest.mark.parametrize("progress", [5, "x"])
+    def test_run_sweep_checks_progress(self, progress, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "_chunk_errors", lambda *args: calls.append(args))
+        config = SweepConfig(
+            sf_list=(4,), waveforms=("rect",), delta_s_list=(0.0,), snr_start_db=0, snr_stop_db=0
+        )
+        message = f"^progress must be None or callable, got {progress!r}$"
+        with pytest.raises(ValueError, match=message):
+            run_sweep(config, progress=progress)
+        assert calls == []
 
     def test_certify_checks_rng(self):
         with pytest.raises(ValueError, match="^rng must be a Generator, got 42$"):
